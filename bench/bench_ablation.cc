@@ -145,11 +145,9 @@ void StratifiedAblation(const ugs::UncertainGraph& graph,
   const ugs::VertexPair pair = pairs[0];
 
   auto query = [&](const ugs::UncertainGraph& g) {
-    return [&g, pair](const std::vector<char>& present) {
+    return [&g, pair](const ugs::PossibleWorld& world) {
       ugs::UnionFind uf(g.num_vertices());
-      for (ugs::EdgeId e = 0; e < g.num_edges(); ++e) {
-        if (present[e]) uf.Union(g.edge(e).u, g.edge(e).v);
-      }
+      ugs::ConnectOnWorld(world, &uf);
       return uf.Connected(pair.s, pair.t) ? 1.0 : 0.0;
     };
   };

@@ -9,9 +9,11 @@
 #include <map>
 #include <utility>
 
+#include "gen/datasets.h"
 #include "gen/generators.h"
-#include "query/skip_sampler.h"
+#include "query/clustering.h"
 #include "query/pagerank.h"
+#include "query/skip_sampler.h"
 #include "query/shortest_path.h"
 #include "query/world_sampler.h"
 #include "sparsify/backbone.h"
@@ -174,27 +176,72 @@ void BM_IndexedHeapUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexedHeapUpdate);
 
-void BM_PageRankWorld(benchmark::State& state) {
-  const ugs::UncertainGraph& g = BenchGraph(2000, 16.0);
+// The per-world kernel rungs of the perf ladder run on one world of a
+// graph shaped like the serve_miss benchmark input (2000 V, ~49k E,
+// E[p] ~ 0.15, so a world keeps ~16% of the edges).
+const ugs::UncertainGraph& ServeMissGraph() {
+  static const ugs::UncertainGraph* graph =
+      new ugs::UncertainGraph(ugs::MakeTwitterLike(1.0));
+  return *graph;
+}
+
+ugs::PossibleWorld SampledServeMissWorld() {
+  ugs::PossibleWorld world(ServeMissGraph());
   ugs::Rng rng(1);
-  std::vector<char> present;
-  ugs::SampleWorld(g, &rng, &present);
+  ugs::SampleWorld(ServeMissGraph(), &rng, &world.mutable_present());
+  world.Rebuild();
+  return world;
+}
+
+void BM_PossibleWorldBuild(benchmark::State& state) {
+  // Arg 0: bitmap -> present edge list; arg 1: plus the present-only CSR.
+  ugs::PossibleWorld world = SampledServeMissWorld();
+  const bool adjacency = state.range(0) != 0;
   for (auto _ : state) {
-    auto pr = ugs::PageRankOnWorld(g, present);
-    benchmark::DoNotOptimize(pr.data());
+    world.Rebuild();
+    benchmark::DoNotOptimize(world.edges().data());
+    if (adjacency) benchmark::DoNotOptimize(world.Neighbors(0).data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(
+                              ServeMissGraph().num_edges()));
+}
+BENCHMARK(BM_PossibleWorldBuild)->Arg(0)->Arg(1);
+
+void BM_PageRankWorld(benchmark::State& state) {
+  const ugs::PossibleWorld world = SampledServeMissWorld();
+  ugs::PageRankOptions options;
+  options.max_iterations = 20;  // As the serve_miss requests.
+  std::vector<double> rank(ServeMissGraph().num_vertices());
+  ugs::PageRankScratch scratch;
+  for (auto _ : state) {
+    ugs::PageRankOnWorld(world, options, rank.data(), &scratch);
+    benchmark::DoNotOptimize(rank.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_PageRankWorld);
 
-void BM_BfsWorld(benchmark::State& state) {
-  const ugs::UncertainGraph& g = BenchGraph(2000, 16.0);
-  ugs::Rng rng(1);
-  std::vector<char> present;
-  ugs::SampleWorld(g, &rng, &present);
-  std::vector<int> dist;
+void BM_ClusteringWorld(benchmark::State& state) {
+  const ugs::PossibleWorld world = SampledServeMissWorld();
+  std::vector<double> cc(ServeMissGraph().num_vertices());
+  ugs::ClusteringScratch scratch;
   for (auto _ : state) {
-    ugs::BfsOnWorld(g, present, 0, &dist);
-    benchmark::DoNotOptimize(dist.data());
+    ugs::LocalClusteringOnWorld(world, cc.data(), &scratch);
+    benchmark::DoNotOptimize(cc.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ClusteringWorld);
+
+void BM_BfsWorld(benchmark::State& state) {
+  const ugs::PossibleWorld world = SampledServeMissWorld();
+  ugs::BfsScratch bfs;
+  for (auto _ : state) {
+    ugs::BfsOnWorld(world, 0, &bfs);
+    benchmark::DoNotOptimize(bfs.dist.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_BfsWorld);

@@ -1,64 +1,52 @@
 #include "query/clustering.h"
 
 #include <algorithm>
+#include <memory>
+#include <span>
 
 #include "util/check.h"
 
 namespace ugs {
 
-std::vector<double> LocalClusteringOnWorld(const UncertainGraph& graph,
-                                           const std::vector<char>& present) {
-  const std::size_t n = graph.num_vertices();
-  UGS_CHECK_EQ(present.size(), graph.num_edges());
+void LocalClusteringOnWorld(const PossibleWorld& world, double* cc,
+                            ClusteringScratch* scratch) {
+  const std::size_t n = world.graph().num_vertices();
+  constexpr VertexId kUnmarked = static_cast<VertexId>(-1);
+  std::vector<VertexId>& mark = scratch->mark;
+  std::vector<std::size_t>& triangles = scratch->triangles;
+  mark.assign(n, kUnmarked);
+  triangles.assign(n, 0);
 
-  // Present-neighbor lists, sorted (inherits the CSR's neighbor order).
-  std::vector<std::vector<VertexId>> nbrs(n);
+  // Each triangle u < v < w is found once, from its smallest vertex u:
+  // mark u's higher neighbors, then for every higher neighbor v of u look
+  // for marked neighbors w > v. Rows are ascending, so "higher" is a
+  // row suffix. The graph has no self loops or parallel edges, so the
+  // integer counts equal any other exact triangle count.
   for (VertexId u = 0; u < n; ++u) {
-    for (const AdjacencyEntry& a : graph.Neighbors(u)) {
-      if (present[a.edge]) nbrs[u].push_back(a.neighbor);
-    }
-  }
-
-  // Triangle counts per vertex: for each present edge (u, v), intersect
-  // their neighbor lists; each common neighbor w closes a triangle and
-  // credits u, v, and w once each (iterate edges u < v and count w > v to
-  // count each triangle exactly once).
-  std::vector<std::size_t> triangles(n, 0);
-  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    if (!present[e]) continue;
-    VertexId u = graph.edge(e).u;
-    VertexId v = graph.edge(e).v;
-    if (u > v) std::swap(u, v);
-    const std::vector<VertexId>& a = nbrs[u];
-    const std::vector<VertexId>& b = nbrs[v];
-    // Walk both sorted lists; only common neighbors w > v so the triangle
-    // {u, v, w} is found once (at its lexicographically smallest edge).
-    auto ia = std::lower_bound(a.begin(), a.end(), v + 1);
-    auto ib = std::lower_bound(b.begin(), b.end(), v + 1);
-    while (ia != a.end() && ib != b.end()) {
-      if (*ia < *ib) {
-        ++ia;
-      } else if (*ib < *ia) {
-        ++ib;
-      } else {
-        ++triangles[u];
-        ++triangles[v];
-        ++triangles[*ia];
-        ++ia;
-        ++ib;
+    const std::span<const VertexId> nu = world.Neighbors(u);
+    const auto higher_u = std::upper_bound(nu.begin(), nu.end(), u);
+    for (auto it = higher_u; it != nu.end(); ++it) mark[*it] = u;
+    for (auto it = higher_u; it != nu.end(); ++it) {
+      const VertexId v = *it;
+      const std::span<const VertexId> nv = world.Neighbors(v);
+      for (auto jt = std::upper_bound(nv.begin(), nv.end(), v);
+           jt != nv.end(); ++jt) {
+        if (mark[*jt] == u) {
+          ++triangles[u];
+          ++triangles[v];
+          ++triangles[*jt];
+        }
       }
     }
   }
 
-  std::vector<double> cc(n, 0.0);
   for (VertexId v = 0; v < n; ++v) {
-    std::size_t deg = nbrs[v].size();
-    if (deg >= 2) {
-      cc[v] = 2.0 * static_cast<double>(triangles[v]) /
-              (static_cast<double>(deg) * static_cast<double>(deg - 1));
-    }
+    const std::size_t deg = world.Neighbors(v).size();
+    cc[v] = deg >= 2 ? 2.0 * static_cast<double>(triangles[v]) /
+                           (static_cast<double>(deg) *
+                            static_cast<double>(deg - 1))
+                     : 0.0;
   }
-  return cc;
 }
 
 McSamples McClusteringCoefficient(const UncertainGraph& graph,
@@ -66,10 +54,10 @@ McSamples McClusteringCoefficient(const UncertainGraph& graph,
                                   const SampleEngine& engine) {
   return engine.Run(
       graph, graph.num_vertices(), num_samples, rng, /*track_valid=*/false,
-      [&graph]() -> SampleEngine::WorldEval {
-        return [&graph](std::vector<char>& present, double* row, char*) {
-          std::vector<double> cc = LocalClusteringOnWorld(graph, present);
-          std::copy(cc.begin(), cc.end(), row);
+      []() -> SampleEngine::WorldEval {
+        auto scratch = std::make_shared<ClusteringScratch>();
+        return [scratch](PossibleWorld& world, double* row, char*) {
+          LocalClusteringOnWorld(world, row, scratch.get());
         };
       });
 }

@@ -15,12 +15,18 @@ namespace ugs {
 /// McClusteringCoefficient remains as the compute kernel the registry
 /// dispatches to, so results are bit-identical either way.
 
-/// Local clustering coefficient of every vertex in one world:
-/// cc(v) = 2 * triangles(v) / (deg(v) * (deg(v)-1)); 0 when deg(v) < 2.
-/// Triangles are counted by sorted-adjacency intersection over present
-/// edges.
-std::vector<double> LocalClusteringOnWorld(const UncertainGraph& graph,
-                                           const std::vector<char>& present);
+/// Per-task scratch of LocalClusteringOnWorld, reused across worlds.
+struct ClusteringScratch {
+  std::vector<VertexId> mark;
+  std::vector<std::size_t> triangles;
+};
+
+/// Local clustering coefficient of every vertex in one world, written to
+/// cc[0..|V|): cc(v) = 2 * triangles(v) / (deg(v) * (deg(v)-1)); 0 when
+/// deg(v) < 2. Triangles are counted with a marker array over the
+/// world's present-only adjacency.
+void LocalClusteringOnWorld(const PossibleWorld& world, double* cc,
+                            ClusteringScratch* scratch);
 
 /// Monte-Carlo clustering coefficient (query (iv) of Section 6.3);
 /// unit = vertex. Worlds are dispatched through `engine` (deterministic

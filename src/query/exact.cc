@@ -4,40 +4,59 @@
 #include <memory>
 #include <vector>
 
+#include "query/reliability.h"
 #include "query/shortest_path.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
-#include "util/union_find.h"
 
 namespace ugs {
 namespace {
 
-/// Iterates all 2^m worlds serially; calls visit(present, probability).
+/// Loads the world whose edge e is present iff bit e of `mask` is set
+/// into `world` (view rebuilt) and returns its probability under the
+/// per-edge probabilities `p`.
+double LoadWorld(std::uint64_t mask, const std::vector<double>& p,
+                 PossibleWorld* world) {
+  std::vector<char>& present = world->mutable_present();
+  double probability = 1.0;
+  for (std::size_t e = 0; e < present.size(); ++e) {
+    bool on = (mask >> e) & 1ULL;
+    present[e] = on ? 1 : 0;
+    probability *= on ? p[e] : (1.0 - p[e]);
+  }
+  world->Rebuild();
+  return probability;
+}
+
+std::vector<double> EdgeProbabilities(const UncertainGraph& graph) {
+  const std::size_t m = graph.num_edges();
+  UGS_CHECK_LE(m, kMaxExactEdges);
+  std::vector<double> p(m);
+  for (std::size_t e = 0; e < m; ++e) {
+    p[e] = graph.edge(static_cast<EdgeId>(e)).p;
+  }
+  return p;
+}
+
+/// Iterates all 2^m worlds serially; calls visit(world, probability).
 /// Kept for ExactWorldProbability, whose caller-supplied predicate is a
 /// single instance that may hold mutable scratch.
 void ForEachWorld(
     const UncertainGraph& graph,
-    const std::function<void(const std::vector<char>&, double)>& visit) {
-  const std::size_t m = graph.num_edges();
-  UGS_CHECK_LE(m, kMaxExactEdges);
-  const std::uint64_t worlds = 1ULL << m;
-  std::vector<char> present(m, 0);
+    const std::function<void(const PossibleWorld&, double)>& visit) {
+  const std::vector<double> p = EdgeProbabilities(graph);
+  const std::uint64_t worlds = 1ULL << p.size();
+  PossibleWorld world(graph);
   for (std::uint64_t mask = 0; mask < worlds; ++mask) {
-    double probability = 1.0;
-    for (std::size_t e = 0; e < m; ++e) {
-      bool on = (mask >> e) & 1ULL;
-      present[e] = on ? 1 : 0;
-      double p = graph.edge(static_cast<EdgeId>(e)).p;
-      probability *= on ? p : (1.0 - p);
-    }
-    if (probability > 0.0) visit(present, probability);
+    const double probability = LoadWorld(mask, p, &world);
+    if (probability > 0.0) visit(world, probability);
   }
 }
 
 /// A per-chunk reduction visitor: adds a world's contribution into
 /// acc[0..num_accumulators).
 using ChunkVisitor =
-    std::function<void(const std::vector<char>&, double, double*)>;
+    std::function<void(const PossibleWorld&, double, double*)>;
 
 /// Worlds per enumeration chunk. Fixed (never derived from the thread
 /// count) so the per-chunk partial sums -- and therefore the final
@@ -53,34 +72,23 @@ constexpr std::uint64_t kWorldChunk = 1ULL << 12;
 void ParallelWorldReduce(const UncertainGraph& graph, int num_accumulators,
                          const std::function<ChunkVisitor()>& factory,
                          double* out, ThreadPool& pool) {
-  const std::size_t m = graph.num_edges();
-  UGS_CHECK_LE(m, kMaxExactEdges);
-  const std::uint64_t worlds = 1ULL << m;
+  const std::vector<double> probabilities = EdgeProbabilities(graph);
+  const std::uint64_t worlds = 1ULL << probabilities.size();
   const std::uint64_t chunk = std::min(worlds, kWorldChunk);
   const std::size_t num_chunks =
       static_cast<std::size_t>((worlds + chunk - 1) / chunk);
   const std::size_t k = static_cast<std::size_t>(num_accumulators);
   std::vector<double> partial(num_chunks * k, 0.0);
 
-  std::vector<double> probabilities(m);
-  for (std::size_t e = 0; e < m; ++e) {
-    probabilities[e] = graph.edge(static_cast<EdgeId>(e)).p;
-  }
-
   pool.ParallelFor(num_chunks, [&](std::size_t c) {
     ChunkVisitor visit = factory();
-    std::vector<char> present(m, 0);
+    PossibleWorld world(graph);
     double* acc = partial.data() + c * k;
     const std::uint64_t begin = static_cast<std::uint64_t>(c) * chunk;
     const std::uint64_t end = std::min(begin + chunk, worlds);
     for (std::uint64_t mask = begin; mask < end; ++mask) {
-      double probability = 1.0;
-      for (std::size_t e = 0; e < m; ++e) {
-        bool on = (mask >> e) & 1ULL;
-        present[e] = on ? 1 : 0;
-        probability *= on ? probabilities[e] : (1.0 - probabilities[e]);
-      }
-      if (probability > 0.0) visit(present, probability, acc);
+      const double probability = LoadWorld(mask, probabilities, &world);
+      if (probability > 0.0) visit(world, probability, acc);
     }
   });
 
@@ -95,10 +103,10 @@ void ParallelWorldReduce(const UncertainGraph& graph, int num_accumulators,
 
 double ExactWorldProbability(
     const UncertainGraph& graph,
-    const std::function<bool(const std::vector<char>&)>& predicate) {
+    const std::function<bool(const PossibleWorld&)>& predicate) {
   double total = 0.0;
-  ForEachWorld(graph, [&](const std::vector<char>& present, double prob) {
-    if (predicate(present)) total += prob;
+  ForEachWorld(graph, [&](const PossibleWorld& world, double prob) {
+    if (predicate(world)) total += prob;
   });
   return total;
 }
@@ -110,14 +118,10 @@ double ExactConnectivityProbability(const UncertainGraph& graph,
   double total = 0.0;
   ParallelWorldReduce(
       graph, 1,
-      [&graph, n]() -> ChunkVisitor {
+      [n]() -> ChunkVisitor {
         auto uf = std::make_shared<UnionFind>(n);
-        return [&graph, uf](const std::vector<char>& present, double prob,
-                            double* acc) {
-          uf->Reset();
-          for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-            if (present[e]) uf->Union(graph.edge(e).u, graph.edge(e).v);
-          }
+        return [uf](const PossibleWorld& world, double prob, double* acc) {
+          ConnectOnWorld(world, uf.get());
           if (uf->num_components() == 1) acc[0] += prob;
         };
       },
@@ -137,12 +141,9 @@ double ExactReliability(const UncertainGraph& graph, VertexId s, VertexId t,
       graph, 1,
       [&graph, s, t]() -> ChunkVisitor {
         auto uf = std::make_shared<UnionFind>(graph.num_vertices());
-        return [&graph, uf, s, t](const std::vector<char>& present,
-                                  double prob, double* acc) {
-          uf->Reset();
-          for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-            if (present[e]) uf->Union(graph.edge(e).u, graph.edge(e).v);
-          }
+        return [uf, s, t](const PossibleWorld& world, double prob,
+                          double* acc) {
+          ConnectOnWorld(world, uf.get());
           if (uf->Connected(s, t)) acc[0] += prob;
         };
       },
@@ -162,14 +163,14 @@ double ExactExpectedDistance(const UncertainGraph& graph, VertexId s,
   double acc[2] = {0.0, 0.0};
   ParallelWorldReduce(
       graph, 2,
-      [&graph, s, t]() -> ChunkVisitor {
-        auto dist = std::make_shared<std::vector<int>>();
-        return [&graph, dist, s, t](const std::vector<char>& present,
-                                    double prob, double* a) {
-          BfsOnWorld(graph, present, s, dist.get());
-          if ((*dist)[t] != kUnreachable) {
+      [s, t]() -> ChunkVisitor {
+        auto bfs = std::make_shared<BfsScratch>();
+        return [bfs, s, t](const PossibleWorld& world, double prob,
+                           double* a) {
+          BfsOnWorld(world, s, bfs.get());
+          if (bfs->dist[t] != kUnreachable) {
             a[0] += prob;
-            a[1] += prob * static_cast<double>((*dist)[t]);
+            a[1] += prob * static_cast<double>(bfs->dist[t]);
           }
         };
       },

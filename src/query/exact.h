@@ -4,6 +4,7 @@
 #include <functional>
 
 #include "graph/uncertain_graph.h"
+#include "query/world_sampler.h"
 #include "util/thread_pool.h"
 
 namespace ugs {
@@ -31,10 +32,10 @@ namespace ugs {
 /// mutable scratch.
 inline constexpr std::size_t kMaxExactEdges = 24;
 
-/// Sum of Pr(world) over worlds where predicate(present_flags) is true.
+/// Sum of Pr(world) over worlds where predicate(world) is true.
 double ExactWorldProbability(
     const UncertainGraph& graph,
-    const std::function<bool(const std::vector<char>&)>& predicate);
+    const std::function<bool(const PossibleWorld&)>& predicate);
 
 /// Pr[the world is a single connected component] (isolated vertices count
 /// as disconnecting; a 1-vertex graph is connected).

@@ -2,50 +2,60 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "util/check.h"
 
 namespace ugs {
 
-std::vector<double> PageRankOnWorld(const UncertainGraph& graph,
-                                    const std::vector<char>& present,
-                                    const PageRankOptions& options) {
+void PageRankOnWorld(const PossibleWorld& world,
+                     const PageRankOptions& options, double* rank,
+                     PageRankScratch* scratch) {
+  const UncertainGraph& graph = world.graph();
   const std::size_t n = graph.num_vertices();
-  UGS_CHECK_EQ(present.size(), graph.num_edges());
   UGS_CHECK(n > 0);
   const double d = options.damping;
 
-  std::vector<std::uint32_t> degree(n, 0);
-  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    if (present[e]) {
-      ++degree[graph.edge(e).u];
-      ++degree[graph.edge(e).v];
-    }
+  std::vector<std::uint32_t>& degree = scratch->degree;
+  std::vector<std::pair<VertexId, VertexId>>& ends = scratch->endpoints;
+  degree.assign(n, 0);
+  ends.clear();
+  for (EdgeId e : world.edges()) {
+    const UncertainEdge& ed = graph.edge(e);
+    ++degree[ed.u];
+    ++degree[ed.v];
+    ends.emplace_back(ed.u, ed.v);
   }
+  scratch->next.resize(n);
+  scratch->contrib.resize(n);
+  double* contrib = scratch->contrib.data();
 
-  std::vector<double> rank(n, 1.0 / static_cast<double>(n));
-  std::vector<double> next(n);
+  double* cur = rank;
+  double* next = scratch->next.data();
+  std::fill(cur, cur + n, 1.0 / static_cast<double>(n));
   for (int it = 0; it < options.max_iterations; ++it) {
     double dangling = 0.0;
     for (VertexId v = 0; v < n; ++v) {
-      if (degree[v] == 0) dangling += rank[v];
+      if (degree[v] == 0) {
+        dangling += cur[v];
+      } else {
+        contrib[v] = d * cur[v] / static_cast<double>(degree[v]);
+      }
     }
     const double base =
         (1.0 - d) / static_cast<double>(n) +
         d * dangling / static_cast<double>(n);
-    std::fill(next.begin(), next.end(), base);
-    for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-      if (!present[e]) continue;
-      const UncertainEdge& ed = graph.edge(e);
-      next[ed.v] += d * rank[ed.u] / static_cast<double>(degree[ed.u]);
-      next[ed.u] += d * rank[ed.v] / static_cast<double>(degree[ed.v]);
+    std::fill(next, next + n, base);
+    for (const auto& [u, v] : ends) {
+      next[v] += contrib[u];
+      next[u] += contrib[v];
     }
     double change = 0.0;
-    for (VertexId v = 0; v < n; ++v) change += std::abs(next[v] - rank[v]);
-    rank.swap(next);
+    for (VertexId v = 0; v < n; ++v) change += std::abs(next[v] - cur[v]);
+    std::swap(cur, next);
     if (change < options.tolerance) break;
   }
-  return rank;
+  if (cur != rank) std::copy(cur, cur + n, rank);
 }
 
 McSamples McPageRank(const UncertainGraph& graph, int num_samples, Rng* rng,
@@ -53,11 +63,10 @@ McSamples McPageRank(const UncertainGraph& graph, int num_samples, Rng* rng,
                      const SampleEngine& engine) {
   return engine.Run(
       graph, graph.num_vertices(), num_samples, rng, /*track_valid=*/false,
-      [&graph, options]() -> SampleEngine::WorldEval {
-        return [&graph, options](std::vector<char>& present, double* row,
-                                 char*) {
-          std::vector<double> pr = PageRankOnWorld(graph, present, options);
-          std::copy(pr.begin(), pr.end(), row);
+      [options]() -> SampleEngine::WorldEval {
+        auto scratch = std::make_shared<PageRankScratch>();
+        return [options, scratch](PossibleWorld& world, double* row, char*) {
+          PageRankOnWorld(world, options, row, scratch.get());
         };
       });
 }

@@ -1,6 +1,8 @@
 #ifndef UGS_QUERY_PAGERANK_H_
 #define UGS_QUERY_PAGERANK_H_
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "graph/uncertain_graph.h"
@@ -23,11 +25,22 @@ struct PageRankOptions {
   double tolerance = 1e-10;  ///< L1 change per iteration to stop early.
 };
 
-/// PageRank vector (sums to 1) of one deterministic world given by the
-/// presence flags (parallel to graph.edges()).
-std::vector<double> PageRankOnWorld(const UncertainGraph& graph,
-                                    const std::vector<char>& present,
-                                    const PageRankOptions& options = {});
+/// Per-task scratch of PageRankOnWorld, reused across worlds.
+struct PageRankScratch {
+  std::vector<std::uint32_t> degree;
+  std::vector<double> next;
+  std::vector<double> contrib;  ///< d * rank[u] / degree[u] per vertex.
+  /// Endpoints of the present edges, ascending edge id.
+  std::vector<std::pair<VertexId, VertexId>> endpoints;
+};
+
+/// PageRank vector (sums to 1) of one world, written to rank[0..|V|).
+/// Each iteration walks the present edges in ascending id, so every
+/// vertex's incoming rank is summed in a fixed order (the determinism
+/// contract, docs/architecture.md).
+void PageRankOnWorld(const PossibleWorld& world,
+                     const PageRankOptions& options, double* rank,
+                     PageRankScratch* scratch);
 
 /// Monte-Carlo PageRank over `num_samples` sampled worlds; unit = vertex.
 /// This is evaluation query (i) of Section 6.3. Worlds are dispatched

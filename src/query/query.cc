@@ -8,7 +8,6 @@
 #include "query/exact.h"
 #include "query/reliability.h"
 #include "query/stratified.h"
-#include "util/union_find.h"
 
 namespace ugs {
 
@@ -93,11 +92,8 @@ WorldQueryFactory ReachabilityFactory(const UncertainGraph& graph, VertexId s,
                                       VertexId t) {
   return [&graph, s, t]() -> WorldQuery {
     auto uf = std::make_shared<UnionFind>(graph.num_vertices());
-    return [&graph, uf, s, t](const std::vector<char>& present) {
-      uf->Reset();
-      for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-        if (present[e]) uf->Union(graph.edge(e).u, graph.edge(e).v);
-      }
+    return [uf, s, t](const PossibleWorld& world) {
+      ConnectOnWorld(world, uf.get());
       return uf->Connected(s, t) ? 1.0 : 0.0;
     };
   };
@@ -106,13 +102,12 @@ WorldQueryFactory ReachabilityFactory(const UncertainGraph& graph, VertexId s,
 /// WorldQueryFactory for d(s, t) * 1[s ~ t] (distance = true) or the bare
 /// connectivity indicator (distance = false) -- the two halves of the
 /// stratified conditioned-distance ratio estimator.
-WorldQueryFactory DistanceFactory(const UncertainGraph& graph, VertexId s,
-                                  VertexId t, bool distance) {
-  return [&graph, s, t, distance]() -> WorldQuery {
-    auto dist = std::make_shared<std::vector<int>>();
-    return [&graph, dist, s, t, distance](const std::vector<char>& present) {
-      BfsOnWorld(graph, present, s, dist.get());
-      int d = (*dist)[t];
+WorldQueryFactory DistanceFactory(VertexId s, VertexId t, bool distance) {
+  return [s, t, distance]() -> WorldQuery {
+    auto bfs = std::make_shared<BfsScratch>();
+    return [bfs, s, t, distance](const PossibleWorld& world) {
+      BfsOnWorld(world, s, bfs.get());
+      int d = bfs->dist[t];
       if (d == kUnreachable) return 0.0;
       return distance ? static_cast<double>(d) : 1.0;
     };
@@ -201,11 +196,8 @@ class ConnectivityQuery final : public Query {
       case Estimator::kStratified: {
         auto factory = [&graph]() -> WorldQuery {
           auto uf = std::make_shared<UnionFind>(graph.num_vertices());
-          return [&graph, uf](const std::vector<char>& present) {
-            uf->Reset();
-            for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-              if (present[e]) uf->Union(graph.edge(e).u, graph.edge(e).v);
-            }
+          return [uf](const PossibleWorld& world) {
+            ConnectOnWorld(world, uf.get());
             return uf->num_components() == 1 ? 1.0 : 0.0;
           };
         };
@@ -257,10 +249,10 @@ class ShortestPathQuery final : public Query {
         result.means.reserve(request.pairs.size());
         for (const VertexPair& pair : request.pairs) {
           double weighted = StratifiedEstimate(
-              graph, DistanceFactory(graph, pair.s, pair.t, true), options,
+              graph, DistanceFactory(pair.s, pair.t, true), options,
               &rng, engine);
           double connected = StratifiedEstimate(
-              graph, DistanceFactory(graph, pair.s, pair.t, false), options,
+              graph, DistanceFactory(pair.s, pair.t, false), options,
               &rng, engine);
           result.means.push_back(connected > 0.0 ? weighted / connected
                                                  : 0.0);

@@ -3,9 +3,14 @@
 #include <memory>
 
 #include "util/check.h"
-#include "util/union_find.h"
 
 namespace ugs {
+
+void ConnectOnWorld(const PossibleWorld& world, UnionFind* uf) {
+  const UncertainGraph& graph = world.graph();
+  uf->Reset();
+  for (EdgeId e : world.edges()) uf->Union(graph.edge(e).u, graph.edge(e).v);
+}
 
 McSamples McReliability(const UncertainGraph& graph,
                         const std::vector<VertexPair>& pairs,
@@ -15,12 +20,8 @@ McSamples McReliability(const UncertainGraph& graph,
       graph, pairs.size(), num_samples, rng, /*track_valid=*/false,
       [&graph, &pairs]() -> SampleEngine::WorldEval {
         auto uf = std::make_shared<UnionFind>(graph.num_vertices());
-        return [&graph, &pairs, uf](std::vector<char>& present, double* row,
-                                    char*) {
-          uf->Reset();
-          for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-            if (present[e]) uf->Union(graph.edge(e).u, graph.edge(e).v);
-          }
+        return [&pairs, uf](PossibleWorld& world, double* row, char*) {
+          ConnectOnWorld(world, uf.get());
           for (std::size_t i = 0; i < pairs.size(); ++i) {
             row[i] = uf->Connected(pairs[i].s, pairs[i].t) ? 1.0 : 0.0;
           }
@@ -53,11 +54,8 @@ double EstimateConnectivity(const UncertainGraph& graph, int num_samples,
   return engine.RunMean(
       graph, num_samples, rng, [&graph]() -> SampleEngine::WorldStat {
         auto uf = std::make_shared<UnionFind>(graph.num_vertices());
-        return [&graph, uf](std::vector<char>& present) {
-          uf->Reset();
-          for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-            if (present[e]) uf->Union(graph.edge(e).u, graph.edge(e).v);
-          }
+        return [uf](PossibleWorld& world) {
+          ConnectOnWorld(world, uf.get());
           return uf->num_components() == 1 ? 1.0 : 0.0;
         };
       });

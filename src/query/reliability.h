@@ -8,6 +8,7 @@
 #include "query/shortest_path.h"
 #include "query/world_sampler.h"
 #include "util/random.h"
+#include "util/union_find.h"
 
 namespace ugs {
 
@@ -16,6 +17,12 @@ namespace ugs {
 /// (query/graph_session.h). These free functions remain as the compute
 /// kernels the registry dispatches to, so results are bit-identical
 /// either way.
+
+/// Connected components of one world: resets `uf` (sized |V|) and unions
+/// the endpoints of every present edge, in ascending edge id. The one
+/// connectivity kernel behind reliability, connectivity and their exact
+/// and stratified oracles.
+void ConnectOnWorld(const PossibleWorld& world, UnionFind* uf);
 
 /// Monte-Carlo reliability (query (iii) of Section 6.3): for each pair,
 /// each sample is the 0/1 indicator that t is reachable from s in the

@@ -33,6 +33,29 @@ McSamples SampleEngine::Run(const UncertainGraph& graph,
                             std::size_t num_units, int num_samples,
                             Rng* rng, bool track_valid,
                             const WorldEvalFactory& factory) const {
+  return RunWorlds(graph, num_units, num_samples, rng, track_valid, factory,
+                   /*build_view=*/true);
+}
+
+McSamples SampleEngine::Run(const UncertainGraph& graph,
+                            std::size_t num_units, int num_samples,
+                            Rng* rng, bool track_valid,
+                            const BitmapEvalFactory& factory) const {
+  return RunWorlds(graph, num_units, num_samples, rng, track_valid,
+                   [&factory]() -> WorldEval {
+                     return [eval = factory()](PossibleWorld& world,
+                                               double* row, char* valid) {
+                       eval(world.mutable_present(), row, valid);
+                     };
+                   },
+                   /*build_view=*/false);
+}
+
+McSamples SampleEngine::RunWorlds(const UncertainGraph& graph,
+                                  std::size_t num_units, int num_samples,
+                                  Rng* rng, bool track_valid,
+                                  const WorldEvalFactory& factory,
+                                  bool build_view) const {
   UGS_CHECK(num_samples > 0);
   if (options_.worlds_sampled != nullptr) {
     options_.worlds_sampled->Add(static_cast<std::uint64_t>(num_samples));
@@ -57,7 +80,8 @@ McSamples SampleEngine::Run(const UncertainGraph& graph,
   char* valid = track_valid ? out.valid.data() : nullptr;
   pool().ParallelFor(num_batches, [&](std::size_t b) {
     WorldEval eval = factory();
-    std::vector<char> present;
+    PossibleWorld world(graph);
+    std::vector<char>& present = world.mutable_present();
     const std::size_t begin = b * batch;
     const std::size_t end = std::min(begin + batch, total);
     for (std::size_t s = begin; s < end; ++s) {
@@ -67,7 +91,8 @@ McSamples SampleEngine::Run(const UncertainGraph& graph,
       } else {
         SampleWorld(graph, &sample_rng, &present);
       }
-      eval(present, values + s * num_units,
+      if (build_view) world.Rebuild();
+      eval(world, values + s * num_units,
            valid != nullptr ? valid + s * num_units : nullptr);
     }
   });
@@ -81,9 +106,9 @@ double SampleEngine::RunMean(const UncertainGraph& graph, int num_samples,
       Run(graph, 1, num_samples, rng, /*track_valid=*/false,
           [&factory]() -> WorldEval {
             WorldStat stat = factory();
-            return [stat = std::move(stat)](std::vector<char>& present,
+            return [stat = std::move(stat)](PossibleWorld& world,
                                             double* row, char*) {
-              row[0] = stat(present);
+              row[0] = stat(world);
             };
           });
   // Fixed summation order keeps the mean bit-identical across thread

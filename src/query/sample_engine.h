@@ -58,10 +58,12 @@ class SampleEngine {
   /// Evaluates one sampled world: writes the query's per-unit results
   /// into row[0..num_units) and, when the query tracks conditioning,
   /// validity flags into valid[0..num_units) (null when Run was told not
-  /// to track validity). `present` may be overwritten (e.g. stratified
-  /// pivot conditioning); it is task-local scratch.
-  using WorldEval = std::function<void(std::vector<char>& present,
-                                       double* row, char* valid)>;
+  /// to track validity). `world` is task-local scratch, rebuilt after
+  /// every sample; an evaluator may rewrite its bitmap (e.g. stratified
+  /// pivot conditioning) and must then call world.Rebuild() before
+  /// reading the rest of the view.
+  using WorldEval =
+      std::function<void(PossibleWorld& world, double* row, char* valid)>;
 
   /// Builds a WorldEval plus whatever scratch it needs (union-find,
   /// distance arrays, ...). Called once per dispatched batch, so scratch
@@ -77,8 +79,20 @@ class SampleEngine {
                 int num_samples, Rng* rng, bool track_valid,
                 const WorldEvalFactory& factory) const;
 
-  /// Scalar world statistic evaluated per world.
-  using WorldStat = std::function<double(std::vector<char>& present)>;
+  /// The same sample loop without the view: the evaluator receives the
+  /// raw sampled bitmap and no edge list or adjacency is built. For
+  /// callers that time or inspect the sampler alone; queries use the
+  /// PossibleWorld overload.
+  using BitmapEval = std::function<void(std::vector<char>& present,
+                                        double* row, char* valid)>;
+  using BitmapEvalFactory = std::function<BitmapEval()>;
+  McSamples Run(const UncertainGraph& graph, std::size_t num_units,
+                int num_samples, Rng* rng, bool track_valid,
+                const BitmapEvalFactory& factory) const;
+
+  /// Scalar world statistic evaluated per world (same scratch rules as
+  /// WorldEval).
+  using WorldStat = std::function<double(PossibleWorld& world)>;
   using WorldStatFactory = std::function<WorldStat()>;
 
   /// Mean of a scalar statistic over num_samples worlds (summed in sample
@@ -102,6 +116,12 @@ class SampleEngine {
   static Rng SampleRng(std::uint64_t base, std::uint64_t index);
 
  private:
+  /// Both Run overloads: samples into a per-task PossibleWorld and, when
+  /// `build_view` is set, rebuilds its view before evaluating.
+  McSamples RunWorlds(const UncertainGraph& graph, std::size_t num_units,
+                      int num_samples, Rng* rng, bool track_valid,
+                      const WorldEvalFactory& factory, bool build_view) const;
+
   SampleEngineOptions options_;
   std::unique_ptr<ThreadPool> owned_pool_;  // Only when num_threads > 0.
 };

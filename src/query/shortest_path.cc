@@ -8,29 +8,27 @@
 
 namespace ugs {
 
-void BfsOnWorld(const UncertainGraph& graph, const std::vector<char>& present,
-                VertexId source, std::vector<int>* dist) {
-  const std::size_t n = graph.num_vertices();
+void BfsOnWorld(const PossibleWorld& world, VertexId source,
+                BfsScratch* bfs) {
+  const std::size_t n = world.graph().num_vertices();
   UGS_CHECK(source < n);
-  UGS_CHECK_EQ(present.size(), graph.num_edges());
-  dist->assign(n, kUnreachable);
-  (*dist)[source] = 0;
-  std::vector<VertexId> frontier{source};
-  std::vector<VertexId> next;
-  int level = 0;
-  while (!frontier.empty()) {
-    ++level;
-    next.clear();
-    for (VertexId u : frontier) {
-      for (const AdjacencyEntry& a : graph.Neighbors(u)) {
-        if (!present[a.edge]) continue;
-        if ((*dist)[a.neighbor] == kUnreachable) {
-          (*dist)[a.neighbor] = level;
-          next.push_back(a.neighbor);
-        }
+  bfs->dist.assign(n, kUnreachable);
+  bfs->queue.resize(n);
+  int* d = bfs->dist.data();
+  VertexId* q = bfs->queue.data();
+  d[source] = 0;
+  q[0] = source;
+  std::size_t head = 0;
+  std::size_t tail = 1;
+  while (head < tail) {
+    const VertexId u = q[head++];
+    const int next = d[u] + 1;
+    for (VertexId w : world.Neighbors(u)) {
+      if (d[w] == kUnreachable) {
+        d[w] = next;
+        q[tail++] = w;
       }
     }
-    frontier.swap(next);
   }
 }
 
@@ -64,14 +62,14 @@ McSamples McShortestPath(const UncertainGraph& graph,
 
   return engine.Run(
       graph, pairs.size(), num_samples, rng, /*track_valid=*/true,
-      [&graph, &pairs, by_source]() -> SampleEngine::WorldEval {
-        auto dist = std::make_shared<std::vector<int>>();
-        return [&graph, &pairs, by_source, dist](std::vector<char>& present,
-                                                 double* row, char* valid) {
+      [&pairs, by_source]() -> SampleEngine::WorldEval {
+        auto scratch = std::make_shared<BfsScratch>();
+        return [&pairs, by_source, scratch](PossibleWorld& world, double* row,
+                                            char* valid) {
           for (const auto& [source, indices] : *by_source) {
-            BfsOnWorld(graph, present, source, dist.get());
+            BfsOnWorld(world, source, scratch.get());
             for (std::size_t i : indices) {
-              int d = (*dist)[pairs[i].t];
+              int d = scratch->dist[pairs[i].t];
               if (d != kUnreachable) {
                 row[i] = static_cast<double>(d);
                 valid[i] = 1;

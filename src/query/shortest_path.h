@@ -24,12 +24,18 @@ struct VertexPair {
   VertexId t = 0;
 };
 
-/// BFS hop distances from `source` in the world given by the presence
-/// flags; dist is resized to |V| and unreachable vertices get
-/// kUnreachable. Worlds are unweighted (paper assumption), so BFS is the
+/// Per-task scratch of BfsOnWorld, reused across sources and worlds.
+struct BfsScratch {
+  std::vector<int> dist;  ///< Hop distances from the last source.
+  std::vector<VertexId> queue;
+};
+
+/// BFS hop distances from `source` over the world's present-only
+/// adjacency, into bfs->dist (|V| entries; kUnreachable where not
+/// reached). Worlds are unweighted (paper assumption), so BFS is the
 /// shortest-path computation.
-void BfsOnWorld(const UncertainGraph& graph, const std::vector<char>& present,
-                VertexId source, std::vector<int>* dist);
+void BfsOnWorld(const PossibleWorld& world, VertexId source,
+                BfsScratch* bfs);
 
 /// Draws `count` distinct ordered pairs (s != t) uniformly.
 std::vector<VertexPair> SampleDistinctPairs(std::size_t num_vertices,

@@ -42,8 +42,8 @@ double MonteCarloEstimate(const UncertainGraph& graph,
                         [&factory]() -> SampleEngine::WorldStat {
                           WorldQuery query = factory();
                           return [query = std::move(query)](
-                                     std::vector<char>& present) {
-                            return query(present);
+                                     PossibleWorld& world) {
+                            return query(world);
                           };
                         });
 }
@@ -62,10 +62,7 @@ double StratifiedEstimate(const UncertainGraph& graph,
                           const SampleEngine& engine) {
   UGS_CHECK(options.total_samples > 0);
   const std::size_t m = graph.num_edges();
-  if (m == 0) {
-    std::vector<char> empty;
-    return factory()(empty);
-  }
+  if (m == 0) return factory()(PossibleWorld(graph));
   std::vector<EdgeId> pivots =
       HighestEntropyEdges(graph, options.num_pivot_edges);
   const std::size_t r = pivots.size();
@@ -94,11 +91,13 @@ double StratifiedEstimate(const UncertainGraph& graph,
         [&factory, &pivots, stratum, r]() -> SampleEngine::WorldStat {
           WorldQuery query = factory();
           return [query = std::move(query), &pivots, stratum,
-                  r](std::vector<char>& present) {
+                  r](PossibleWorld& world) {
+            std::vector<char>& present = world.mutable_present();
             for (std::size_t i = 0; i < r; ++i) {
               present[pivots[i]] = static_cast<char>((stratum >> i) & 1ULL);
             }
-            return query(present);
+            world.Rebuild();
+            return query(world);
           };
         });
     estimate += stratum_probability * mean;

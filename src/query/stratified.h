@@ -33,9 +33,9 @@ struct StratifiedOptions {
   int total_samples = 512;   ///< budget allocated across strata.
 };
 
-/// A query evaluated on one deterministic world: receives the presence
-/// flags (parallel to graph.edges()) and returns a scalar.
-using WorldQuery = std::function<double(const std::vector<char>&)>;
+/// A query evaluated on one deterministic world: receives the world's
+/// view (query/world_sampler.h) and returns a scalar.
+using WorldQuery = std::function<double(const PossibleWorld&)>;
 
 /// Builds a WorldQuery together with its scratch state. The factory is
 /// invoked once per engine batch, so queries built through it may hold

@@ -1,5 +1,7 @@
 #include "query/world_sampler.h"
 
+#include "util/check.h"
+
 namespace ugs {
 
 void SampleWorld(const UncertainGraph& graph, Rng* rng,
@@ -16,6 +18,55 @@ std::size_t CountPresent(const std::vector<char>& present) {
   std::size_t count = 0;
   for (char c : present) count += (c != 0);
   return count;
+}
+
+PossibleWorld::PossibleWorld(const UncertainGraph& graph)
+    : graph_(&graph), present_(graph.num_edges(), 0) {}
+
+void PossibleWorld::Rebuild() {
+  UGS_CHECK_EQ(present_.size(), graph_->num_edges());
+  // Branch-free compaction: every id is written, only present ones
+  // advance the cursor, so the scan never mispredicts on a random world.
+  // The cursor never passes the present count, so count + 1 slots do.
+  edges_.resize(CountPresent(present_) + 1);
+  std::size_t k = 0;
+  for (std::size_t e = 0; e < present_.size(); ++e) {
+    edges_[k] = static_cast<EdgeId>(e);
+    k += present_[e] != 0;
+  }
+  num_present_ = k;
+  adjacency_built_ = false;
+}
+
+void PossibleWorld::BuildAdjacency() const {
+  const UncertainGraph& graph = *graph_;
+  const std::size_t n = graph.num_vertices();
+  // Two counting-sort passes over the present edges only. The first
+  // scatters each edge into both endpoints' rows in edge-id order; the
+  // second transposes that (symmetric) adjacency by walking its rows in
+  // vertex order, which leaves every row ascending -- the graph's own
+  // neighbor order.
+  offsets_.assign(n + 1, 0);
+  for (EdgeId e : edges()) {
+    ++offsets_[graph.edge(e).u + 1];
+    ++offsets_[graph.edge(e).v + 1];
+  }
+  for (std::size_t u = 0; u < n; ++u) offsets_[u + 1] += offsets_[u];
+  unsorted_.resize(offsets_[n]);
+  neighbors_.resize(offsets_[n]);
+  cursor_.assign(offsets_.begin(), offsets_.end() - 1);
+  for (EdgeId e : edges()) {
+    const UncertainEdge& ed = graph.edge(e);
+    unsorted_[cursor_[ed.u]++] = ed.v;
+    unsorted_[cursor_[ed.v]++] = ed.u;
+  }
+  cursor_.assign(offsets_.begin(), offsets_.end() - 1);
+  for (VertexId v = 0; v < n; ++v) {
+    for (std::size_t i = offsets_[v]; i < offsets_[v + 1]; ++i) {
+      neighbors_[cursor_[unsorted_[i]]++] = v;
+    }
+  }
+  adjacency_built_ = true;
 }
 
 double McSamples::UnitMean(std::size_t unit) const {

@@ -2,6 +2,7 @@
 #define UGS_QUERY_WORLD_SAMPLER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/uncertain_graph.h"
@@ -17,6 +18,67 @@ void SampleWorld(const UncertainGraph& graph, Rng* rng,
 
 /// Number of edges present in a sampled world.
 std::size_t CountPresent(const std::vector<char>& present);
+
+/// One deterministic world of an uncertain graph, in the compact form the
+/// query kernels consume: the presence bitmap, the present edge ids in
+/// ascending id order, and -- built on first use -- a present-only CSR
+/// adjacency. Sampled worlds keep only a fraction of |E| (mean p is
+/// ~0.1-0.2 on the paper's datasets), so kernels that walk this view skip
+/// the absent edges instead of testing a flag per edge or per CSR entry.
+///
+/// Lifecycle: write the bitmap through mutable_present() (a sampler, or
+/// stratified pivot conditioning), then call Rebuild() before reading
+/// anything else; Rebuild() recompacts the edge list and drops the
+/// adjacency so the next Neighbors() call rebuilds it. The view keeps a
+/// reference to the graph and reuses its buffers across rebuilds, so a
+/// per-task instance allocates only on its first world. Not thread-safe
+/// (the adjacency is built lazily inside const accessors): each engine
+/// task owns its own instance.
+class PossibleWorld {
+ public:
+  /// The empty world (no edge present) of `graph`, which must outlive
+  /// the view. Call Rebuild() once the bitmap is filled in.
+  explicit PossibleWorld(const UncertainGraph& graph);
+
+  const UncertainGraph& graph() const { return *graph_; }
+
+  /// Presence flags, parallel to graph().edges().
+  const std::vector<char>& present() const { return present_; }
+  std::vector<char>& mutable_present() { return present_; }
+
+  /// Re-derives the edge list from the bitmap and invalidates the
+  /// adjacency. Call after every write through mutable_present().
+  void Rebuild();
+
+  /// Present edge ids, ascending.
+  std::span<const EdgeId> edges() const {
+    return {edges_.data(), num_present_};
+  }
+
+  /// Present neighbors of u, in the graph's neighbor order (ascending
+  /// id). The first call after Rebuild() builds the adjacency, in time
+  /// linear in |V| plus the number of present edges.
+  std::span<const VertexId> Neighbors(VertexId u) const {
+    if (!adjacency_built_) BuildAdjacency();
+    UGS_DCHECK(u < graph_->num_vertices());
+    return {neighbors_.data() + offsets_[u],
+            neighbors_.data() + offsets_[u + 1]};
+  }
+
+ private:
+  void BuildAdjacency() const;
+
+  const UncertainGraph* graph_;
+  std::vector<char> present_;
+  std::vector<EdgeId> edges_;  // First num_present_ entries valid.
+  std::size_t num_present_ = 0;
+  // Lazily built present-only CSR, plus its build scratch.
+  mutable bool adjacency_built_ = false;
+  mutable std::vector<std::size_t> offsets_;  // n + 1 entries.
+  mutable std::vector<VertexId> neighbors_;
+  mutable std::vector<VertexId> unsorted_;
+  mutable std::vector<std::size_t> cursor_;
+};
 
 /// A matrix of per-unit query results across Monte-Carlo samples, where a
 /// "unit" is whatever the query is evaluated on (a vertex for PageRank and

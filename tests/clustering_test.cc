@@ -7,18 +7,27 @@
 namespace ugs {
 namespace {
 
+std::vector<double> Clustering(const UncertainGraph& g,
+                               const std::vector<char>& present) {
+  std::vector<double> cc(g.num_vertices());
+  ClusteringScratch scratch;
+  LocalClusteringOnWorld(testing_util::WorldOf(g, present), cc.data(),
+                         &scratch);
+  return cc;
+}
+
 TEST(ClusteringTest, TriangleIsFullyClustered) {
   UncertainGraph g = UncertainGraph::FromEdges(
       3, {{0, 1, 0.5}, {1, 2, 0.5}, {0, 2, 0.5}});
   std::vector<char> present(3, 1);
-  std::vector<double> cc = LocalClusteringOnWorld(g, present);
+  std::vector<double> cc = Clustering(g, present);
   for (double x : cc) EXPECT_DOUBLE_EQ(x, 1.0);
 }
 
 TEST(ClusteringTest, PathHasZeroClustering) {
   UncertainGraph g = testing_util::PathGraph(5, 0.5);
   std::vector<char> present(g.num_edges(), 1);
-  for (double x : LocalClusteringOnWorld(g, present)) {
+  for (double x : Clustering(g, present)) {
     EXPECT_DOUBLE_EQ(x, 0.0);
   }
 }
@@ -26,7 +35,7 @@ TEST(ClusteringTest, PathHasZeroClustering) {
 TEST(ClusteringTest, CompleteK4AllOnes) {
   UncertainGraph g = testing_util::CompleteK4(0.5);
   std::vector<char> present(g.num_edges(), 1);
-  for (double x : LocalClusteringOnWorld(g, present)) {
+  for (double x : Clustering(g, present)) {
     EXPECT_DOUBLE_EQ(x, 1.0);
   }
 }
@@ -40,7 +49,7 @@ TEST(ClusteringTest, K4MinusOneEdge) {
   EdgeId removed = g.FindEdge(2, 3);
   ASSERT_NE(removed, kInvalidEdge);
   present[removed] = 0;
-  std::vector<double> cc = LocalClusteringOnWorld(g, present);
+  std::vector<double> cc = Clustering(g, present);
   EXPECT_NEAR(cc[0], 2.0 / 3.0, 1e-12);
   EXPECT_NEAR(cc[1], 2.0 / 3.0, 1e-12);
   EXPECT_DOUBLE_EQ(cc[2], 1.0);
@@ -50,7 +59,7 @@ TEST(ClusteringTest, K4MinusOneEdge) {
 TEST(ClusteringTest, DegreeBelowTwoIsZero) {
   UncertainGraph g = testing_util::StarGraph(5, 0.5);
   std::vector<char> present(g.num_edges(), 1);
-  std::vector<double> cc = LocalClusteringOnWorld(g, present);
+  std::vector<double> cc = Clustering(g, present);
   EXPECT_DOUBLE_EQ(cc[0], 0.0);  // Star has no triangles.
   for (VertexId v = 1; v < 5; ++v) EXPECT_DOUBLE_EQ(cc[v], 0.0);
 }
@@ -59,7 +68,7 @@ TEST(ClusteringTest, AbsentEdgesIgnored) {
   UncertainGraph g = UncertainGraph::FromEdges(
       3, {{0, 1, 0.5}, {1, 2, 0.5}, {0, 2, 0.5}});
   std::vector<char> present{1, 1, 0};  // Open triangle.
-  std::vector<double> cc = LocalClusteringOnWorld(g, present);
+  std::vector<double> cc = Clustering(g, present);
   EXPECT_DOUBLE_EQ(cc[0], 0.0);
   EXPECT_DOUBLE_EQ(cc[1], 0.0);
   EXPECT_DOUBLE_EQ(cc[2], 0.0);

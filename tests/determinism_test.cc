@@ -152,12 +152,8 @@ TEST_P(EngineThreadCountTest, StratifiedBitIdentical) {
   SampleEngine threaded = MakeEngine();
   auto factory = [this]() -> WorldQuery {
     auto uf = std::make_shared<UnionFind>(graph().num_vertices());
-    const UncertainGraph* g = &graph();
-    return [g, uf](const std::vector<char>& present) {
-      uf->Reset();
-      for (EdgeId e = 0; e < g->num_edges(); ++e) {
-        if (present[e]) uf->Union(g->edge(e).u, g->edge(e).v);
-      }
+    return [uf](const PossibleWorld& world) {
+      ConnectOnWorld(world, uf.get());
       return uf->num_components() == 1 ? 1.0 : 0.0;
     };
   };

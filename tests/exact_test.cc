@@ -78,10 +78,8 @@ TEST(ExactTest, CustomPredicate) {
   // Probability that at least 2 of 3 independent edges exist.
   UncertainGraph g = UncertainGraph::FromEdges(
       4, {{0, 1, 0.5}, {1, 2, 0.4}, {2, 3, 0.3}});
-  double prob = ExactWorldProbability(g, [](const std::vector<char>& w) {
-    int count = 0;
-    for (char c : w) count += c;
-    return count >= 2;
+  double prob = ExactWorldProbability(g, [](const PossibleWorld& w) {
+    return w.edges().size() >= 2;
   });
   // P = p1p2q3 + p1q2p3 + q1p2p3 + p1p2p3
   double expected = 0.5 * 0.4 * 0.7 + 0.5 * 0.6 * 0.3 + 0.5 * 0.4 * 0.3 +

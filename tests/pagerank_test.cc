@@ -9,10 +9,19 @@
 namespace ugs {
 namespace {
 
+std::vector<double> PageRank(const UncertainGraph& g,
+                             const std::vector<char>& present) {
+  std::vector<double> rank(g.num_vertices());
+  PageRankScratch scratch;
+  PageRankOnWorld(testing_util::WorldOf(g, present), {}, rank.data(),
+                  &scratch);
+  return rank;
+}
+
 TEST(PageRankTest, SumsToOne) {
   UncertainGraph g = testing_util::CompleteK4(0.8);
   std::vector<char> present(g.num_edges(), 1);
-  std::vector<double> pr = PageRankOnWorld(g, present);
+  std::vector<double> pr = PageRank(g, present);
   double sum = 0.0;
   for (double x : pr) sum += x;
   EXPECT_NEAR(sum, 1.0, 1e-9);
@@ -21,21 +30,21 @@ TEST(PageRankTest, SumsToOne) {
 TEST(PageRankTest, SymmetricGraphUniformRank) {
   UncertainGraph g = testing_util::CompleteK4(0.5);
   std::vector<char> present(g.num_edges(), 1);
-  std::vector<double> pr = PageRankOnWorld(g, present);
+  std::vector<double> pr = PageRank(g, present);
   for (double x : pr) EXPECT_NEAR(x, 0.25, 1e-9);
 }
 
 TEST(PageRankTest, AllEdgesAbsentGivesUniform) {
   UncertainGraph g = testing_util::CompleteK4(0.5);
   std::vector<char> present(g.num_edges(), 0);
-  std::vector<double> pr = PageRankOnWorld(g, present);
+  std::vector<double> pr = PageRank(g, present);
   for (double x : pr) EXPECT_NEAR(x, 0.25, 1e-9);
 }
 
 TEST(PageRankTest, StarCenterRanksHighest) {
   UncertainGraph g = testing_util::StarGraph(10, 0.5);
   std::vector<char> present(g.num_edges(), 1);
-  std::vector<double> pr = PageRankOnWorld(g, present);
+  std::vector<double> pr = PageRank(g, present);
   for (VertexId v = 1; v < 10; ++v) {
     EXPECT_GT(pr[0], pr[v]);
     EXPECT_NEAR(pr[v], pr[1], 1e-12);  // Leaves symmetric.
@@ -45,7 +54,7 @@ TEST(PageRankTest, StarCenterRanksHighest) {
 TEST(PageRankTest, PathEndpointsRankLowest) {
   UncertainGraph g = testing_util::PathGraph(5, 0.5);
   std::vector<char> present(g.num_edges(), 1);
-  std::vector<double> pr = PageRankOnWorld(g, present);
+  std::vector<double> pr = PageRank(g, present);
   EXPECT_LT(pr[0], pr[2]);
   EXPECT_LT(pr[4], pr[2]);
   EXPECT_NEAR(pr[0], pr[4], 1e-9);  // Symmetry.
@@ -57,7 +66,7 @@ TEST(PageRankTest, DanglingMassRedistributed) {
   UncertainGraph g = UncertainGraph::FromEdges(
       4, {{0, 1, 0.5}, {1, 2, 0.5}, {0, 2, 0.5}});
   std::vector<char> present(g.num_edges(), 1);
-  std::vector<double> pr = PageRankOnWorld(g, present);
+  std::vector<double> pr = PageRank(g, present);
   double sum = 0.0;
   for (double x : pr) sum += x;
   EXPECT_NEAR(sum, 1.0, 1e-9);

@@ -1,0 +1,304 @@
+// The PossibleWorld view and the kernels that consume it. View
+// invariants are checked against the bitmap and the graph's own CSR;
+// every kernel is checked against a naive reference written here that
+// reads only the bitmap.
+
+#include <algorithm>
+#include <cmath>
+#include <span>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "gen/generators.h"
+#include "query/clustering.h"
+#include "query/pagerank.h"
+#include "query/reliability.h"
+#include "query/shortest_path.h"
+#include "query/world_sampler.h"
+#include "tests/test_util.h"
+#include "util/random.h"
+
+namespace ugs {
+namespace {
+
+using testing_util::WorldOf;
+
+/// Asserts every invariant of the view against its own bitmap.
+void ExpectConsistent(const PossibleWorld& world) {
+  const UncertainGraph& g = world.graph();
+  const std::vector<char>& present = world.present();
+  ASSERT_EQ(present.size(), g.num_edges());
+  std::vector<EdgeId> set_bits;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (present[e]) set_bits.push_back(e);
+  }
+  EXPECT_EQ(std::vector<EdgeId>(world.edges().begin(), world.edges().end()),
+            set_bits);
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    std::vector<VertexId> filtered;
+    for (const AdjacencyEntry& a : g.Neighbors(u)) {
+      if (present[a.edge]) filtered.push_back(a.neighbor);
+    }
+    std::span<const VertexId> row = world.Neighbors(u);
+    EXPECT_EQ(std::vector<VertexId>(row.begin(), row.end()), filtered)
+        << "row " << u;
+  }
+}
+
+std::vector<char> RandomBitmap(std::size_t m, double density, Rng* rng) {
+  std::vector<char> present(m);
+  for (char& c : present) c = rng->Bernoulli(density) ? 1 : 0;
+  return present;
+}
+
+/// Small random graphs; the sparse ones leave isolated vertices.
+std::vector<UncertainGraph> RandomGraphs() {
+  std::vector<UncertainGraph> graphs;
+  Rng rng(91);
+  for (std::size_t i = 0; i < 6; ++i) {
+    const std::size_t n = 12 + 7 * i;
+    const std::size_t m = (i % 2 == 0) ? n / 2 : 3 * n;
+    graphs.push_back(GenerateErdosRenyi(
+        n, m, ProbabilityDistribution::Uniform(0.1, 0.9), &rng));
+  }
+  return graphs;
+}
+
+TEST(PossibleWorldTest, FreshViewIsTheEmptyWorld) {
+  UncertainGraph g = testing_util::CompleteK4(0.5);
+  PossibleWorld world(g);
+  EXPECT_TRUE(world.edges().empty());
+  for (VertexId u = 0; u < 4; ++u) EXPECT_TRUE(world.Neighbors(u).empty());
+  ExpectConsistent(world);
+}
+
+TEST(PossibleWorldTest, EmptyAndFullWorlds) {
+  UncertainGraph g = testing_util::CompleteK4(0.5);
+  PossibleWorld empty = WorldOf(g, std::vector<char>(g.num_edges(), 0));
+  EXPECT_TRUE(empty.edges().empty());
+  ExpectConsistent(empty);
+  PossibleWorld full = WorldOf(g, std::vector<char>(g.num_edges(), 1));
+  EXPECT_EQ(full.edges().size(), g.num_edges());
+  for (VertexId u = 0; u < 4; ++u) EXPECT_EQ(full.Neighbors(u).size(), 3u);
+  ExpectConsistent(full);
+}
+
+TEST(PossibleWorldTest, ZeroEdgeGraph) {
+  UncertainGraph g = UncertainGraph::FromEdges(3, {});
+  PossibleWorld world = WorldOf(g, {});
+  EXPECT_TRUE(world.edges().empty());
+  ExpectConsistent(world);
+  std::vector<double> rank(3);
+  PageRankScratch pr;
+  PageRankOnWorld(world, {}, rank.data(), &pr);
+  for (double r : rank) EXPECT_DOUBLE_EQ(r, 1.0 / 3.0);
+  BfsScratch bfs;
+  BfsOnWorld(world, 1, &bfs);
+  EXPECT_EQ(bfs.dist, (std::vector<int>{kUnreachable, 0, kUnreachable}));
+  UnionFind uf(3);
+  ConnectOnWorld(world, &uf);
+  EXPECT_EQ(uf.num_components(), 3u);
+}
+
+TEST(PossibleWorldTest, IsolatedVerticesHaveEmptyRows) {
+  // Vertices 2 and 5 touch no edge at all.
+  UncertainGraph g = UncertainGraph::FromEdges(
+      6, {{0, 1, 0.5}, {1, 3, 0.5}, {3, 4, 0.5}, {0, 4, 0.5}});
+  PossibleWorld world = WorldOf(g, {1, 0, 1, 1});
+  EXPECT_TRUE(world.Neighbors(2).empty());
+  EXPECT_TRUE(world.Neighbors(5).empty());
+  ExpectConsistent(world);
+}
+
+TEST(PossibleWorldTest, RandomWorldsMatchBitmap) {
+  Rng rng(5);
+  for (const UncertainGraph& g : RandomGraphs()) {
+    for (double density : {0.0, 0.15, 0.5, 1.0}) {
+      ExpectConsistent(WorldOf(g, RandomBitmap(g.num_edges(), density, &rng)));
+    }
+  }
+}
+
+TEST(PossibleWorldTest, RebuildAfterInPlaceChange) {
+  // The stratified pivot case: the bitmap is rewritten in place after
+  // the view (adjacency included) was already read.
+  Rng rng(6);
+  for (const UncertainGraph& g : RandomGraphs()) {
+    PossibleWorld world = WorldOf(g, RandomBitmap(g.num_edges(), 0.4, &rng));
+    ExpectConsistent(world);
+    for (int round = 0; round < 4; ++round) {
+      std::vector<char>& present = world.mutable_present();
+      for (std::size_t i = 0; i < 3 && !present.empty(); ++i) {
+        const std::size_t e = rng.NextIndex(present.size());
+        present[e] = static_cast<char>(1 - present[e]);
+      }
+      world.Rebuild();
+      ExpectConsistent(world);
+    }
+  }
+}
+
+// ---- Kernels against naive bitmap references ----
+
+std::vector<double> NaivePageRank(const UncertainGraph& g,
+                                  const std::vector<char>& present,
+                                  const PageRankOptions& options) {
+  const std::size_t n = g.num_vertices();
+  const double d = options.damping;
+  std::vector<std::uint32_t> degree(n, 0);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (present[e]) {
+      ++degree[g.edge(e).u];
+      ++degree[g.edge(e).v];
+    }
+  }
+  std::vector<double> rank(n, 1.0 / static_cast<double>(n));
+  std::vector<double> next(n);
+  for (int it = 0; it < options.max_iterations; ++it) {
+    double dangling = 0.0;
+    for (VertexId v = 0; v < n; ++v) {
+      if (degree[v] == 0) dangling += rank[v];
+    }
+    const double base = (1.0 - d) / static_cast<double>(n) +
+                        d * dangling / static_cast<double>(n);
+    std::fill(next.begin(), next.end(), base);
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      if (!present[e]) continue;
+      const UncertainEdge& ed = g.edge(e);
+      next[ed.v] += d * rank[ed.u] / static_cast<double>(degree[ed.u]);
+      next[ed.u] += d * rank[ed.v] / static_cast<double>(degree[ed.v]);
+    }
+    double change = 0.0;
+    for (VertexId v = 0; v < n; ++v) change += std::abs(next[v] - rank[v]);
+    rank.swap(next);
+    if (change < options.tolerance) break;
+  }
+  return rank;
+}
+
+/// Adjacency matrix of the present edges.
+std::vector<std::vector<char>> PresentMatrix(const UncertainGraph& g,
+                                             const std::vector<char>& present) {
+  const std::size_t n = g.num_vertices();
+  std::vector<std::vector<char>> adj(n, std::vector<char>(n, 0));
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (!present[e]) continue;
+    adj[g.edge(e).u][g.edge(e).v] = 1;
+    adj[g.edge(e).v][g.edge(e).u] = 1;
+  }
+  return adj;
+}
+
+std::vector<double> NaiveClustering(const UncertainGraph& g,
+                                    const std::vector<char>& present) {
+  const std::size_t n = g.num_vertices();
+  const auto adj = PresentMatrix(g, present);
+  std::vector<double> cc(n, 0.0);
+  for (VertexId v = 0; v < n; ++v) {
+    std::size_t deg = 0;
+    std::size_t triangles = 0;
+    for (VertexId a = 0; a < n; ++a) {
+      if (!adj[v][a]) continue;
+      ++deg;
+      for (VertexId b = a + 1; b < n; ++b) triangles += adj[v][b] && adj[a][b];
+    }
+    if (deg >= 2) {
+      cc[v] = 2.0 * static_cast<double>(triangles) /
+              (static_cast<double>(deg) * static_cast<double>(deg - 1));
+    }
+  }
+  return cc;
+}
+
+/// Hop distances by edge relaxation to a fixpoint.
+std::vector<int> NaiveDistances(const UncertainGraph& g,
+                                const std::vector<char>& present,
+                                VertexId source) {
+  std::vector<int> dist(g.num_vertices(), kUnreachable);
+  dist[source] = 0;
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      if (!present[e]) continue;
+      const VertexId ends[2] = {g.edge(e).u, g.edge(e).v};
+      for (int side = 0; side < 2; ++side) {
+        const int from = dist[ends[side]];
+        int& to = dist[ends[1 - side]];
+        if (from != kUnreachable && (to == kUnreachable || from + 1 < to)) {
+          to = from + 1;
+          changed = true;
+        }
+      }
+    }
+  }
+  return dist;
+}
+
+TEST(WorldKernelTest, PageRankMatchesNaiveBitForBit) {
+  Rng rng(11);
+  PageRankOptions options;
+  options.max_iterations = 30;
+  for (const UncertainGraph& g : RandomGraphs()) {
+    PageRankScratch scratch;  // Reused across worlds, as in the engine.
+    for (int w = 0; w < 5; ++w) {
+      std::vector<char> present = RandomBitmap(g.num_edges(), 0.3, &rng);
+      std::vector<double> rank(g.num_vertices());
+      PageRankOnWorld(WorldOf(g, present), options, rank.data(), &scratch);
+      EXPECT_EQ(rank, NaivePageRank(g, present, options));
+    }
+  }
+}
+
+TEST(WorldKernelTest, ClusteringMatchesNaive) {
+  Rng rng(12);
+  for (const UncertainGraph& g : RandomGraphs()) {
+    ClusteringScratch scratch;
+    for (double density : {0.2, 0.6, 1.0}) {
+      std::vector<char> present = RandomBitmap(g.num_edges(), density, &rng);
+      std::vector<double> cc(g.num_vertices());
+      LocalClusteringOnWorld(WorldOf(g, present), cc.data(), &scratch);
+      EXPECT_EQ(cc, NaiveClustering(g, present));
+    }
+  }
+}
+
+TEST(WorldKernelTest, BfsMatchesNaive) {
+  Rng rng(13);
+  for (const UncertainGraph& g : RandomGraphs()) {
+    BfsScratch bfs;
+    for (double density : {0.2, 0.6}) {
+      std::vector<char> present = RandomBitmap(g.num_edges(), density, &rng);
+      PossibleWorld world = WorldOf(g, present);
+      for (VertexId s = 0; s < g.num_vertices(); s += 3) {
+        BfsOnWorld(world, s, &bfs);
+        EXPECT_EQ(bfs.dist, NaiveDistances(g, present, s));
+      }
+    }
+  }
+}
+
+TEST(WorldKernelTest, ConnectMatchesNaiveReachability) {
+  Rng rng(14);
+  for (const UncertainGraph& g : RandomGraphs()) {
+    UnionFind uf(g.num_vertices());
+    for (double density : {0.1, 0.4}) {
+      std::vector<char> present = RandomBitmap(g.num_edges(), density, &rng);
+      ConnectOnWorld(WorldOf(g, present), &uf);
+      std::size_t components = 0;
+      for (VertexId s = 0; s < g.num_vertices(); ++s) {
+        std::vector<int> dist = NaiveDistances(g, present, s);
+        bool smallest = true;
+        for (VertexId t = 0; t < g.num_vertices(); ++t) {
+          EXPECT_EQ(uf.Connected(s, t), dist[t] != kUnreachable);
+          if (t < s && dist[t] != kUnreachable) smallest = false;
+        }
+        components += smallest;
+      }
+      EXPECT_EQ(uf.num_components(), components);
+    }
+  }
+}
+
+}  // namespace
+}  // namespace ugs

@@ -323,11 +323,8 @@ TEST(QueryGoldenTest, StratifiedConnectivityMatchesLegacyAtEveryThreadCount) {
   UncertainGraph g = testing_util::CompleteK4(0.5);
   auto factory = [&g]() -> WorldQuery {
     auto uf = std::make_shared<UnionFind>(g.num_vertices());
-    return [&g, uf](const std::vector<char>& present) {
-      uf->Reset();
-      for (EdgeId e = 0; e < g.num_edges(); ++e) {
-        if (present[e]) uf->Union(g.edge(e).u, g.edge(e).v);
-      }
+    return [uf](const PossibleWorld& world) {
+      ConnectOnWorld(world, uf.get());
       return uf->num_components() == 1 ? 1.0 : 0.0;
     };
   };

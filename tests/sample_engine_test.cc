@@ -24,10 +24,10 @@ TEST(SampleEngineTest, FillsEveryRowExactlyOnce) {
   McSamples out = engine.Run(
       g, 2, 25, &rng, /*track_valid=*/false,
       []() -> SampleEngine::WorldEval {
-        return [](std::vector<char>& present, double* row, char* valid) {
+        return [](PossibleWorld& world, double* row, char* valid) {
           EXPECT_EQ(valid, nullptr);
           row[0] += 1.0;  // += exposes double-evaluation of a row.
-          row[1] = static_cast<double>(CountPresent(present));
+          row[1] = static_cast<double>(world.edges().size());
         };
       });
   ASSERT_EQ(out.num_samples, 25u);
@@ -44,7 +44,7 @@ TEST(SampleEngineTest, DrawsExactlyOneValueFromCallerRng) {
   SampleEngine engine;
   Rng rng(7), reference(7);
   engine.Run(g, 1, 10, &rng, false, []() -> SampleEngine::WorldEval {
-    return [](std::vector<char>&, double*, char*) {};
+    return [](PossibleWorld&, double*, char*) {};
   });
   reference.Next64();
   // After one reference draw the streams must be aligned again.
@@ -65,10 +65,10 @@ TEST(SampleEngineTest, BatchSizeDoesNotChangeResults) {
     Rng rng(42);
     return engine.Run(g, g.num_edges(), 33, &rng, false,
                       [&g]() -> SampleEngine::WorldEval {
-                        return [&g](std::vector<char>& present, double* row,
+                        return [&g](PossibleWorld& world, double* row,
                                     char*) {
                           for (EdgeId e = 0; e < g.num_edges(); ++e) {
-                            row[e] = present[e] ? 1.0 : 0.0;
+                            row[e] = world.present()[e] ? 1.0 : 0.0;
                           }
                         };
                       })
@@ -86,7 +86,7 @@ TEST(SampleEngineTest, TrackValidZeroesThenMarks) {
   McSamples out = engine.Run(
       g, 2, 8, &rng, /*track_valid=*/true,
       []() -> SampleEngine::WorldEval {
-        return [](std::vector<char>&, double* row, char* valid) {
+        return [](PossibleWorld&, double* row, char* valid) {
           ASSERT_NE(valid, nullptr);
           row[0] = 3.0;
           valid[0] = 1;  // Unit 1 stays invalid.
@@ -107,8 +107,8 @@ TEST(SampleEngineTest, RunMeanAveragesInSampleOrder) {
   Rng rng(9);
   double mean = engine.RunMean(
       g, 50, &rng, []() -> SampleEngine::WorldStat {
-        return [](std::vector<char>& present) {
-          return static_cast<double>(CountPresent(present));
+        return [](PossibleWorld& world) {
+          return static_cast<double>(world.edges().size());
         };
       });
   // E[present edges] = 6 * 0.5 = 3; 50 samples stay well inside [1, 5].
@@ -127,9 +127,9 @@ TEST(SampleEngineTest, SkipSamplerMatchesPlainDistribution) {
     McSamples out = engine.Run(
         g, g.num_edges(), 4000, &rng, false,
         [&g]() -> SampleEngine::WorldEval {
-          return [&g](std::vector<char>& present, double* row, char*) {
+          return [&g](PossibleWorld& world, double* row, char*) {
             for (EdgeId e = 0; e < g.num_edges(); ++e) {
-              row[e] = present[e] ? 1.0 : 0.0;
+              row[e] = world.present()[e] ? 1.0 : 0.0;
             }
           };
         });
@@ -154,9 +154,36 @@ TEST(SampleEngineTest, FactoryRunsPerBatchNotPerSample) {
   engine.Run(g, 1, 40, &rng, false,
              [&factories]() -> SampleEngine::WorldEval {
                factories.fetch_add(1);
-               return [](std::vector<char>&, double*, char*) {};
+               return [](PossibleWorld&, double*, char*) {};
              });
   EXPECT_EQ(factories.load(), 4);  // ceil(40 / 10) batches.
+}
+
+TEST(SampleEngineTest, BitmapOverloadSamplesTheSameWorlds) {
+  // The bitmap-only loop (sampler timing) must draw exactly the worlds
+  // the view loop evaluates, with either sampler.
+  UncertainGraph g = testing_util::PathGraph(40, 0.3);
+  for (bool skip : {false, true}) {
+    SampleEngine engine(SampleEngineOptions{
+        .num_threads = 2, .batch_size = 5, .use_skip_sampler = skip});
+    Rng r1(17), r2(17);
+    McSamples viewed = engine.Run(
+        g, g.num_edges(), 23, &r1, false, [&g]() -> SampleEngine::WorldEval {
+          return [&g](PossibleWorld& world, double* row, char*) {
+            for (EdgeId e : world.edges()) row[e] = 1.0;
+          };
+        });
+    McSamples raw = engine.Run(
+        g, g.num_edges(), 23, &r2, false,
+        [&g]() -> SampleEngine::BitmapEval {
+          return [&g](std::vector<char>& present, double* row, char*) {
+            for (EdgeId e = 0; e < g.num_edges(); ++e) {
+              row[e] = present[e] ? 1.0 : 0.0;
+            }
+          };
+        });
+    EXPECT_TRUE(viewed == raw) << "skip=" << skip;
+  }
 }
 
 }  // namespace

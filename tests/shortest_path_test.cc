@@ -7,11 +7,17 @@
 namespace ugs {
 namespace {
 
+std::vector<int> Bfs(const UncertainGraph& g, const std::vector<char>& present,
+                     VertexId source) {
+  BfsScratch bfs;
+  BfsOnWorld(testing_util::WorldOf(g, present), source, &bfs);
+  return bfs.dist;
+}
+
 TEST(BfsTest, PathGraphDistances) {
   UncertainGraph g = testing_util::PathGraph(6, 0.5);
   std::vector<char> present(g.num_edges(), 1);
-  std::vector<int> dist;
-  BfsOnWorld(g, present, 0, &dist);
+  std::vector<int> dist = Bfs(g, present, 0);
   for (int v = 0; v < 6; ++v) EXPECT_EQ(dist[v], v);
 }
 
@@ -19,8 +25,7 @@ TEST(BfsTest, AbsentEdgeBreaksPath) {
   UncertainGraph g = testing_util::PathGraph(6, 0.5);
   std::vector<char> present(g.num_edges(), 1);
   present[2] = 0;  // Break between vertices 2 and 3.
-  std::vector<int> dist;
-  BfsOnWorld(g, present, 0, &dist);
+  std::vector<int> dist = Bfs(g, present, 0);
   EXPECT_EQ(dist[2], 2);
   EXPECT_EQ(dist[3], kUnreachable);
   EXPECT_EQ(dist[5], kUnreachable);
@@ -32,19 +37,17 @@ TEST(BfsTest, ShortcutPreferred) {
   UncertainGraph g = UncertainGraph::FromEdges(
       4, {{0, 1, 0.5}, {1, 2, 0.5}, {2, 3, 0.5}, {0, 3, 0.5}, {0, 2, 0.5}});
   std::vector<char> present(g.num_edges(), 1);
-  std::vector<int> dist;
-  BfsOnWorld(g, present, 0, &dist);
+  std::vector<int> dist = Bfs(g, present, 0);
   EXPECT_EQ(dist[2], 1);
   present[4] = 0;  // Remove the chord.
-  BfsOnWorld(g, present, 0, &dist);
+  dist = Bfs(g, present, 0);
   EXPECT_EQ(dist[2], 2);
 }
 
 TEST(BfsTest, SourceDistanceZero) {
   UncertainGraph g = testing_util::CompleteK4(0.5);
   std::vector<char> present(g.num_edges(), 0);
-  std::vector<int> dist;
-  BfsOnWorld(g, present, 2, &dist);
+  std::vector<int> dist = Bfs(g, present, 2);
   EXPECT_EQ(dist[2], 0);
   EXPECT_EQ(dist[0], kUnreachable);
 }

@@ -12,13 +12,12 @@
 namespace ugs {
 namespace {
 
-/// Connectivity indicator as a WorldQuery.
+/// Connectivity indicator as a WorldQuery. Reads the view's edge list, so
+/// a pivot assignment that skipped PossibleWorld::Rebuild would show.
 WorldQuery ConnectivityQuery(const UncertainGraph& g) {
-  return [&g](const std::vector<char>& present) {
+  return [&g](const PossibleWorld& world) {
     UnionFind uf(g.num_vertices());
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      if (present[e]) uf.Union(g.edge(e).u, g.edge(e).v);
-    }
+    for (EdgeId e : world.edges()) uf.Union(g.edge(e).u, g.edge(e).v);
     return uf.num_components() == 1 ? 1.0 : 0.0;
   };
 }
@@ -65,10 +64,8 @@ TEST(StratifiedTest, AllEdgesPivotedIsExact) {
 TEST(StratifiedTest, MonteCarloAgreesOnSimpleMean) {
   // Query = number of present edges; its expectation is sum(p).
   UncertainGraph g = testing_util::CompleteK4(0.3);
-  WorldQuery count = [](const std::vector<char>& present) {
-    double c = 0;
-    for (char x : present) c += x;
-    return c;
+  WorldQuery count = [](const PossibleWorld& world) {
+    return static_cast<double>(world.edges().size());
   };
   Rng r1(3), r2(4);
   double mc = MonteCarloEstimate(g, count, 20000, &r1);
@@ -123,7 +120,7 @@ TEST(StratifiedTest, EmptyGraphQueryStillRuns) {
   StratifiedOptions options;
   Rng rng(9);
   double estimate = StratifiedEstimate(
-      g, [](const std::vector<char>&) { return 42.0; }, options, &rng);
+      g, [](const PossibleWorld&) { return 42.0; }, options, &rng);
   EXPECT_DOUBLE_EQ(estimate, 42.0);
 }
 

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "graph/uncertain_graph.h"
+#include "query/world_sampler.h"
 
 namespace ugs {
 namespace testing_util {
@@ -48,6 +49,16 @@ inline UncertainGraph StarGraph(std::size_t n, double p) {
     edges.push_back({0, i, p});
   }
   return UncertainGraph::FromEdges(n, std::move(edges));
+}
+
+/// The world of `graph` with the given presence flags, view rebuilt.
+/// `graph` must outlive the returned view.
+inline PossibleWorld WorldOf(const UncertainGraph& graph,
+                             std::vector<char> present) {
+  PossibleWorld world(graph);
+  world.mutable_present() = std::move(present);
+  world.Rebuild();
+  return world;
 }
 
 }  // namespace testing_util
