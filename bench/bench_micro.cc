@@ -13,8 +13,8 @@
 #include "gen/generators.h"
 #include "query/clustering.h"
 #include "query/pagerank.h"
-#include "query/skip_sampler.h"
 #include "query/shortest_path.h"
+#include "query/skip_sampler.h"
 #include "query/world_sampler.h"
 #include "sparsify/backbone.h"
 #include "sparsify/emd.h"
@@ -203,9 +203,8 @@ void BM_PossibleWorldBuild(benchmark::State& state) {
     if (adjacency) benchmark::DoNotOptimize(world.Neighbors(0).data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(
-                              ServeMissGraph().num_edges()));
+  const auto edges = static_cast<std::int64_t>(ServeMissGraph().num_edges());
+  state.SetItemsProcessed(state.iterations() * edges);
 }
 BENCHMARK(BM_PossibleWorldBuild)->Arg(0)->Arg(1);
 

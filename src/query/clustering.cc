@@ -42,10 +42,12 @@ void LocalClusteringOnWorld(const PossibleWorld& world, double* cc,
 
   for (VertexId v = 0; v < n; ++v) {
     const std::size_t deg = world.Neighbors(v).size();
-    cc[v] = deg >= 2 ? 2.0 * static_cast<double>(triangles[v]) /
-                           (static_cast<double>(deg) *
-                            static_cast<double>(deg - 1))
-                     : 0.0;
+    if (deg < 2) {
+      cc[v] = 0.0;
+      continue;
+    }
+    cc[v] = 2.0 * static_cast<double>(triangles[v]) /
+            (static_cast<double>(deg) * static_cast<double>(deg - 1));
   }
 }
 

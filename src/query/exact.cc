@@ -55,8 +55,7 @@ void ForEachWorld(
 
 /// A per-chunk reduction visitor: adds a world's contribution into
 /// acc[0..num_accumulators).
-using ChunkVisitor =
-    std::function<void(const PossibleWorld&, double, double*)>;
+using ChunkVisitor = std::function<void(const PossibleWorld&, double, double*)>;
 
 /// Worlds per enumeration chunk. Fixed (never derived from the thread
 /// count) so the per-chunk partial sums -- and therefore the final
@@ -165,8 +164,7 @@ double ExactExpectedDistance(const UncertainGraph& graph, VertexId s,
       graph, 2,
       [s, t]() -> ChunkVisitor {
         auto bfs = std::make_shared<BfsScratch>();
-        return [bfs, s, t](const PossibleWorld& world, double prob,
-                           double* a) {
+        return [bfs, s, t](const PossibleWorld& world, double prob, double* a) {
           BfsOnWorld(world, s, bfs.get());
           if (bfs->dist[t] != kUnreachable) {
             a[0] += prob;

@@ -249,11 +249,11 @@ class ShortestPathQuery final : public Query {
         result.means.reserve(request.pairs.size());
         for (const VertexPair& pair : request.pairs) {
           double weighted = StratifiedEstimate(
-              graph, DistanceFactory(pair.s, pair.t, true), options,
-              &rng, engine);
+              graph, DistanceFactory(pair.s, pair.t, true), options, &rng,
+              engine);
           double connected = StratifiedEstimate(
-              graph, DistanceFactory(pair.s, pair.t, false), options,
-              &rng, engine);
+              graph, DistanceFactory(pair.s, pair.t, false), options, &rng,
+              engine);
           result.means.push_back(connected > 0.0 ? weighted / connected
                                                  : 0.0);
         }

@@ -41,13 +41,12 @@ McSamples SampleEngine::Run(const UncertainGraph& graph,
                             std::size_t num_units, int num_samples,
                             Rng* rng, bool track_valid,
                             const BitmapEvalFactory& factory) const {
-  return RunWorlds(graph, num_units, num_samples, rng, track_valid,
-                   [&factory]() -> WorldEval {
-                     return [eval = factory()](PossibleWorld& world,
-                                               double* row, char* valid) {
-                       eval(world.mutable_present(), row, valid);
-                     };
-                   },
+  const WorldEvalFactory on_bitmap = [&factory]() -> WorldEval {
+    return [eval = factory()](PossibleWorld& world, double* row, char* valid) {
+      eval(world.mutable_present(), row, valid);
+    };
+  };
+  return RunWorlds(graph, num_units, num_samples, rng, track_valid, on_bitmap,
                    /*build_view=*/false);
 }
 

@@ -8,8 +8,7 @@
 
 namespace ugs {
 
-void BfsOnWorld(const PossibleWorld& world, VertexId source,
-                BfsScratch* bfs) {
+void BfsOnWorld(const PossibleWorld& world, VertexId source, BfsScratch* bfs) {
   const std::size_t n = world.graph().num_vertices();
   UGS_CHECK(source < n);
   bfs->dist.assign(n, kUnreachable);

@@ -34,8 +34,7 @@ struct BfsScratch {
 /// adjacency, into bfs->dist (|V| entries; kUnreachable where not
 /// reached). Worlds are unweighted (paper assumption), so BFS is the
 /// shortest-path computation.
-void BfsOnWorld(const PossibleWorld& world, VertexId source,
-                BfsScratch* bfs);
+void BfsOnWorld(const PossibleWorld& world, VertexId source, BfsScratch* bfs);
 
 /// Draws `count` distinct ordered pairs (s != t) uniformly.
 std::vector<VertexPair> SampleDistinctPairs(std::size_t num_vertices,

@@ -13,8 +13,7 @@ std::vector<double> PageRank(const UncertainGraph& g,
                              const std::vector<char>& present) {
   std::vector<double> rank(g.num_vertices());
   PageRankScratch scratch;
-  PageRankOnWorld(testing_util::WorldOf(g, present), {}, rank.data(),
-                  &scratch);
+  PageRankOnWorld(testing_util::WorldOf(g, present), {}, rank.data(), &scratch);
   return rank;
 }
 

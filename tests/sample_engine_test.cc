@@ -65,8 +65,7 @@ TEST(SampleEngineTest, BatchSizeDoesNotChangeResults) {
     Rng rng(42);
     return engine.Run(g, g.num_edges(), 33, &rng, false,
                       [&g]() -> SampleEngine::WorldEval {
-                        return [&g](PossibleWorld& world, double* row,
-                                    char*) {
+                        return [&g](PossibleWorld& world, double* row, char*) {
                           for (EdgeId e = 0; e < g.num_edges(); ++e) {
                             row[e] = world.present()[e] ? 1.0 : 0.0;
                           }
@@ -166,22 +165,21 @@ TEST(SampleEngineTest, BitmapOverloadSamplesTheSameWorlds) {
   for (bool skip : {false, true}) {
     SampleEngine engine(SampleEngineOptions{
         .num_threads = 2, .batch_size = 5, .use_skip_sampler = skip});
+    auto on_view = []() -> SampleEngine::WorldEval {
+      return [](PossibleWorld& world, double* row, char*) {
+        for (EdgeId e : world.edges()) row[e] = 1.0;
+      };
+    };
+    auto on_bitmap = []() -> SampleEngine::BitmapEval {
+      return [](std::vector<char>& present, double* row, char*) {
+        for (std::size_t e = 0; e < present.size(); ++e) {
+          row[e] = present[e] ? 1.0 : 0.0;
+        }
+      };
+    };
     Rng r1(17), r2(17);
-    McSamples viewed = engine.Run(
-        g, g.num_edges(), 23, &r1, false, [&g]() -> SampleEngine::WorldEval {
-          return [&g](PossibleWorld& world, double* row, char*) {
-            for (EdgeId e : world.edges()) row[e] = 1.0;
-          };
-        });
-    McSamples raw = engine.Run(
-        g, g.num_edges(), 23, &r2, false,
-        [&g]() -> SampleEngine::BitmapEval {
-          return [&g](std::vector<char>& present, double* row, char*) {
-            for (EdgeId e = 0; e < g.num_edges(); ++e) {
-              row[e] = present[e] ? 1.0 : 0.0;
-            }
-          };
-        });
+    McSamples viewed = engine.Run(g, g.num_edges(), 23, &r1, false, on_view);
+    McSamples raw = engine.Run(g, g.num_edges(), 23, &r2, false, on_bitmap);
     EXPECT_TRUE(viewed == raw) << "skip=" << skip;
   }
 }
