@@ -88,12 +88,13 @@ void EmdEntropyAblation(const ugs::UncertainGraph& graph,
 }
 
 void RepresentativeAblation(const ugs::UncertainGraph& graph,
-                            const ugs::BenchConfig& config) {
+                            const ugs::BenchConfig& config,
+                            const ugs::SampleEngine& engine) {
   std::printf("\n[C] representative instances [29,30] vs sparsification:\n");
   ugs::Rng rng(config.seed + 11);
   std::vector<ugs::EdgeId> modal = ugs::ModalRepresentative(graph);
   std::vector<ugs::EdgeId> greedy =
-      ugs::GreedyDegreeRepresentative(graph, &rng);
+      ugs::GreedyDegreeRepresentative(graph, &rng, engine.pool());
   auto emd = ugs::MakeSparsifierByName("EMD");
   if (!emd.ok()) std::abort();
   ugs::SparsifyOutput sparse =
@@ -107,7 +108,8 @@ void RepresentativeAblation(const ugs::UncertainGraph& graph,
       ugs::SampleDistinctPairs(graph.num_vertices(), 8, &qpair_rng);
   auto mean_reliability = [&](const ugs::UncertainGraph& g) {
     ugs::Rng qrng(config.seed + 14);
-    std::vector<double> rel = ugs::EstimateReliability(g, pairs, 120, &qrng);
+    std::vector<double> rel =
+        ugs::McReliability(g, pairs, 120, &qrng, engine).UnitMeans();
     double sum = 0.0;
     for (double x : rel) sum += x;
     return sum / static_cast<double>(rel.size());
@@ -136,7 +138,8 @@ void RepresentativeAblation(const ugs::UncertainGraph& graph,
 }
 
 void StratifiedAblation(const ugs::UncertainGraph& graph,
-                        const ugs::BenchConfig& config) {
+                        const ugs::BenchConfig& config,
+                        const ugs::SampleEngine& engine) {
   std::printf("\n[D] stratified vs plain MC estimation "
               "(reliability of one pair, budget 256):\n");
   ugs::Rng pair_rng(config.seed + 17);
@@ -174,18 +177,19 @@ void StratifiedAblation(const ugs::UncertainGraph& graph,
   for (const GraphCase& c :
        std::vector<GraphCase>{{"original", &graph},
                               {"EMD-sparsified", &sparse.graph}}) {
-    auto world_query = query(*c.graph);
+    const ugs::WorldQueryFactory factory = [&] { return query(*c.graph); };
     ugs::Rng v1(config.seed + 23), v2(config.seed + 29);
     double mc_var = ugs::MeanEstimatorVariance(
         [&](ugs::Rng* r) {
           return std::vector<double>{
-              ugs::MonteCarloEstimate(*c.graph, world_query, kBudget, r)};
+              ugs::MonteCarloEstimate(*c.graph, factory, kBudget, r, engine)};
         },
         kRuns, &v1);
     double st_var = ugs::MeanEstimatorVariance(
         [&](ugs::Rng* r) {
           return std::vector<double>{
-              ugs::StratifiedEstimate(*c.graph, world_query, stratified, r)};
+              ugs::StratifiedEstimate(*c.graph, factory, stratified, r,
+                                      engine)};
         },
         kRuns, &v2);
     table.AddRow({std::string(c.name) + " / plain MC",
@@ -201,7 +205,7 @@ void StratifiedAblation(const ugs::UncertainGraph& graph,
 }
 
 void CutRuleAblation(const ugs::UncertainGraph& graph,
-                     const ugs::BenchConfig& config) {
+                     const ugs::BenchConfig& config, ugs::ThreadPool& pool) {
   std::printf("\n[E] GDB cut rule k (Section 5) vs evaluated cut size "
               "(alpha = 0.32, MAE of delta_A(S) at |S|):\n");
   const std::vector<std::size_t> eval_sizes = {1, 2, 8, 64};
@@ -229,7 +233,7 @@ void CutRuleAblation(const ugs::UncertainGraph& graph,
     for (std::size_t s : eval_sizes) {
       ugs::Rng cut_rng(config.seed + 1000 + s);
       row.push_back(ugs::FormatSci(ugs::CutDiscrepancyMaeForSetSize(
-          graph, out.graph, s, config.Samples(128, 32), &cut_rng)));
+          graph, out.graph, s, config.Samples(128, 32), &cut_rng, pool)));
     }
     table.AddRow(std::move(row));
   }
@@ -248,8 +252,10 @@ int main(int argc, char** argv) {
                                                       config);
   BackboneAblation(graph, config);
   EmdEntropyAblation(graph, config);
-  RepresentativeAblation(graph, config);
-  StratifiedAblation(graph, config);
-  CutRuleAblation(graph, config);
+  const ugs::SampleEngine engine(
+      ugs::SampleEngineOptions{.num_threads = config.threads});
+  RepresentativeAblation(graph, config, engine);
+  StratifiedAblation(graph, config, engine);
+  CutRuleAblation(graph, config, engine.pool());
   return 0;
 }

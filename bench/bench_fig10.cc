@@ -36,19 +36,20 @@ struct QueryBaselines {
 
 QueryBaselines EvaluateQueries(const ugs::UncertainGraph& graph,
                                const std::vector<ugs::VertexPair>& pairs,
-                               int worlds, std::uint64_t seed) {
+                               int worlds, std::uint64_t seed,
+                               const ugs::SampleEngine& engine) {
   QueryBaselines q;
   q.pairs = pairs;
   ugs::Rng r1(seed + 1), r2(seed + 2), r3(seed + 3), r4(seed + 4);
-  q.pr = ugs::McPageRank(graph, worlds, &r1);
-  q.sp = ugs::McShortestPath(graph, pairs, worlds, &r2);
-  q.rl = ugs::McReliability(graph, pairs, worlds, &r3);
-  q.cc = ugs::McClusteringCoefficient(graph, worlds, &r4);
+  q.pr = ugs::McPageRank(graph, worlds, &r1, {}, engine);
+  q.sp = ugs::McShortestPath(graph, pairs, worlds, &r2, engine);
+  q.rl = ugs::McReliability(graph, pairs, worlds, &r3, engine);
+  q.cc = ugs::McClusteringCoefficient(graph, worlds, &r4, engine);
   return q;
 }
 
 void Panel(const ugs::UncertainGraph& graph, const ugs::BenchConfig& config,
-           const char* dataset) {
+           const char* dataset, const ugs::SampleEngine& engine) {
   const std::vector<double> alphas = ugs::PaperAlphas();
   const std::vector<std::string> methods = {"NI", "SS", "GDB", "EMD"};
   const int worlds = config.Samples(100, 25);
@@ -59,14 +60,14 @@ void Panel(const ugs::UncertainGraph& graph, const ugs::BenchConfig& config,
       ugs::SampleDistinctPairs(graph.num_vertices(), num_pairs, &pair_rng);
   std::printf("\n[%s] %d worlds, %d pairs\n", dataset, worlds, num_pairs);
   QueryBaselines base =
-      EvaluateQueries(graph, pairs, worlds, config.seed + 900);
+      EvaluateQueries(graph, pairs, worlds, config.seed + 900, engine);
 
   std::vector<std::string> headers{"method/query"};
   for (double a : alphas) headers.push_back(ugs::bench::AlphaLabel(a));
   ugs::ReportTable table(headers);
 
   for (const std::string& name : methods) {
-    auto method = ugs::MakeSparsifierByName(name);
+    auto method = ugs::MakeSparsifierByName(name, 0.05, &engine.pool());
     if (!method.ok()) std::abort();
     std::vector<std::string> pr_row{name + " PR"};
     std::vector<std::string> sp_row{name + " SP"};
@@ -77,7 +78,7 @@ void Panel(const ugs::UncertainGraph& graph, const ugs::BenchConfig& config,
       ugs::SparsifyOutput out =
           ugs::MustSparsify(**method, graph, alpha, &rng);
       QueryBaselines sparse = EvaluateQueries(out.graph, pairs, worlds,
-                                              config.seed + 901);
+                                              config.seed + 901, engine);
       pr_row.push_back(ugs::FormatSci(ugs::MeanUnitEmd(base.pr, sparse.pr)));
       sp_row.push_back(ugs::FormatSci(ugs::MeanUnitEmd(base.sp, sparse.sp)));
       rl_row.push_back(ugs::FormatSci(ugs::MeanUnitEmd(base.rl, sparse.rl)));
@@ -97,13 +98,15 @@ void Panel(const ugs::UncertainGraph& graph, const ugs::BenchConfig& config,
 int main(int argc, char** argv) {
   ugs::BenchConfig config = ugs::ParseBenchArgs(
       argc, argv, "Figure 10: D_em of PR/SP/RL/CC (real datasets)");
+  const ugs::SampleEngine engine(
+      ugs::SampleEngineOptions{.num_threads = config.threads});
   {
     ugs::UncertainGraph flickr = ugs::bench::LoadDataset("Flickr", config);
-    Panel(flickr, config, "Flickr-like");
+    Panel(flickr, config, "Flickr-like", engine);
   }
   {
     ugs::UncertainGraph twitter = ugs::bench::LoadDataset("Twitter", config);
-    Panel(twitter, config, "Twitter-like");
+    Panel(twitter, config, "Twitter-like", engine);
   }
   std::printf(
       "\npaper Figure 10 shape: GDB/EMD below the benchmarks with few\n"

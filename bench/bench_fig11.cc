@@ -20,6 +20,8 @@
 int main(int argc, char** argv) {
   ugs::BenchConfig config = ugs::ParseBenchArgs(
       argc, argv, "Figure 11: D_em of PR and SP vs density (synthetic)");
+  const ugs::SampleEngine engine(
+      ugs::SampleEngineOptions{.num_threads = config.threads});
   const double alpha = 0.16;
   const std::vector<int> densities = ugs::PaperDensities();
   const std::vector<std::string> methods = {"NI", "SS", "GDB", "EMD"};
@@ -40,22 +42,23 @@ int main(int argc, char** argv) {
   ugs::ReportTable sp_table(headers);
 
   for (const std::string& name : methods) {
-    auto method = ugs::MakeSparsifierByName(name);
+    auto method = ugs::MakeSparsifierByName(name, 0.05, &engine.pool());
     if (!method.ok()) return 1;
     std::vector<std::string> pr_row{name};
     std::vector<std::string> sp_row{name};
     for (const ugs::UncertainGraph& graph : graphs) {
       ugs::Rng b1(config.seed + 1), b2(config.seed + 2);
-      ugs::McSamples base_pr = ugs::McPageRank(graph, worlds, &b1);
+      ugs::McSamples base_pr = ugs::McPageRank(graph, worlds, &b1, {}, engine);
       ugs::McSamples base_sp =
-          ugs::McShortestPath(graph, pairs, worlds, &b2);
+          ugs::McShortestPath(graph, pairs, worlds, &b2, engine);
       ugs::Rng rng(config.seed + 7);
       ugs::SparsifyOutput out =
           ugs::MustSparsify(**method, graph, alpha, &rng);
       ugs::Rng s1(config.seed + 3), s2(config.seed + 4);
-      ugs::McSamples sparse_pr = ugs::McPageRank(out.graph, worlds, &s1);
+      ugs::McSamples sparse_pr =
+          ugs::McPageRank(out.graph, worlds, &s1, {}, engine);
       ugs::McSamples sparse_sp =
-          ugs::McShortestPath(out.graph, pairs, worlds, &s2);
+          ugs::McShortestPath(out.graph, pairs, worlds, &s2, engine);
       pr_row.push_back(
           ugs::FormatSci(ugs::MeanUnitEmd(base_pr, sparse_pr)));
       sp_row.push_back(

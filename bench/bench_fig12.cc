@@ -35,15 +35,6 @@ struct VarianceProtocol {
   std::vector<ugs::VertexPair> pairs;
 };
 
-/// Per-unit mean over valid samples, as the run estimate.
-std::vector<double> Means(const ugs::McSamples& samples) {
-  std::vector<double> out(samples.num_units);
-  for (std::size_t u = 0; u < samples.num_units; ++u) {
-    out[u] = samples.UnitMean(u);
-  }
-  return out;
-}
-
 /// The four query estimators' mean variance on one graph.
 struct QueryVariances {
   double pr, sp, rl, cc;
@@ -51,29 +42,34 @@ struct QueryVariances {
 
 QueryVariances MeasureVariances(const ugs::UncertainGraph& graph,
                                 const VarianceProtocol& protocol,
-                                std::uint64_t seed) {
+                                std::uint64_t seed,
+                                const ugs::SampleEngine& engine) {
   QueryVariances v{};
   ugs::Rng r1(seed + 1), r2(seed + 2), r3(seed + 3), r4(seed + 4);
   v.pr = ugs::MeanEstimatorVariance(
       [&](ugs::Rng* r) {
-        return Means(ugs::McPageRank(graph, protocol.worlds, r));
+        return ugs::McPageRank(graph, protocol.worlds, r, {}, engine)
+            .UnitMeans();
       },
       protocol.runs, &r1);
   v.sp = ugs::MeanEstimatorVariance(
       [&](ugs::Rng* r) {
-        return Means(
-            ugs::McShortestPath(graph, protocol.pairs, protocol.worlds, r));
+        return ugs::McShortestPath(graph, protocol.pairs, protocol.worlds, r,
+                                   engine)
+            .UnitMeans();
       },
       protocol.runs, &r2);
   v.rl = ugs::MeanEstimatorVariance(
       [&](ugs::Rng* r) {
-        return Means(
-            ugs::McReliability(graph, protocol.pairs, protocol.worlds, r));
+        return ugs::McReliability(graph, protocol.pairs, protocol.worlds, r,
+                                  engine)
+            .UnitMeans();
       },
       protocol.runs, &r3);
   v.cc = ugs::MeanEstimatorVariance(
       [&](ugs::Rng* r) {
-        return Means(ugs::McClusteringCoefficient(graph, protocol.worlds, r));
+        return ugs::McClusteringCoefficient(graph, protocol.worlds, r, engine)
+            .UnitMeans();
       },
       protocol.runs, &r4);
   return v;
@@ -85,7 +81,7 @@ std::string Ratio(double sparse, double original) {
 }
 
 void Panel(const ugs::UncertainGraph& graph, const ugs::BenchConfig& config,
-           const char* dataset) {
+           const char* dataset, const ugs::SampleEngine& engine) {
   const std::vector<double> alphas = ugs::PaperAlphas();
   const std::vector<std::string> methods = {"NI", "SS", "GDB", "EMD"};
 
@@ -98,14 +94,15 @@ void Panel(const ugs::UncertainGraph& graph, const ugs::BenchConfig& config,
 
   std::printf("\n[%s] R=%d runs, N=%d worlds, %zu pairs\n", dataset,
               protocol.runs, protocol.worlds, protocol.pairs.size());
-  QueryVariances base = MeasureVariances(graph, protocol, config.seed + 900);
+  QueryVariances base =
+      MeasureVariances(graph, protocol, config.seed + 900, engine);
 
   std::vector<std::string> headers{"method/query"};
   for (double a : alphas) headers.push_back(ugs::bench::AlphaLabel(a));
   ugs::ReportTable table(headers);
 
   for (const std::string& name : methods) {
-    auto method = ugs::MakeSparsifierByName(name);
+    auto method = ugs::MakeSparsifierByName(name, 0.05, &engine.pool());
     if (!method.ok()) std::abort();
     std::vector<std::string> pr_row{name + " PR"};
     std::vector<std::string> sp_row{name + " SP"};
@@ -116,7 +113,7 @@ void Panel(const ugs::UncertainGraph& graph, const ugs::BenchConfig& config,
       ugs::SparsifyOutput out =
           ugs::MustSparsify(**method, graph, alpha, &rng);
       QueryVariances sparse =
-          MeasureVariances(out.graph, protocol, config.seed + 901);
+          MeasureVariances(out.graph, protocol, config.seed + 901, engine);
       pr_row.push_back(Ratio(sparse.pr, base.pr));
       sp_row.push_back(Ratio(sparse.sp, base.sp));
       rl_row.push_back(Ratio(sparse.rl, base.rl));
@@ -136,13 +133,15 @@ void Panel(const ugs::UncertainGraph& graph, const ugs::BenchConfig& config,
 int main(int argc, char** argv) {
   ugs::BenchConfig config = ugs::ParseBenchArgs(
       argc, argv, "Figure 12: relative MC-estimator variance");
+  const ugs::SampleEngine engine(
+      ugs::SampleEngineOptions{.num_threads = config.threads});
   {
     ugs::UncertainGraph flickr = ugs::bench::LoadDataset("Flickr", config);
-    Panel(flickr, config, "Flickr-like");
+    Panel(flickr, config, "Flickr-like", engine);
   }
   {
     ugs::UncertainGraph twitter = ugs::bench::LoadDataset("Twitter", config);
-    Panel(twitter, config, "Twitter-like");
+    Panel(twitter, config, "Twitter-like", engine);
   }
   std::printf(
       "\npaper Figure 12 shape: GDB/EMD ratios << 1 (orders of magnitude\n"

@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   ugs::BenchConfig config = ugs::ParseBenchArgs(
       argc, argv,
       "Figure 4: cut-discrepancy MAE and execution time (Flickr reduced)");
+  ugs::ThreadPool pool(config.threads);
   ugs::UncertainGraph graph = ugs::bench::LoadDataset("FlickrReduced",
                                                       config);
   const std::vector<double> alphas = ugs::PaperAlphas();
@@ -43,7 +44,7 @@ int main(int argc, char** argv) {
           ugs::MustSparsify(**method, graph, alpha, &rng);
       ugs::Rng cut_rng(config.seed + 1000);  // Same cuts for all methods.
       row.push_back(ugs::FormatSci(
-          ugs::CutDiscrepancyMae(graph, out.graph, cuts, &cut_rng)));
+          ugs::CutDiscrepancyMae(graph, out.graph, cuts, &cut_rng, pool)));
     }
     mae_table.AddRow(std::move(row));
   }

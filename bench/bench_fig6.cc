@@ -20,7 +20,7 @@
 namespace {
 
 void RunPanel(const ugs::UncertainGraph& graph, const ugs::BenchConfig& config,
-              const char* dataset) {
+              const char* dataset, ugs::ThreadPool& pool) {
   const std::vector<double> alphas = ugs::PaperAlphas();
   const std::vector<std::string> methods = {"NI", "SS", "GDB", "EMD"};
 
@@ -34,7 +34,7 @@ void RunPanel(const ugs::UncertainGraph& graph, const ugs::BenchConfig& config,
   ugs::ReportTable cut_table(headers);
 
   for (const std::string& name : methods) {
-    auto method = ugs::MakeSparsifierByName(name);
+    auto method = ugs::MakeSparsifierByName(name, 0.05, &pool);
     if (!method.ok()) std::abort();
     std::vector<std::string> degree_row{name};
     std::vector<std::string> cut_row{name};
@@ -46,7 +46,7 @@ void RunPanel(const ugs::UncertainGraph& graph, const ugs::BenchConfig& config,
           graph, out.graph, ugs::DiscrepancyType::kAbsolute)));
       ugs::Rng cut_rng(config.seed + 1000);
       cut_row.push_back(ugs::FormatSci(
-          ugs::CutDiscrepancyMae(graph, out.graph, cuts, &cut_rng)));
+          ugs::CutDiscrepancyMae(graph, out.graph, cuts, &cut_rng, pool)));
     }
     degree_table.AddRow(std::move(degree_row));
     cut_table.AddRow(std::move(cut_row));
@@ -63,13 +63,14 @@ int main(int argc, char** argv) {
   ugs::BenchConfig config = ugs::ParseBenchArgs(
       argc, argv,
       "Figure 6: degree/cut discrepancy MAE vs benchmarks (real datasets)");
+  ugs::ThreadPool pool(config.threads);
   {
     ugs::UncertainGraph flickr = ugs::bench::LoadDataset("Flickr", config);
-    RunPanel(flickr, config, "Flickr-like");
+    RunPanel(flickr, config, "Flickr-like", pool);
   }
   {
     ugs::UncertainGraph twitter = ugs::bench::LoadDataset("Twitter", config);
-    RunPanel(twitter, config, "Twitter-like");
+    RunPanel(twitter, config, "Twitter-like", pool);
   }
   std::printf(
       "\npaper Figure 6 shape: EMD <= GDB << NI, SS on both metrics and\n"

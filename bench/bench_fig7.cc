@@ -18,6 +18,7 @@
 int main(int argc, char** argv) {
   ugs::BenchConfig config = ugs::ParseBenchArgs(
       argc, argv, "Figure 7: discrepancy MAE vs density (synthetic)");
+  ugs::ThreadPool pool(config.threads);
   const double alpha = 0.16;
   const std::vector<int> densities = ugs::PaperDensities();
   const std::vector<std::string> methods = {"NI", "SS", "GDB", "EMD"};
@@ -38,7 +39,7 @@ int main(int argc, char** argv) {
   }
 
   for (const std::string& name : methods) {
-    auto method = ugs::MakeSparsifierByName(name);
+    auto method = ugs::MakeSparsifierByName(name, 0.05, &pool);
     if (!method.ok()) return 1;
     std::vector<std::string> degree_row{name};
     std::vector<std::string> cut_row{name};
@@ -52,7 +53,7 @@ int main(int argc, char** argv) {
           3));
       ugs::Rng cut_rng(config.seed + 1000);
       cut_row.push_back(ugs::FormatFixed(
-          ugs::CutDiscrepancyMae(graph, out.graph, cuts, &cut_rng), 1));
+          ugs::CutDiscrepancyMae(graph, out.graph, cuts, &cut_rng, pool), 1));
     }
     degree_table.AddRow(std::move(degree_row));
     cut_table.AddRow(std::move(cut_row));

@@ -24,13 +24,14 @@ const std::vector<std::string>& Methods() {
 }
 
 void AlphaPanel(const ugs::UncertainGraph& graph,
-                const ugs::BenchConfig& config, const char* dataset) {
+                const ugs::BenchConfig& config, const char* dataset,
+                ugs::ThreadPool& pool) {
   const std::vector<double> alphas = ugs::PaperAlphas();
   std::vector<std::string> headers{"method"};
   for (double a : alphas) headers.push_back(ugs::bench::AlphaLabel(a));
   ugs::ReportTable table(headers);
   for (const std::string& name : Methods()) {
-    auto method = ugs::MakeSparsifierByName(name);
+    auto method = ugs::MakeSparsifierByName(name, 0.05, &pool);
     if (!method.ok()) std::abort();
     std::vector<std::string> row{name};
     for (double alpha : alphas) {
@@ -50,13 +51,14 @@ void AlphaPanel(const ugs::UncertainGraph& graph,
 int main(int argc, char** argv) {
   ugs::BenchConfig config = ugs::ParseBenchArgs(
       argc, argv, "Figure 8: relative entropy of sparsified graphs");
+  ugs::ThreadPool pool(config.threads);
   {
     ugs::UncertainGraph flickr = ugs::bench::LoadDataset("Flickr", config);
-    AlphaPanel(flickr, config, "Flickr-like");
+    AlphaPanel(flickr, config, "Flickr-like", pool);
   }
   {
     ugs::UncertainGraph twitter = ugs::bench::LoadDataset("Twitter", config);
-    AlphaPanel(twitter, config, "Twitter-like");
+    AlphaPanel(twitter, config, "Twitter-like", pool);
   }
 
   // (c) density sweep at alpha = 16%.
@@ -71,7 +73,7 @@ int main(int argc, char** argv) {
     graphs.push_back(ugs::bench::LoadDensityGraph(density, config));
   }
   for (const std::string& name : Methods()) {
-    auto method = ugs::MakeSparsifierByName(name);
+    auto method = ugs::MakeSparsifierByName(name, 0.05, &pool);
     if (!method.ok()) return 1;
     std::vector<std::string> row{name};
     for (const ugs::UncertainGraph& graph : graphs) {

@@ -18,13 +18,13 @@
 namespace {
 
 void Panel(const ugs::UncertainGraph& graph, const ugs::BenchConfig& config,
-           const char* dataset) {
+           const char* dataset, ugs::ThreadPool& pool) {
   const std::vector<double> alphas = ugs::PaperAlphas();
   std::vector<std::string> headers{"method"};
   for (double a : alphas) headers.push_back(ugs::bench::AlphaLabel(a));
   ugs::ReportTable table(headers);
   for (std::string name : {"NI", "GDB", "EMD"}) {
-    auto method = ugs::MakeSparsifierByName(name);
+    auto method = ugs::MakeSparsifierByName(name, 0.05, &pool);
     if (!method.ok()) std::abort();
     std::vector<std::string> row{name};
     for (double alpha : alphas) {
@@ -44,13 +44,14 @@ void Panel(const ugs::UncertainGraph& graph, const ugs::BenchConfig& config,
 int main(int argc, char** argv) {
   ugs::BenchConfig config = ugs::ParseBenchArgs(
       argc, argv, "Figure 9: sparsification wall time (real datasets)");
+  ugs::ThreadPool pool(config.threads);
   {
     ugs::UncertainGraph flickr = ugs::bench::LoadDataset("Flickr", config);
-    Panel(flickr, config, "Flickr-like");
+    Panel(flickr, config, "Flickr-like", pool);
   }
   {
     ugs::UncertainGraph twitter = ugs::bench::LoadDataset("Twitter", config);
-    Panel(twitter, config, "Twitter-like");
+    Panel(twitter, config, "Twitter-like", pool);
   }
   std::printf(
       "\npaper Figure 9 shape: GDB fastest, EMD slightly above GDB (the\n"

@@ -153,9 +153,10 @@ BENCHMARK(BM_LpAssign)->Arg(500)->Arg(1000);
 void BM_NiSparsify(benchmark::State& state) {
   const ugs::UncertainGraph& g =
       BenchGraph(static_cast<std::size_t>(state.range(0)), 16.0);
+  ugs::ThreadPool pool;  // Hardware concurrency.
   for (auto _ : state) {
     ugs::Rng rng(7);
-    auto r = ugs::NiSparsify(g, 0.32, {}, &rng);
+    auto r = ugs::NiSparsify(g, 0.32, {}, &rng, pool);
     benchmark::DoNotOptimize(r);
   }
 }

@@ -109,7 +109,9 @@ int main(int argc, char** argv) {
 
   // Local reference: the determinism baseline every routed response is
   // held to.
-  ugs::GraphSession local(graph);
+  ugs::GraphSessionOptions local_options;
+  local_options.engine.num_threads = config.threads;
+  ugs::GraphSession local(graph, local_options);
   std::vector<ugs::QueryResult> expected;
   expected.reserve(requests.size());
   for (const ugs::QueryRequest& request : requests) {
@@ -125,6 +127,7 @@ int main(int argc, char** argv) {
     options.port = 0;
     options.num_workers = 2;
     options.registry.graph_dir = graph_dir;
+    options.registry.session.engine.num_threads = config.threads;
     auto shard = std::make_unique<ugs::Server>(options);
     ugs::Status started = shard->Start();
     if (!started.ok()) {

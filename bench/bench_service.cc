@@ -111,7 +111,9 @@ int main(int argc, char** argv) {
 
   // Local reference: both the determinism baseline and the overhead
   // yardstick (request time without framing/socket/registry).
-  ugs::GraphSession local(graph);
+  ugs::GraphSessionOptions local_options;
+  local_options.engine.num_threads = config.threads;
+  ugs::GraphSession local(graph, local_options);
   std::vector<ugs::QueryResult> expected;
   expected.reserve(requests.size());
   ugs::Timer local_timer;
@@ -129,6 +131,7 @@ int main(int argc, char** argv) {
     options.port = 0;
     options.num_workers = workers;
     options.registry.graph_dir = graph_dir;
+    options.registry.session.engine.num_threads = config.threads;
     ugs::Server server(options);
     ugs::Status started = server.Start();
     if (!started.ok()) {
@@ -179,6 +182,7 @@ int main(int argc, char** argv) {
     options.port = 0;
     options.num_workers = 2;
     options.registry.graph_dir = graph_dir;
+    options.registry.session.engine.num_threads = config.threads;
     options.cache.max_entries = requests.size() + 8;
     ugs::Server server(options);
     ugs::Status started = server.Start();
@@ -265,6 +269,7 @@ int main(int argc, char** argv) {
       options.port = 0;
       options.num_workers = 2;
       options.registry.graph_dir = graph_dir;
+      options.registry.session.engine.num_threads = config.threads;
       options.cache.max_entries = requests.size() + 8;
       options.telemetry.enabled = mode == 1;
       servers[mode] = std::make_unique<ugs::Server>(options);
@@ -367,6 +372,7 @@ int main(int argc, char** argv) {
       options.port = 0;
       options.num_workers = 4;
       options.registry.graph_dir = graph_dir;
+      options.registry.session.engine.num_threads = config.threads;
       ugs::Server server(options);
       ugs::Status started = server.Start();
       if (!started.ok()) {
@@ -409,6 +415,7 @@ int main(int argc, char** argv) {
       options.port = 0;
       options.num_workers = 2;
       options.registry.graph_dir = graph_dir;
+      options.registry.session.engine.num_threads = config.threads;
       ugs::Server server(options);
       ugs::Status started = server.Start();
       if (!started.ok()) {

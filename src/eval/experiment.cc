@@ -47,13 +47,11 @@ BenchConfig ParseBenchArgs(int argc, char** argv,
   }
   UGS_CHECK(config.scale > 0.0);
   UGS_CHECK(config.threads >= 0);
-  // Size the shared pool before any query runs; every evaluator routed
-  // through SampleEngine::Default() / ThreadPool::Default() picks it up.
-  ThreadPool::SetDefaultThreads(config.threads);
   std::printf("== %s ==\n", description.c_str());
   std::printf("scale=%.2f seed=%llu threads=%d%s\n", config.scale,
               static_cast<unsigned long long>(config.seed),
-              ThreadPool::Default().num_threads(),
+              config.threads > 0 ? config.threads
+                                 : ThreadPool::HardwareThreads(),
               config.quick ? " (quick)" : "");
   return config;
 }

@@ -18,9 +18,10 @@ namespace ugs {
 ///   --scale=<f>   multiply dataset sizes (default 1.0, env UGS_BENCH_SCALE)
 ///   --seed=<u>    RNG seed (default 1)
 ///   --quick       cut sample counts for smoke runs (env UGS_BENCH_QUICK)
-///   --threads=<n> size of the shared sampling pool (default hardware
-///                 concurrency, env UGS_THREADS); results are
-///                 bit-identical at any value (SampleEngine contract)
+///   --threads=<n> width of the pool each binary builds for its engine
+///                 and sparsifiers (default hardware concurrency, env
+///                 UGS_THREADS); results are bit-identical at any value
+///                 (SampleEngine contract)
 struct BenchConfig {
   double scale = 1.0;
   std::uint64_t seed = 1;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace ugs {
 namespace {
@@ -79,14 +78,14 @@ namespace {
 /// delta_A(S) = sum_{u in S} delta_A(u) - 2 sum_{edges inside S} dp_e.
 ///
 /// Each (set size, repetition) draws from its own seed-split RNG stream,
-/// so the size ladder parallelizes across the default pool while the MAE
+/// so the size ladder parallelizes across `pool` while the MAE
 /// stays bit-identical at any thread count (per-cut values land in fixed
 /// slots and are reduced in slot order).
 double SampledCutMae(const UncertainGraph& original,
                      const std::vector<double>& delta_abs,
                      const std::vector<double>& diff,
                      const std::vector<std::size_t>& set_sizes,
-                     int sets_per_size, Rng* rng) {
+                     int sets_per_size, Rng* rng, ThreadPool& pool) {
   const std::size_t n = original.num_vertices();
   const std::size_t reps =
       sets_per_size > 0 ? static_cast<std::size_t>(sets_per_size) : 0;
@@ -100,8 +99,7 @@ double SampledCutMae(const UncertainGraph& original,
   constexpr std::size_t kRepsPerTask = 8;
   const std::size_t chunks_per_size =
       reps == 0 ? 0 : (reps + kRepsPerTask - 1) / kRepsPerTask;
-  ThreadPool::Default().ParallelFor(
-      set_sizes.size() * chunks_per_size, [&](std::size_t task) {
+  pool.ParallelFor(set_sizes.size() * chunks_per_size, [&](std::size_t task) {
     const std::size_t k = task / chunks_per_size;
     const std::size_t set_size = set_sizes[k];
     const std::size_t rep_begin = (task % chunks_per_size) * kRepsPerTask;
@@ -136,7 +134,8 @@ double SampledCutMae(const UncertainGraph& original,
 
 double CutDiscrepancyMae(const UncertainGraph& original,
                          const UncertainGraph& sparsified,
-                         const CutSampleOptions& options, Rng* rng) {
+                         const CutSampleOptions& options, Rng* rng,
+                         ThreadPool& pool) {
   UGS_CHECK_EQ(original.num_vertices(), sparsified.num_vertices());
   const std::size_t n = original.num_vertices();
   UGS_CHECK(n >= 2);
@@ -157,20 +156,20 @@ double CutDiscrepancyMae(const UncertainGraph& original,
     k *= growth;
   }
   return SampledCutMae(original, delta_abs, diff, ks, options.sets_per_k,
-                       rng);
+                       rng, pool);
 }
 
 double CutDiscrepancyMaeForSetSize(const UncertainGraph& original,
                                    const UncertainGraph& sparsified,
                                    std::size_t set_size, int num_sets,
-                                   Rng* rng) {
+                                   Rng* rng, ThreadPool& pool) {
   UGS_CHECK_EQ(original.num_vertices(), sparsified.num_vertices());
   UGS_CHECK(set_size >= 1 && set_size < original.num_vertices());
   std::vector<double> delta_abs =
       DegreeDiscrepancies(original, sparsified, DiscrepancyType::kAbsolute);
   std::vector<double> diff = EdgeProbabilityDiffs(original, sparsified);
   return SampledCutMae(original, delta_abs, diff, {set_size}, num_sets,
-                       rng);
+                       rng, pool);
 }
 
 double RelativeEntropy(const UncertainGraph& original,

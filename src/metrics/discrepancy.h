@@ -6,6 +6,7 @@
 #include "graph/uncertain_graph.h"
 #include "sparsify/sparse_state.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace ugs {
 
@@ -36,10 +37,13 @@ struct CutSampleOptions {
   int sets_per_k = 64;
 };
 
-/// MAE of |delta_A(S)| over sampled vertex sets. Deterministic given rng.
+/// MAE of |delta_A(S)| over sampled vertex sets. Deterministic given rng;
+/// the sets are sampled in parallel on `pool` with the same value at any
+/// pool width.
 double CutDiscrepancyMae(const UncertainGraph& original,
                          const UncertainGraph& sparsified,
-                         const CutSampleOptions& options, Rng* rng);
+                         const CutSampleOptions& options, Rng* rng,
+                         ThreadPool& pool);
 
 /// MAE of |delta_A(S)| over `num_sets` random sets of one fixed
 /// cardinality (used by the GDB-k ablation to ask "how well are k-cuts
@@ -47,7 +51,7 @@ double CutDiscrepancyMae(const UncertainGraph& original,
 double CutDiscrepancyMaeForSetSize(const UncertainGraph& original,
                                    const UncertainGraph& sparsified,
                                    std::size_t set_size, int num_sets,
-                                   Rng* rng);
+                                   Rng* rng, ThreadPool& pool);
 
 /// Relative entropy H(G') / H(G) (Figure 8).
 double RelativeEntropy(const UncertainGraph& original,

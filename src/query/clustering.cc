@@ -64,10 +64,4 @@ McSamples McClusteringCoefficient(const UncertainGraph& graph,
       });
 }
 
-McSamples McClusteringCoefficient(const UncertainGraph& graph,
-                                  int num_samples, Rng* rng) {
-  return McClusteringCoefficient(graph, num_samples, rng,
-                                 SampleEngine::Default());
-}
-
 }  // namespace ugs

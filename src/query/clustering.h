@@ -10,10 +10,7 @@
 
 namespace ugs {
 
-/// DEPRECATED for direct use: prefer the unified Query API -- request
-/// "clustering" through GraphSession (query/graph_session.h).
-/// McClusteringCoefficient remains as the compute kernel the registry
-/// dispatches to, so results are bit-identical either way.
+/// McClusteringCoefficient: the engine-taking kernel the registry runs.
 
 /// Per-task scratch of LocalClusteringOnWorld, reused across worlds.
 struct ClusteringScratch {
@@ -30,13 +27,10 @@ void LocalClusteringOnWorld(const PossibleWorld& world, double* cc,
 
 /// Monte-Carlo clustering coefficient (query (iv) of Section 6.3);
 /// unit = vertex. Worlds are dispatched through `engine` (deterministic
-/// at any thread count); the Rng*-only overload uses
-/// SampleEngine::Default().
+/// at any thread count).
 McSamples McClusteringCoefficient(const UncertainGraph& graph,
                                   int num_samples, Rng* rng,
                                   const SampleEngine& engine);
-McSamples McClusteringCoefficient(const UncertainGraph& graph,
-                                  int num_samples, Rng* rng);
 
 }  // namespace ugs
 

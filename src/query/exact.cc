@@ -128,10 +128,6 @@ double ExactConnectivityProbability(const UncertainGraph& graph,
   return total;
 }
 
-double ExactConnectivityProbability(const UncertainGraph& graph) {
-  return ExactConnectivityProbability(graph, ThreadPool::Default());
-}
-
 double ExactReliability(const UncertainGraph& graph, VertexId s, VertexId t,
                         ThreadPool& pool) {
   UGS_CHECK(s < graph.num_vertices() && t < graph.num_vertices());
@@ -148,10 +144,6 @@ double ExactReliability(const UncertainGraph& graph, VertexId s, VertexId t,
       },
       &total, pool);
   return total;
-}
-
-double ExactReliability(const UncertainGraph& graph, VertexId s, VertexId t) {
-  return ExactReliability(graph, s, t, ThreadPool::Default());
 }
 
 double ExactExpectedDistance(const UncertainGraph& graph, VertexId s,
@@ -177,12 +169,6 @@ double ExactExpectedDistance(const UncertainGraph& graph, VertexId s,
     *connectivity_probability = acc[0];
   }
   return acc[0] > 0.0 ? acc[1] / acc[0] : 0.0;
-}
-
-double ExactExpectedDistance(const UncertainGraph& graph, VertexId s,
-                             VertexId t, double* connectivity_probability) {
-  return ExactExpectedDistance(graph, s, t, connectivity_probability,
-                               ThreadPool::Default());
 }
 
 }  // namespace ugs

@@ -9,11 +9,7 @@
 
 namespace ugs {
 
-/// DEPRECATED for direct use: prefer the unified Query API -- request any
-/// supported query with Estimator::kExact through GraphSession
-/// (query/graph_session.h); the selection policy also auto-picks exact
-/// when enumeration fits the sample budget. These oracles remain as the
-/// compute kernels the registry dispatches to.
+/// The pool-taking oracles below are the kernels the registry dispatches to.
 
 /// Exact possible-world enumeration (Equation 1): evaluates a predicate or
 /// statistic on all 2^|E| deterministic worlds and aggregates by world
@@ -24,12 +20,10 @@ namespace ugs {
 ///
 /// The named oracles below enumerate worlds in fixed 4096-world chunks on
 /// the given pool, reducing chunk partials in chunk order, so they
-/// parallelize while staying bit-identical at any thread count. The
-/// pool-less overloads chunk on ThreadPool::Default(); GraphSession routes
-/// them through its own engine pool so sessions built with a dedicated
-/// pool isolate exact work too. ExactWorldProbability itself stays serial:
-/// its caller-supplied predicate is a single instance that may hold
-/// mutable scratch.
+/// parallelize while staying bit-identical at any thread count.
+/// GraphSession passes its engine's pool. ExactWorldProbability itself
+/// stays serial: its caller-supplied predicate is a single instance that
+/// may hold mutable scratch.
 inline constexpr std::size_t kMaxExactEdges = 24;
 
 /// Sum of Pr(world) over worlds where predicate(world) is true.
@@ -41,12 +35,10 @@ double ExactWorldProbability(
 /// as disconnecting; a 1-vertex graph is connected).
 double ExactConnectivityProbability(const UncertainGraph& graph,
                                     ThreadPool& pool);
-double ExactConnectivityProbability(const UncertainGraph& graph);
 
 /// Pr[t reachable from s].
 double ExactReliability(const UncertainGraph& graph, VertexId s, VertexId t,
                         ThreadPool& pool);
-double ExactReliability(const UncertainGraph& graph, VertexId s, VertexId t);
 
 /// Expected BFS distance from s to t conditioned on connectivity
 /// (the paper's SP semantics). If connectivity_probability is non-null it
@@ -54,8 +46,6 @@ double ExactReliability(const UncertainGraph& graph, VertexId s, VertexId t);
 double ExactExpectedDistance(const UncertainGraph& graph, VertexId s,
                              VertexId t, double* connectivity_probability,
                              ThreadPool& pool);
-double ExactExpectedDistance(const UncertainGraph& graph, VertexId s,
-                             VertexId t, double* connectivity_probability);
 
 }  // namespace ugs
 

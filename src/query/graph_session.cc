@@ -19,11 +19,16 @@ SampleEngineOptions WithSkipSampler(SampleEngineOptions options, bool skip) {
 }  // namespace
 
 GraphSession::GraphSession(UncertainGraph graph, GraphSessionOptions options)
+    : GraphSession(std::move(graph), options,
+                   std::make_shared<ThreadPool>(options.engine.num_threads)) {}
+
+GraphSession::GraphSession(UncertainGraph graph, GraphSessionOptions options,
+                           std::shared_ptr<ThreadPool> pool)
     : graph_(std::move(graph)),
       options_(options),
       stats_(ComputeStats(graph_)),
-      engine_(WithSkipSampler(options.engine, false)),
-      skip_engine_(WithSkipSampler(options.engine, true)) {}
+      engine_(WithSkipSampler(options.engine, false), pool),
+      skip_engine_(WithSkipSampler(options.engine, true), std::move(pool)) {}
 
 Result<std::unique_ptr<GraphSession>> GraphSession::Open(
     const std::string& path, GraphSessionOptions options) {
@@ -67,7 +72,8 @@ Result<std::unique_ptr<GraphSession>> GraphSession::WithUpdates(
   UGS_RETURN_IF_ERROR(mutated.ApplyUpdates(updates));
   GraphSessionOptions options = options_;
   options.graph_version = new_version;
-  return std::make_unique<GraphSession>(std::move(mutated), options);
+  return std::unique_ptr<GraphSession>(
+      new GraphSession(std::move(mutated), options, engine_.shared_pool()));
 }
 
 std::vector<Result<QueryResult>> GraphSession::RunBatch(

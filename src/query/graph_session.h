@@ -17,7 +17,8 @@ namespace ugs {
 /// Configuration of a GraphSession.
 struct GraphSessionOptions {
   /// Engine configuration shared by the session's plain and skip-sampler
-  /// engines. num_threads = 0 shares the process-wide default pool.
+  /// engines, which run on one pool of engine.num_threads threads (<= 0 =
+  /// hardware concurrency). Successor sessions (WithUpdates) reuse it.
   SampleEngineOptions engine;
   /// Estimator auto-selection tunables.
   EstimatorPolicyOptions policy;
@@ -41,8 +42,9 @@ struct GraphSessionOptions {
 
 /// The serving facade of the query layer: owns one loaded UncertainGraph
 /// together with the per-graph state every request needs (cached stats,
-/// a plain and a skip-sampler SampleEngine), and executes QueryRequests
-/// through the query registry under the estimator-selection policy.
+/// a plain and a skip-sampler SampleEngine sharing one pool), and
+/// executes QueryRequests through the query registry under the
+/// estimator-selection policy.
 ///
 ///   auto session = ugs::GraphSession::Open("graph.txt");
 ///   ugs::QueryRequest request{.query = "reliability"};
@@ -52,7 +54,7 @@ struct GraphSessionOptions {
 /// Determinism: a request's result is a pure function of (graph,
 /// request) -- the request's seed feeds the engine's seed-split contract,
 /// so results are bit-identical at any thread count and identical to
-/// calling the legacy free-function entry point with Rng(request.seed).
+/// calling the query's kernel with Rng(request.seed) on any engine.
 /// Batches inherit this per request: order and concurrency never change
 /// any result.
 class GraphSession {
@@ -84,9 +86,10 @@ class GraphSession {
   /// `updates` applied (atomically -- see UncertainGraph::ApplyUpdates)
   /// and the version set to `new_version`. This session is untouched
   /// either way; sessions stay immutable, updates swap whole sessions
-  /// (the registry's copy-on-mutate path). A view-backed graph (mmap)
-  /// materializes into owned storage here -- first write, not first
-  /// read.
+  /// (the registry's copy-on-mutate path). The successor shares this
+  /// session's pool, so applying updates spawns no threads. A
+  /// view-backed graph (mmap) materializes into owned storage here --
+  /// first write, not first read.
   [[nodiscard]] Result<std::unique_ptr<GraphSession>> WithUpdates(
       std::span<const EdgeUpdate> updates, std::uint64_t new_version) const;
 
@@ -105,6 +108,9 @@ class GraphSession {
       const std::vector<QueryRequest>& requests) const;
 
  private:
+  GraphSession(UncertainGraph graph, GraphSessionOptions options,
+               std::shared_ptr<ThreadPool> pool);
+
   UncertainGraph graph_;
   GraphSessionOptions options_;
   GraphStats stats_;

@@ -5,7 +5,6 @@
 #include <queue>
 
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace ugs {
 
@@ -42,16 +41,6 @@ std::vector<KnnResult> MostProbableKnn(const UncertainGraph& graph,
     }
   }
   return result;
-}
-
-std::vector<std::vector<KnnResult>> MostProbableKnnBatch(
-    const UncertainGraph& graph, const std::vector<VertexId>& sources,
-    std::size_t k) {
-  std::vector<std::vector<KnnResult>> results(sources.size());
-  ThreadPool::Default().ParallelFor(sources.size(), [&](std::size_t i) {
-    results[i] = MostProbableKnn(graph, sources[i], k);
-  });
-  return results;
 }
 
 }  // namespace ugs

@@ -7,10 +7,7 @@
 
 namespace ugs {
 
-/// DEPRECATED for direct use: prefer the unified Query API -- request
-/// "knn" through GraphSession (query/graph_session.h). MostProbableKnn
-/// remains as the compute kernel the registry dispatches to (the session
-/// parallelizes sources on its own engine pool).
+/// MostProbableKnn is the per-source kernel the registry dispatches to.
 
 /// K-nearest-neighbor queries on uncertain graphs under the
 /// most-probable-path distance (Potamias et al., PVLDB 2010 -- the
@@ -27,13 +24,6 @@ struct KnnResult {
 /// settled targets.
 std::vector<KnnResult> MostProbableKnn(const UncertainGraph& graph,
                                        VertexId source, std::size_t k);
-
-/// Batch kNN: one MostProbableKnn per source, computed in parallel on
-/// ThreadPool::Default() (sources are independent Dijkstra runs).
-/// result[i] corresponds to sources[i].
-std::vector<std::vector<KnnResult>> MostProbableKnnBatch(
-    const UncertainGraph& graph, const std::vector<VertexId>& sources,
-    std::size_t k);
 
 }  // namespace ugs
 

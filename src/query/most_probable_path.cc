@@ -6,7 +6,6 @@
 #include <queue>
 
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace ugs {
 namespace {
@@ -70,15 +69,6 @@ std::vector<double> MostProbablePathProbabilities(const UncertainGraph& graph,
     if (dist[v] != kInfinity) out[v] = std::exp(-dist[v]);
   }
   return out;
-}
-
-std::vector<std::vector<double>> MostProbablePathProbabilitiesBatch(
-    const UncertainGraph& graph, const std::vector<VertexId>& sources) {
-  std::vector<std::vector<double>> results(sources.size());
-  ThreadPool::Default().ParallelFor(sources.size(), [&](std::size_t i) {
-    results[i] = MostProbablePathProbabilities(graph, sources[i]);
-  });
-  return results;
 }
 
 }  // namespace ugs

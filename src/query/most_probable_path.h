@@ -7,10 +7,7 @@
 
 namespace ugs {
 
-/// DEPRECATED for direct use: prefer the unified Query API -- request
-/// "most-probable-path" through GraphSession (query/graph_session.h).
-/// FindMostProbablePath remains as the compute kernel the registry
-/// dispatches to, so results are bit-identical either way.
+/// FindMostProbablePath is the kernel the registry dispatches to.
 
 /// Most-probable-path queries (Potamias et al., PVLDB 2010 -- the paper's
 /// reference [32], whose -log p weight transform the SS benchmark
@@ -31,12 +28,6 @@ MostProbablePath FindMostProbablePath(const UncertainGraph& graph,
 /// (0 for unreachable). One Dijkstra run.
 std::vector<double> MostProbablePathProbabilities(const UncertainGraph& graph,
                                                   VertexId s);
-
-/// Batch variant: one MostProbablePathProbabilities run per source,
-/// computed in parallel on ThreadPool::Default() (runs are independent).
-/// result[i] corresponds to sources[i].
-std::vector<std::vector<double>> MostProbablePathProbabilitiesBatch(
-    const UncertainGraph& graph, const std::vector<VertexId>& sources);
 
 }  // namespace ugs
 

@@ -71,10 +71,4 @@ McSamples McPageRank(const UncertainGraph& graph, int num_samples, Rng* rng,
       });
 }
 
-McSamples McPageRank(const UncertainGraph& graph, int num_samples, Rng* rng,
-                     const PageRankOptions& options) {
-  return McPageRank(graph, num_samples, rng, options,
-                    SampleEngine::Default());
-}
-
 }  // namespace ugs

@@ -12,10 +12,7 @@
 
 namespace ugs {
 
-/// DEPRECATED for direct use: prefer the unified Query API -- request
-/// "pagerank" through GraphSession (query/graph_session.h). McPageRank
-/// remains as the compute kernel the registry dispatches to, so results
-/// are bit-identical either way.
+/// McPageRank is the engine-taking kernel the registry dispatches to.
 
 /// PageRank settings. Worlds are undirected, so each present edge conducts
 /// rank both ways; dangling vertices (no present edge) spread uniformly.
@@ -44,13 +41,10 @@ void PageRankOnWorld(const PossibleWorld& world,
 
 /// Monte-Carlo PageRank over `num_samples` sampled worlds; unit = vertex.
 /// This is evaluation query (i) of Section 6.3. Worlds are dispatched
-/// through `engine` (deterministic at any thread count); the Rng*-only
-/// overload uses SampleEngine::Default().
+/// through `engine` (deterministic at any thread count).
 McSamples McPageRank(const UncertainGraph& graph, int num_samples, Rng* rng,
                      const PageRankOptions& options,
                      const SampleEngine& engine);
-McSamples McPageRank(const UncertainGraph& graph, int num_samples, Rng* rng,
-                     const PageRankOptions& options = {});
 
 }  // namespace ugs
 

@@ -41,14 +41,6 @@ Result<Estimator> ParseEstimator(const std::string& name) {
 
 namespace {
 
-std::vector<double> UnitMeans(const McSamples& samples) {
-  std::vector<double> means(samples.num_units);
-  for (std::size_t u = 0; u < samples.num_units; ++u) {
-    means[u] = samples.UnitMean(u);
-  }
-  return means;
-}
-
 Status ValidatePairs(const std::string& query, const UncertainGraph& graph,
                      const std::vector<VertexPair>& pairs) {
   if (pairs.empty()) {
@@ -139,7 +131,7 @@ class ReliabilityQuery final : public Query {
       case Estimator::kSkipSampler:
         result.samples = McReliability(graph, request.pairs,
                                        request.num_samples, &rng, engine);
-        result.means = UnitMeans(result.samples);
+        result.means = result.samples.UnitMeans();
         break;
       case Estimator::kStratified: {
         const StratifiedOptions options = StratifiedOptionsOf(request);
@@ -240,7 +232,7 @@ class ShortestPathQuery final : public Query {
       case Estimator::kSkipSampler:
         result.samples = McShortestPath(graph, request.pairs,
                                         request.num_samples, &rng, engine);
-        result.means = UnitMeans(result.samples);
+        result.means = result.samples.UnitMeans();
         break;
       case Estimator::kStratified: {
         // Conditioned mean as a ratio of stratified estimates:
@@ -296,7 +288,7 @@ class PageRankQuery final : public Query {
     Rng rng(request.seed);
     result.samples = McPageRank(graph, request.num_samples, &rng,
                                 request.pagerank, engine);
-    result.means = UnitMeans(result.samples);
+    result.means = result.samples.UnitMeans();
     return result;
   }
 };
@@ -321,7 +313,7 @@ class ClusteringQuery final : public Query {
     Rng rng(request.seed);
     result.samples =
         McClusteringCoefficient(graph, request.num_samples, &rng, engine);
-    result.means = UnitMeans(result.samples);
+    result.means = result.samples.UnitMeans();
     return result;
   }
 };

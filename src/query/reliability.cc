@@ -29,24 +29,6 @@ McSamples McReliability(const UncertainGraph& graph,
       });
 }
 
-McSamples McReliability(const UncertainGraph& graph,
-                        const std::vector<VertexPair>& pairs,
-                        int num_samples, Rng* rng) {
-  return McReliability(graph, pairs, num_samples, rng,
-                       SampleEngine::Default());
-}
-
-std::vector<double> EstimateReliability(const UncertainGraph& graph,
-                                        const std::vector<VertexPair>& pairs,
-                                        int num_samples, Rng* rng) {
-  McSamples samples = McReliability(graph, pairs, num_samples, rng);
-  std::vector<double> out(pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    out[i] = samples.UnitMean(i);
-  }
-  return out;
-}
-
 double EstimateConnectivity(const UncertainGraph& graph, int num_samples,
                             Rng* rng, const SampleEngine& engine) {
   UGS_CHECK(num_samples > 0);
@@ -59,12 +41,6 @@ double EstimateConnectivity(const UncertainGraph& graph, int num_samples,
           return uf->num_components() == 1 ? 1.0 : 0.0;
         };
       });
-}
-
-double EstimateConnectivity(const UncertainGraph& graph, int num_samples,
-                            Rng* rng) {
-  return EstimateConnectivity(graph, num_samples, rng,
-                              SampleEngine::Default());
 }
 
 }  // namespace ugs

@@ -12,11 +12,7 @@
 
 namespace ugs {
 
-/// DEPRECATED for direct use: prefer the unified Query API -- request
-/// "reliability" / "connectivity" through GraphSession
-/// (query/graph_session.h). These free functions remain as the compute
-/// kernels the registry dispatches to, so results are bit-identical
-/// either way.
+/// The engine-taking kernels the registry dispatches to (query/query.h).
 
 /// Connected components of one world: resets `uf` (sized |V|) and unions
 /// the endpoints of every present edge, in ascending edge id. The one
@@ -28,26 +24,16 @@ void ConnectOnWorld(const PossibleWorld& world, UnionFind* uf);
 /// each sample is the 0/1 indicator that t is reachable from s in the
 /// world; its mean over samples estimates Pr[s ~ t]. Unit = pair.
 /// Worlds are dispatched through `engine` (deterministic at any thread
-/// count); the Rng*-only overload uses SampleEngine::Default().
+/// count).
 McSamples McReliability(const UncertainGraph& graph,
                         const std::vector<VertexPair>& pairs,
                         int num_samples, Rng* rng,
                         const SampleEngine& engine);
-McSamples McReliability(const UncertainGraph& graph,
-                        const std::vector<VertexPair>& pairs,
-                        int num_samples, Rng* rng);
-
-/// Point estimates Pr[s ~ t] per pair (means of McReliability).
-std::vector<double> EstimateReliability(const UncertainGraph& graph,
-                                        const std::vector<VertexPair>& pairs,
-                                        int num_samples, Rng* rng);
 
 /// Monte-Carlo estimate of Pr[world is a single connected component]
 /// (the running example of Figure 1).
 double EstimateConnectivity(const UncertainGraph& graph, int num_samples,
                             Rng* rng, const SampleEngine& engine);
-double EstimateConnectivity(const UncertainGraph& graph, int num_samples,
-                            Rng* rng);
 
 }  // namespace ugs
 

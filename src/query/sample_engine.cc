@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "query/skip_sampler.h"
 #include "util/check.h"
@@ -9,20 +10,14 @@
 namespace ugs {
 
 SampleEngine::SampleEngine(SampleEngineOptions options)
-    : options_(options) {
+    : SampleEngine(options,
+                   std::make_shared<ThreadPool>(options.num_threads)) {}
+
+SampleEngine::SampleEngine(SampleEngineOptions options,
+                           std::shared_ptr<ThreadPool> pool)
+    : options_(options), pool_(std::move(pool)) {
   UGS_CHECK(options_.batch_size > 0);
-  if (options_.num_threads > 0) {
-    owned_pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  }
-}
-
-ThreadPool& SampleEngine::pool() const {
-  return owned_pool_ != nullptr ? *owned_pool_ : ThreadPool::Default();
-}
-
-const SampleEngine& SampleEngine::Default() {
-  static const SampleEngine* engine = new SampleEngine();
-  return *engine;
+  UGS_CHECK(pool_ != nullptr);
 }
 
 Rng SampleEngine::SampleRng(std::uint64_t base, std::uint64_t index) {

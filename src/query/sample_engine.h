@@ -16,8 +16,8 @@ namespace ugs {
 
 /// Configuration for a SampleEngine.
 struct SampleEngineOptions {
-  /// 0 = share the process-wide ThreadPool::Default(); otherwise the
-  /// engine owns a private pool of exactly this many threads.
+  /// Width of the pool the engine builds (<= 0 = hardware concurrency,
+  /// the ThreadPool rule). Unused when the engine is handed a pool.
   int num_threads = 0;
   /// Samples dispatched per pool task. Batching amortizes the per-task
   /// scratch construction and the atomic work-stealing claim; it never
@@ -51,9 +51,15 @@ struct SampleEngineOptions {
 /// Run/RunMean are const and safe to call concurrently: each call is its
 /// own task group on the pool's executor, so overlapping requests
 /// interleave their sample batches without affecting any result.
+///
+/// An engine always dispatches to exactly one pool, which it holds by
+/// shared_ptr: either one it builds from options.num_threads, or one
+/// handed in so twin engines (a session's plain and skip-sampler pair)
+/// share a single executor.
 class SampleEngine {
  public:
   explicit SampleEngine(SampleEngineOptions options = {});
+  SampleEngine(SampleEngineOptions options, std::shared_ptr<ThreadPool> pool);
 
   /// Evaluates one sampled world: writes the query's per-unit results
   /// into row[0..num_units) and, when the query tracks conditioning,
@@ -101,15 +107,12 @@ class SampleEngine {
                  const WorldStatFactory& factory) const;
 
   /// The pool this engine dispatches to.
-  ThreadPool& pool() const;
+  ThreadPool& pool() const { return *pool_; }
+  /// The same pool, for building a twin engine on it.
+  const std::shared_ptr<ThreadPool>& shared_pool() const { return pool_; }
 
-  int num_threads() const { return pool().num_threads(); }
+  int num_threads() const { return pool_->num_threads(); }
   const SampleEngineOptions& options() const { return options_; }
-
-  /// Process-wide engine on the default thread pool; what the
-  /// Rng*-only query entry points use. Resize via
-  /// ThreadPool::SetDefaultThreads (e.g. a bench --threads flag).
-  static const SampleEngine& Default();
 
   /// The deterministic RNG for sample `index` under seed-split base
   /// `base`. Exposed so tests and debuggers can replay a single sample.
@@ -123,7 +126,7 @@ class SampleEngine {
                       const WorldEvalFactory& factory, bool build_view) const;
 
   SampleEngineOptions options_;
-  std::unique_ptr<ThreadPool> owned_pool_;  // Only when num_threads > 0.
+  std::shared_ptr<ThreadPool> pool_;
 };
 
 }  // namespace ugs

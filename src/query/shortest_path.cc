@@ -79,11 +79,4 @@ McSamples McShortestPath(const UncertainGraph& graph,
       });
 }
 
-McSamples McShortestPath(const UncertainGraph& graph,
-                         const std::vector<VertexPair>& pairs,
-                         int num_samples, Rng* rng) {
-  return McShortestPath(graph, pairs, num_samples, rng,
-                        SampleEngine::Default());
-}
-
 }  // namespace ugs

@@ -10,10 +10,7 @@
 
 namespace ugs {
 
-/// DEPRECATED for direct use: prefer the unified Query API -- request
-/// "shortest-path" through GraphSession (query/graph_session.h).
-/// McShortestPath remains as the compute kernel the registry dispatches
-/// to, so results are bit-identical either way.
+/// McShortestPath is the engine-taking kernel the registry dispatches to.
 
 /// Distance marker for unreachable vertices in a world.
 inline constexpr int kUnreachable = -1;
@@ -44,15 +41,11 @@ std::vector<VertexPair> SampleDistinctPairs(std::size_t num_vertices,
 /// unit = pair; a sample is valid only when the pair is connected in that
 /// world ("excluding the ones that disconnect them"). Pairs sharing a
 /// source share one BFS per world. Worlds are dispatched through `engine`
-/// (deterministic at any thread count); the Rng*-only overload uses
-/// SampleEngine::Default().
+/// (deterministic at any thread count).
 McSamples McShortestPath(const UncertainGraph& graph,
                          const std::vector<VertexPair>& pairs,
                          int num_samples, Rng* rng,
                          const SampleEngine& engine);
-McSamples McShortestPath(const UncertainGraph& graph,
-                         const std::vector<VertexPair>& pairs,
-                         int num_samples, Rng* rng);
 
 }  // namespace ugs
 

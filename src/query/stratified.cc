@@ -21,18 +21,6 @@ std::vector<EdgeId> HighestEntropyEdges(const UncertainGraph& graph, int r) {
   return ids;
 }
 
-namespace {
-
-/// Engine for the single-query overloads: the one WorldQuery instance may
-/// hold mutable scratch, so it must never be called from two threads.
-const SampleEngine& SerialEngine() {
-  static const SampleEngine* engine =
-      new SampleEngine(SampleEngineOptions{.num_threads = 1});
-  return *engine;
-}
-
-}  // namespace
-
 double MonteCarloEstimate(const UncertainGraph& graph,
                           const WorldQueryFactory& factory,
                           int total_samples, Rng* rng,
@@ -46,14 +34,6 @@ double MonteCarloEstimate(const UncertainGraph& graph,
                             return query(world);
                           };
                         });
-}
-
-double MonteCarloEstimate(const UncertainGraph& graph,
-                          const WorldQuery& query, int total_samples,
-                          Rng* rng) {
-  return MonteCarloEstimate(
-      graph, [&query]() { return query; }, total_samples, rng,
-      SerialEngine());
 }
 
 double StratifiedEstimate(const UncertainGraph& graph,
@@ -107,13 +87,6 @@ double StratifiedEstimate(const UncertainGraph& graph,
   // impossible.
   UGS_CHECK(allocated_probability > 0.0);
   return estimate / allocated_probability;
-}
-
-double StratifiedEstimate(const UncertainGraph& graph,
-                          const WorldQuery& query,
-                          const StratifiedOptions& options, Rng* rng) {
-  return StratifiedEstimate(
-      graph, [&query]() { return query; }, options, rng, SerialEngine());
 }
 
 }  // namespace ugs

@@ -10,11 +10,7 @@
 
 namespace ugs {
 
-/// DEPRECATED for direct use: prefer the unified Query API -- request any
-/// supported query with Estimator::kStratified through GraphSession
-/// (query/graph_session.h). StratifiedEstimate remains as the compute
-/// kernel the registry dispatches to, so results are bit-identical
-/// either way.
+/// StratifiedEstimate is the engine-taking kernel the registry dispatches to.
 
 /// Stratified Monte-Carlo estimation for uncertain-graph queries, after
 /// the recursive stratified sampling of Li et al., ICDE 2014 (the paper's
@@ -49,24 +45,11 @@ double StratifiedEstimate(const UncertainGraph& graph,
                           const StratifiedOptions& options, Rng* rng,
                           const SampleEngine& engine);
 
-/// Single-query convenience overload. The one query instance may hold
-/// mutable scratch, so it is evaluated serially (a 1-thread engine)
-/// regardless of the default engine's size; use the factory overload for
-/// the parallel path.
-double StratifiedEstimate(const UncertainGraph& graph,
-                          const WorldQuery& query,
-                          const StratifiedOptions& options, Rng* rng);
-
 /// Plain Monte-Carlo estimate with the same budget, for comparison.
 double MonteCarloEstimate(const UncertainGraph& graph,
                           const WorldQueryFactory& factory,
                           int total_samples, Rng* rng,
                           const SampleEngine& engine);
-
-/// Serial single-query convenience overload (see StratifiedEstimate).
-double MonteCarloEstimate(const UncertainGraph& graph,
-                          const WorldQuery& query, int total_samples,
-                          Rng* rng);
 
 /// The r edges with the highest entropy H(p_e) (the pivots used for
 /// stratification). Exposed for tests.

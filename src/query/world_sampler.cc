@@ -81,6 +81,12 @@ double McSamples::UnitMean(std::size_t unit) const {
   return count > 0 ? sum / static_cast<double>(count) : 0.0;
 }
 
+std::vector<double> McSamples::UnitMeans() const {
+  std::vector<double> means(num_units);
+  for (std::size_t u = 0; u < num_units; ++u) means[u] = UnitMean(u);
+  return means;
+}
+
 std::vector<double> McSamples::UnitSamples(std::size_t unit) const {
   std::vector<double> out;
   out.reserve(num_samples);

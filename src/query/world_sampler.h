@@ -104,6 +104,8 @@ struct McSamples {
 
   /// Mean of unit u's valid entries (0 if none are valid).
   double UnitMean(std::size_t unit) const;
+  /// UnitMean of every unit: the point estimates.
+  std::vector<double> UnitMeans() const;
 
   /// Pulls unit u's valid entries into a vector (for distribution
   /// comparisons).

@@ -6,7 +6,6 @@
 
 #include "sparsify/backbone.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 #include "util/union_find.h"
 
 namespace ugs {
@@ -90,7 +89,8 @@ NiCoreResult RunNiCore(const UncertainGraph& graph,
 }
 
 Result<NiResult> NiSparsify(const UncertainGraph& graph, double alpha,
-                            const NiOptions& options, Rng* rng) {
+                            const NiOptions& options, Rng* rng,
+                            ThreadPool& thread_pool) {
   if (!(alpha > 0.0 && alpha < 1.0)) {
     return Status::InvalidArgument("alpha must be in (0,1), got " +
                                    std::to_string(alpha));
@@ -131,7 +131,6 @@ Result<NiResult> NiSparsify(const UncertainGraph& graph, double alpha,
     return RunNiCore(graph, weights, run_eps, &run_rng);
   };
 
-  ThreadPool& thread_pool = ThreadPool::Default();
   NiCoreResult best;
   bool have_best = false;
   double best_eps = eps;

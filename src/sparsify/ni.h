@@ -6,6 +6,7 @@
 #include "graph/uncertain_graph.h"
 #include "util/random.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace ugs {
 
@@ -50,11 +51,13 @@ NiCoreResult RunNiCore(const UncertainGraph& graph,
                        const std::vector<int>& weights, double epsilon,
                        Rng* rng);
 
-/// The full adapted benchmark (steps 1-5).
+/// The full adapted benchmark (steps 1-5). Calibration runs are
+/// evaluated speculatively in batches as wide as `thread_pool`; the
+/// result is the same at any pool width.
 [[nodiscard]] Result<NiResult> NiSparsify(const UncertainGraph& graph,
                                           double alpha,
-                                          const NiOptions& options,
-                                          Rng* rng);
+                                          const NiOptions& options, Rng* rng,
+                                          ThreadPool& thread_pool);
 
 }  // namespace ugs
 

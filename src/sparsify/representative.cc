@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace ugs {
 
@@ -17,7 +16,7 @@ std::vector<EdgeId> ModalRepresentative(const UncertainGraph& graph) {
 }
 
 std::vector<EdgeId> GreedyDegreeRepresentative(const UncertainGraph& graph,
-                                               Rng* rng) {
+                                               Rng* rng, ThreadPool& pool) {
   const std::size_t n = graph.num_vertices();
   // Residual degree budgets: round(d_u), at least 1 for any vertex with
   // edges so no vertex is isolated by rounding.
@@ -37,7 +36,7 @@ std::vector<EdgeId> GreedyDegreeRepresentative(const UncertainGraph& graph,
   // parallel, instead of re-sorting the unused remainder inside the
   // greedy loop; the loop then just skips used edges.
   std::vector<std::vector<EdgeId>> sorted_incident(n);
-  ThreadPool::Default().ParallelFor(n, [&](std::size_t u) {
+  pool.ParallelFor(n, [&](std::size_t u) {
     std::vector<EdgeId>& incident = sorted_incident[u];
     incident.reserve(graph.Degree(static_cast<VertexId>(u)));
     for (const AdjacencyEntry& a :

@@ -5,6 +5,7 @@
 
 #include "graph/uncertain_graph.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace ugs {
 
@@ -28,9 +29,11 @@ std::vector<EdgeId> ModalRepresentative(const UncertainGraph& graph);
 /// random order; for each vertex, add its highest-probability unused
 /// incident edges while the vertex's degree is below its (rounded)
 /// expected degree and the neighbor still has residual degree budget.
-/// Approximately preserves the expected degree of every vertex.
+/// Approximately preserves the expected degree of every vertex. The
+/// incidence lists are sorted in parallel on `pool`; the result is the
+/// same at any pool width.
 std::vector<EdgeId> GreedyDegreeRepresentative(const UncertainGraph& graph,
-                                               Rng* rng);
+                                               Rng* rng, ThreadPool& pool);
 
 /// Mean absolute difference between representative degrees and expected
 /// degrees: mean_u |deg_R(u) - d_G(u)| (the representative analogue of

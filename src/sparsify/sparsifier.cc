@@ -106,14 +106,18 @@ class LpSparsifier final : public Sparsifier {
 
 class NiSparsifier final : public Sparsifier {
  public:
-  explicit NiSparsifier(NiOptions options) : options_(options) {}
+  /// A null pool calibrates on a local 1-thread pool (no workers).
+  NiSparsifier(NiOptions options, ThreadPool* pool)
+      : options_(options), pool_(pool) {}
 
   std::string name() const override { return "NI"; }
 
   Result<SparsifyOutput> Sparsify(const UncertainGraph& graph, double alpha,
                                   Rng* rng) const override {
     Timer timer;
-    Result<NiResult> r = NiSparsify(graph, alpha, options_, rng);
+    ThreadPool serial(1);
+    Result<NiResult> r = NiSparsify(graph, alpha, options_, rng,
+                                    pool_ != nullptr ? *pool_ : serial);
     if (!r.ok()) return r.status();
     return AssembleOutput(graph, std::move(r->edges), r->probabilities,
                           timer.ElapsedSeconds());
@@ -121,6 +125,7 @@ class NiSparsifier final : public Sparsifier {
 
  private:
   NiOptions options_;
+  ThreadPool* pool_;
 };
 
 class SsSparsifier final : public Sparsifier {
@@ -178,8 +183,9 @@ std::unique_ptr<Sparsifier> MakeLpSparsifier(const BackboneOptions& backbone,
   return std::make_unique<LpSparsifier>(backbone, std::move(name));
 }
 
-std::unique_ptr<Sparsifier> MakeNiSparsifier(const NiOptions& options) {
-  return std::make_unique<NiSparsifier>(options);
+std::unique_ptr<Sparsifier> MakeNiSparsifier(ThreadPool& pool,
+                                             const NiOptions& options) {
+  return std::make_unique<NiSparsifier>(options, &pool);
 }
 
 std::unique_ptr<Sparsifier> MakeSpannerSparsifier(
@@ -188,12 +194,14 @@ std::unique_ptr<Sparsifier> MakeSpannerSparsifier(
 }
 
 Result<std::unique_ptr<Sparsifier>> MakeSparsifierByName(
-    const std::string& name, double h) {
+    const std::string& name, double h, ThreadPool* pool) {
   // Representative aliases of Section 6.1.
   if (name == "GDB") return MakeSparsifierByName("GDBA", h);
   if (name == "EMD") return MakeSparsifierByName("EMDR-t", h);
 
-  if (name == "NI") return {MakeNiSparsifier()};
+  if (name == "NI") {
+    return {std::make_unique<NiSparsifier>(NiOptions{}, pool)};
+  }
   if (name == "SS") return {MakeSpannerSparsifier()};
   if (name == "LP") return {MakeLpSparsifier(RandomBackbone(), "LP")};
   if (name == "LP-t") return {MakeLpSparsifier(SpanningBackbone(), "LP-t")};

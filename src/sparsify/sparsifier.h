@@ -13,6 +13,7 @@
 #include "sparsify/spanner.h"
 #include "util/random.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace ugs {
 
@@ -61,8 +62,10 @@ std::unique_ptr<Sparsifier> MakeEmdSparsifier(
 std::unique_ptr<Sparsifier> MakeLpSparsifier(const BackboneOptions& backbone,
                                              std::string name = "");
 
-/// Nagamochi-Ibaraki cut-sparsifier benchmark.
-std::unique_ptr<Sparsifier> MakeNiSparsifier(const NiOptions& options = {});
+/// Nagamochi-Ibaraki cut-sparsifier benchmark; calibrates on `pool`,
+/// which must outlive the sparsifier.
+std::unique_ptr<Sparsifier> MakeNiSparsifier(ThreadPool& pool,
+                                             const NiOptions& options = {});
 
 /// Baswana-Sen spanner benchmark.
 std::unique_ptr<Sparsifier> MakeSpannerSparsifier(
@@ -77,9 +80,11 @@ std::unique_ptr<Sparsifier> MakeSpannerSparsifier(
 ///   Section 6.1.
 /// Suffix "-t" selects the Algorithm-1 spanning backbone; absence selects
 /// the random (Monte-Carlo) backbone. Returns NotFound for unknown names.
-/// `h` is the entropy parameter used by GDB/EMD variants.
+/// `h` is the entropy parameter used by GDB/EMD variants. `pool` is read
+/// by NI only (see MakeNiSparsifier); null calibrates serially, with the
+/// same result.
 [[nodiscard]] Result<std::unique_ptr<Sparsifier>> MakeSparsifierByName(
-    const std::string& name, double h = 0.05);
+    const std::string& name, double h = 0.05, ThreadPool* pool = nullptr);
 
 /// All names understood by MakeSparsifierByName (fixed variants only).
 std::vector<std::string> KnownSparsifierNames();

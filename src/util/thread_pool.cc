@@ -1,8 +1,6 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <memory>
-#include <utility>
 
 namespace ugs {
 
@@ -13,20 +11,15 @@ ThreadPool::ThreadPool(int num_threads) {
   for (int i = 0; i + 1 < num_threads; ++i) {
     workers_.emplace_back(&ThreadPool::WorkerLoop, this);
   }
-  has_workers_.store(!workers_.empty(), std::memory_order_relaxed);
 }
 
-ThreadPool::~ThreadPool() { Shutdown(); }
-
-void ThreadPool::Shutdown() {
+ThreadPool::~ThreadPool() {
   {
     MutexLock lock(&mutex_);
     stop_ = true;
   }
   work_cv_.SignalAll();
   for (std::thread& worker : workers_) worker.join();
-  workers_.clear();
-  has_workers_.store(false, std::memory_order_relaxed);
 }
 
 int ThreadPool::HardwareThreads() {
@@ -95,11 +88,8 @@ void ThreadPool::WorkerLoop() {
 void ThreadPool::ParallelFor(std::size_t num_tasks,
                              const std::function<void(std::size_t)>& fn) {
   if (num_tasks == 0) return;
-  // Inline paths: a single task, no workers (1-thread pool), or a
-  // retired pool (a stale Default() reference after SetDefaultThreads).
-  // A stale has_workers_ read during retirement is safe: the group path
-  // below never requires workers to make progress.
-  if (num_tasks == 1 || !has_workers_.load(std::memory_order_relaxed)) {
+  // Inline paths: a single task or no workers (1-thread pool).
+  if (num_tasks == 1 || workers_.empty()) {
     for (std::size_t i = 0; i < num_tasks; ++i) fn(i);
     return;
   }
@@ -126,53 +116,6 @@ void ThreadPool::ParallelFor(std::size_t num_tasks,
   while (group.pins != 0 ||
          group.done.load(std::memory_order_acquire) != group.total) {
     done_cv_.Wait(&mutex_);
-  }
-}
-
-namespace {
-
-Mutex default_pool_mutex;
-std::unique_ptr<ThreadPool>& DefaultPoolSlot() {
-  static std::unique_ptr<ThreadPool> pool;
-  return pool;
-}
-/// Pools SetDefaultThreads replaced. Kept alive (workers joined, loops
-/// run inline) so an engine that resolved Default() just before a resize
-/// still holds a valid reference; guarded by default_pool_mutex.
-std::vector<std::unique_ptr<ThreadPool>>& RetiredPoolsSlot() {
-  static std::vector<std::unique_ptr<ThreadPool>>* pools =
-      new std::vector<std::unique_ptr<ThreadPool>>();
-  return *pools;
-}
-
-}  // namespace
-
-ThreadPool& ThreadPool::Default() {
-  MutexLock lock(&default_pool_mutex);
-  std::unique_ptr<ThreadPool>& slot = DefaultPoolSlot();
-  if (slot == nullptr) slot = std::make_unique<ThreadPool>();
-  return *slot;
-}
-
-void ThreadPool::SetDefaultThreads(int num_threads) {
-  std::unique_ptr<ThreadPool> retired;
-  {
-    MutexLock lock(&default_pool_mutex);
-    std::unique_ptr<ThreadPool>& slot = DefaultPoolSlot();
-    const int want = num_threads <= 0 ? HardwareThreads() : num_threads;
-    if (slot != nullptr && slot->num_threads() == want) return;
-    retired = std::move(slot);
-    slot = std::make_unique<ThreadPool>(num_threads);
-  }
-  if (retired != nullptr) {
-    // Join outside default_pool_mutex: a task on the old pool may itself
-    // call Default() and must not deadlock against this resize. Loops in
-    // flight on the old pool finish on their calling threads (Shutdown
-    // never strands a group), and the object is parked -- not destroyed
-    // -- so stale references keep working, inline.
-    retired->Shutdown();
-    MutexLock lock(&default_pool_mutex);
-    RetiredPoolsSlot().push_back(std::move(retired));
   }
 }
 

@@ -55,18 +55,6 @@ class ThreadPool {
   /// std::thread::hardware_concurrency with a floor of 1.
   static int HardwareThreads();
 
-  /// Process-wide shared pool. Sized at HardwareThreads() unless
-  /// SetDefaultThreads was called first.
-  static ThreadPool& Default();
-
-  /// Resizes the pool Default() returns (0 = hardware concurrency).
-  /// Intended for startup (e.g. a --threads flag) but safe at any time:
-  /// the previous default pool is *retired*, never destroyed -- its
-  /// workers drain and exit while any in-flight loop completes on its
-  /// calling thread, and a stale `ThreadPool&` from before the resize
-  /// stays valid forever (loops on a retired pool run inline).
-  static void SetDefaultThreads(int num_threads);
-
  private:
   /// One ParallelFor call in flight: an atomic claim counter, an atomic
   /// completion counter, and pool-mutex-guarded bookkeeping. Lives on
@@ -88,16 +76,11 @@ class ThreadPool {
   void RunGroupTasks(Group* group, bool yield_to_other_groups);
   /// Removes the group from active_groups_ (idempotent).
   void UnlistLocked(Group* group) UGS_REQUIRES(mutex_);
-  /// Joins the workers. The pool object stays usable afterwards: loops
-  /// run inline on their callers. Idempotent; used by the destructor and
-  /// by SetDefaultThreads to retire the old default pool.
-  void Shutdown();
 
   int num_threads_ = 1;
+  /// Fixed between construction and destruction, so reading it needs no
+  /// lock.
   std::vector<std::thread> workers_;
-  /// False once workers are joined (retired pools); a stale true read is
-  /// harmless -- the caller just drains its own group.
-  std::atomic<bool> has_workers_{false};
 
   Mutex mutex_;
   CondVar work_cv_;  ///< Workers: group listed or stop.

@@ -78,7 +78,8 @@ TEST(McClusteringTest, CertainTriangleAllSamplesOne) {
   UncertainGraph g = UncertainGraph::FromEdges(
       3, {{0, 1, 1.0}, {1, 2, 1.0}, {0, 2, 1.0}});
   Rng rng(1);
-  McSamples s = McClusteringCoefficient(g, 10, &rng);
+  const SampleEngine engine;
+  McSamples s = McClusteringCoefficient(g, 10, &rng, engine);
   for (std::size_t sample = 0; sample < s.num_samples; ++sample) {
     for (std::size_t u = 0; u < s.num_units; ++u) {
       EXPECT_DOUBLE_EQ(s.At(sample, u), 1.0);
@@ -93,7 +94,8 @@ TEST(McClusteringTest, MeanTracksEdgeProbability) {
   UncertainGraph g = UncertainGraph::FromEdges(
       3, {{0, 1, 1.0}, {0, 2, 1.0}, {1, 2, 0.35}});
   Rng rng(2);
-  McSamples s = McClusteringCoefficient(g, 20000, &rng);
+  const SampleEngine engine;
+  McSamples s = McClusteringCoefficient(g, 20000, &rng, engine);
   EXPECT_NEAR(s.UnitMean(0), 0.35, 0.01);
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "gen/generators.h"
+#include "metrics/discrepancy.h"
 #include "query/clustering.h"
 #include "query/exact.h"
 #include "query/pagerank.h"
@@ -16,6 +17,7 @@
 #include "query/shortest_path.h"
 #include "query/stratified.h"
 #include "sparsify/ni.h"
+#include "sparsify/representative.h"
 #include "sparsify/sparsifier.h"
 #include "util/thread_pool.h"
 #include "util/union_find.h"
@@ -183,33 +185,91 @@ INSTANTIATE_TEST_SUITE_P(Threads1_2_8, EngineThreadCountTest,
                            return "t" + std::to_string(info.param);
                          });
 
-/// Exact oracles and NI calibration dispatch to ThreadPool::Default();
-/// resizing it must not change their results.
-TEST(DefaultPoolDeterminismTest, ExactAndNiStableAcrossPoolSizes) {
-  const UncertainGraph& g = DeterminismGraph();
-  UncertainGraph small = UncertainGraph::FromEdges(
-      6, {{0, 1, 0.4}, {1, 2, 0.5}, {2, 3, 0.6}, {3, 4, 0.7}, {4, 5, 0.3},
-          {5, 0, 0.2}, {0, 3, 0.35}, {1, 4, 0.45}});
+/// The pool-taking kernels -- exact oracles, NI calibration, the sampled
+/// cut-discrepancy MAE and the greedy representative -- return the same
+/// bits on a pool of any width as on a 1-thread pool.
+class PoolWidthTest : public ::testing::TestWithParam<int> {
+ protected:
+  /// 16 edges: 2^16 worlds, so the exact oracles split the enumeration
+  /// into 16 chunks across the pool.
+  static UncertainGraph ExactGraph() {
+    std::vector<UncertainEdge> edges;
+    for (VertexId i = 0; i < 8; ++i) {
+      edges.push_back({i, static_cast<VertexId>((i + 1) % 8), 0.3 + 0.05 * i});
+      edges.push_back({i, static_cast<VertexId>((i + 3) % 8), 0.6 - 0.05 * i});
+    }
+    return UncertainGraph::FromEdges(8, std::move(edges));
+  }
 
-  std::vector<double> connectivity;
-  std::vector<double> reliability;
-  std::vector<std::vector<EdgeId>> ni_edges;
-  for (int threads : {1, 2, 8}) {
-    ThreadPool::SetDefaultThreads(threads);
-    connectivity.push_back(ExactConnectivityProbability(small));
-    reliability.push_back(ExactReliability(small, 0, 4));
-    Rng rng(4242);
-    auto r = NiSparsify(g, 0.32, {}, &rng);
-    ASSERT_TRUE(r.ok());
-    ni_edges.push_back(r->edges);
-  }
-  ThreadPool::SetDefaultThreads(0);
-  for (std::size_t i = 1; i < connectivity.size(); ++i) {
-    EXPECT_EQ(connectivity[0], connectivity[i]);
-    EXPECT_EQ(reliability[0], reliability[i]);
-    EXPECT_EQ(ni_edges[0], ni_edges[i]);
-  }
+  ThreadPool serial_{1};
+  ThreadPool pool_{GetParam()};
+};
+
+TEST_P(PoolWidthTest, ExactOraclesBitIdentical) {
+  const UncertainGraph g = ExactGraph();
+  EXPECT_EQ(ExactConnectivityProbability(g, serial_),
+            ExactConnectivityProbability(g, pool_));
+  EXPECT_EQ(ExactReliability(g, 0, 5, serial_),
+            ExactReliability(g, 0, 5, pool_));
+  double connect_serial = 0.0, connect_pool = 0.0;
+  EXPECT_EQ(ExactExpectedDistance(g, 1, 6, &connect_serial, serial_),
+            ExactExpectedDistance(g, 1, 6, &connect_pool, pool_));
+  EXPECT_EQ(connect_serial, connect_pool);
 }
+
+TEST_P(PoolWidthTest, NiBitIdentical) {
+  Rng r1(4242), r2(4242);
+  auto a = NiSparsify(DeterminismGraph(), 0.32, {}, &r1, serial_);
+  auto b = NiSparsify(DeterminismGraph(), 0.32, {}, &r2, pool_);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(a->edges, b->edges);
+  EXPECT_EQ(a->probabilities, b->probabilities);
+  EXPECT_EQ(a->calibration_runs, b->calibration_runs);
+}
+
+TEST_P(PoolWidthTest, NiSparsifierBitIdentical) {
+  auto serial = MakeNiSparsifier(serial_);
+  auto pooled = MakeSparsifierByName("NI", 0.05, &pool_);
+  ASSERT_TRUE(pooled.ok());
+  Rng r1(99), r2(99);
+  auto a = serial->Sparsify(DeterminismGraph(), 0.16, &r1);
+  auto b = (*pooled)->Sparsify(DeterminismGraph(), 0.16, &r2);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(a->original_edge_ids, b->original_edge_ids);
+  EXPECT_TRUE(SameGraph(a->graph, b->graph));
+}
+
+TEST_P(PoolWidthTest, CutDiscrepancyMaeBitIdentical) {
+  const UncertainGraph& g = DeterminismGraph();
+  std::vector<UncertainEdge> kept;
+  for (EdgeId e = 0; e < g.num_edges(); e += 2) {
+    UncertainEdge edge = g.edge(e);
+    edge.p *= 0.5;
+    kept.push_back(edge);
+  }
+  const UncertainGraph sparse =
+      UncertainGraph::FromEdges(g.num_vertices(), std::move(kept));
+  Rng r1(17), r2(17);
+  EXPECT_EQ(CutDiscrepancyMae(g, sparse, {}, &r1, serial_),
+            CutDiscrepancyMae(g, sparse, {}, &r2, pool_));
+  Rng r3(18), r4(18);
+  EXPECT_EQ(CutDiscrepancyMaeForSetSize(g, sparse, 7, 100, &r3, serial_),
+            CutDiscrepancyMaeForSetSize(g, sparse, 7, 100, &r4, pool_));
+}
+
+TEST_P(PoolWidthTest, GreedyRepresentativeBitIdentical) {
+  Rng r1(5), r2(5);
+  EXPECT_EQ(GreedyDegreeRepresentative(DeterminismGraph(), &r1, serial_),
+            GreedyDegreeRepresentative(DeterminismGraph(), &r2, pool_));
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads1_2_8, PoolWidthTest,
+                         ::testing::Values(1, 2, 8),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "t" + std::to_string(info.param);
+                         });
 
 TEST(GeneratorDeterminismTest, ChungLuSameSeed) {
   ChungLuOptions options;

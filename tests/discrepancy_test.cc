@@ -95,7 +95,8 @@ TEST(CutDiscrepancyTest, IdenticalGraphsZero) {
   CutSampleOptions options;
   options.num_k_values = 5;
   options.sets_per_k = 10;
-  EXPECT_NEAR(CutDiscrepancyMae(g, g, options, &rng), 0.0, 1e-12);
+  ThreadPool pool;
+  EXPECT_NEAR(CutDiscrepancyMae(g, g, options, &rng, pool), 0.0, 1e-12);
 }
 
 TEST(CutDiscrepancyTest, MatchesDirectComputation) {
@@ -118,7 +119,8 @@ TEST(CutDiscrepancyTest, MatchesDirectComputation) {
   options.num_k_values = 4;
   options.sets_per_k = 8;
   Rng sample_rng1(42);
-  double incremental = CutDiscrepancyMae(g, s, options, &sample_rng1);
+  ThreadPool pool;
+  double incremental = CutDiscrepancyMae(g, s, options, &sample_rng1, pool);
   // Reproduce the sampling manually: the metric draws one seed-split base
   // from the caller's rng and gives cut (k, rep) the stream
   // SplitRng(base, k * sets_per_k + rep).
@@ -160,7 +162,8 @@ TEST(CutDiscrepancyTest, FixedSetSizeMatchesDirect) {
   for (EdgeId e = 0; e < 30; ++e) kept.push_back(g.edge(e));
   UncertainGraph s = UncertainGraph::FromEdges(20, std::move(kept));
   Rng r1(77), r2(77);
-  double via_metric = CutDiscrepancyMaeForSetSize(g, s, 4, 25, &r1);
+  ThreadPool pool;
+  double via_metric = CutDiscrepancyMaeForSetSize(g, s, 4, 25, &r1, pool);
   const std::uint64_t base = r2.Next64();
   double direct = 0.0;
   for (int rep = 0; rep < 25; ++rep) {
@@ -183,7 +186,8 @@ TEST(CutDiscrepancyTest, SingletonSizeEqualsDegreeMae) {
   for (EdgeId e = 0; e < 20; ++e) kept.push_back(g.edge(e));
   UncertainGraph s = UncertainGraph::FromEdges(15, std::move(kept));
   Rng r(5);
-  double cut_mae = CutDiscrepancyMaeForSetSize(g, s, 1, 4000, &r);
+  ThreadPool pool;
+  double cut_mae = CutDiscrepancyMaeForSetSize(g, s, 1, 4000, &r, pool);
   double degree_mae = DegreeDiscrepancyMae(g, s);
   EXPECT_NEAR(cut_mae, degree_mae, 0.15 * degree_mae + 1e-9);
 }

@@ -256,6 +256,40 @@ TEST(GraphSessionTest, OverlapMatrixIsBitIdenticalAtEveryWidth) {
   }
 }
 
+TEST(GraphSessionTest, EnginesAndVersionsShareOnePool) {
+  GraphSessionOptions options;
+  options.engine.num_threads = 3;
+  auto v1 = std::make_unique<GraphSession>(testing_util::CompleteK4(0.5),
+                                           options);
+  // The plain and the skip-sampler engine hold the session's one pool.
+  EXPECT_EQ(v1->engine().shared_pool().use_count(), 2);
+  EXPECT_EQ(v1->engine().num_threads(), 3);
+
+  const std::vector<EdgeUpdate> batch = {
+      {.op = EdgeUpdateOp::kReweight, .u = 0, .v = 1, .p = 0.9}};
+  Result<std::unique_ptr<GraphSession>> v2 = v1->WithUpdates(batch, 2);
+  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+  std::unique_ptr<GraphSession> next = std::move(*v2);
+  EXPECT_EQ(&next->engine().pool(), &v1->engine().pool());
+  EXPECT_EQ(next->engine().shared_pool().use_count(), 4);
+
+  // The successor keeps the pool alive after its predecessor is gone,
+  // and answers both samplers on it exactly like a fresh session.
+  v1.reset();
+  EXPECT_EQ(next->engine().shared_pool().use_count(), 2);
+  GraphSession fresh(next->graph(), options);
+  for (Estimator estimator : {Estimator::kSampled, Estimator::kSkipSampler}) {
+    QueryRequest request = ConnectivityRequest(17);
+    request.estimator = estimator;
+    Result<QueryResult> got = next->Run(request);
+    Result<QueryResult> want = fresh.Run(request);
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(got->estimator, estimator);
+    EXPECT_EQ(got->scalar, want->scalar);
+  }
+}
+
 TEST(GraphSessionTest, IdenticalRequestsAgreeAcrossSessions) {
   GraphSessionOptions wide;
   wide.engine.num_threads = 8;

@@ -66,13 +66,16 @@ TEST(PaperClaimsTest, ProposedMethodsBeatBenchmarksOnCutMae) {
   CutSampleOptions cuts;
   cuts.num_k_values = 8;
   cuts.sets_per_k = 16;
-  Rng r1(11), r2(11), r3(11), r4(11);
-  double gdb =
-      CutDiscrepancyMae(g, RunMethod("GDBA", g, alpha, 1).graph, cuts, &r1);
-  double emd =
-      CutDiscrepancyMae(g, RunMethod("EMDR-t", g, alpha, 2).graph, cuts, &r2);
-  double ni = CutDiscrepancyMae(g, RunMethod("NI", g, alpha, 3).graph, cuts, &r3);
-  double ss = CutDiscrepancyMae(g, RunMethod("SS", g, alpha, 4).graph, cuts, &r4);
+  ThreadPool pool;
+  auto cut_mae = [&](const std::string& name, std::uint64_t seed) {
+    Rng r(11);
+    return CutDiscrepancyMae(g, RunMethod(name, g, alpha, seed).graph, cuts,
+                             &r, pool);
+  };
+  double gdb = cut_mae("GDBA", 1);
+  double emd = cut_mae("EMDR-t", 2);
+  double ni = cut_mae("NI", 3);
+  double ss = cut_mae("SS", 4);
   EXPECT_LT(gdb, ni);
   EXPECT_LT(gdb, ss);
   EXPECT_LT(emd, ni);
@@ -134,11 +137,12 @@ TEST(PaperClaimsTest, PageRankEmdSmallForProposedMethods) {
   const double alpha = 0.16;
   const int kSamples = 120;
   Rng qrng(100);
-  McSamples base = McPageRank(g, kSamples, &qrng);
+  const SampleEngine engine;
+  McSamples base = McPageRank(g, kSamples, &qrng, {}, engine);
   auto dem = [&](const std::string& name, std::uint64_t seed) {
     Rng r(seed);
-    McSamples s =
-        McPageRank(RunMethod(name, g, alpha, seed).graph, kSamples, &r);
+    McSamples s = McPageRank(RunMethod(name, g, alpha, seed).graph, kSamples,
+                             &r, {}, engine);
     return MeanUnitEmd(base, s);
   };
   double emd_method = dem("EMDR-t", 21);
@@ -159,11 +163,12 @@ TEST(PaperClaimsTest, ShortestPathSsWorst) {
   std::vector<VertexPair> pairs =
       SampleDistinctPairs(g.num_vertices(), 30, &prng);
   Rng qrng(100);
-  McSamples base = McShortestPath(g, pairs, kSamples, &qrng);
+  const SampleEngine engine;
+  McSamples base = McShortestPath(g, pairs, kSamples, &qrng, engine);
   auto dem = [&](const std::string& name, std::uint64_t seed) {
     Rng r(seed);
     McSamples s = McShortestPath(RunMethod(name, g, alpha, seed).graph,
-                                 pairs, kSamples, &r);
+                                 pairs, kSamples, &r, engine);
     return MeanUnitEmd(base, s);
   };
   double ss = dem("SS", 61);
@@ -183,9 +188,11 @@ TEST(PaperClaimsTest, ReliabilityVarianceReducedByProposedMethods) {
   const int kSamplesPerRun = 40;
   const int kRuns = 24;
 
+  const SampleEngine engine;
   auto estimator_for = [&](const UncertainGraph& graph) {
-    return [&graph, &pairs](Rng* r) {
-      return EstimateReliability(graph, pairs, kSamplesPerRun, r);
+    return [&graph, &pairs, &engine](Rng* r) {
+      return McReliability(graph, pairs, kSamplesPerRun, r, engine)
+          .UnitMeans();
     };
   };
   Rng v1(32), v2(33);
@@ -204,13 +211,14 @@ TEST(PipelineTest, DatasetToQueriesSmoke) {
   UncertainGraph g = MakeTwitterLike(0.15, 77);
   SparsifyOutput out = RunMethod("EMDR-t", g, 0.32, 41);
   Rng rng(42);
-  McSamples pr = McPageRank(out.graph, 5, &rng);
+  const SampleEngine engine;
+  McSamples pr = McPageRank(out.graph, 5, &rng, {}, engine);
   EXPECT_EQ(pr.num_units, g.num_vertices());
   std::vector<VertexPair> pairs =
       SampleDistinctPairs(g.num_vertices(), 5, &rng);
-  McSamples sp = McShortestPath(out.graph, pairs, 5, &rng);
+  McSamples sp = McShortestPath(out.graph, pairs, 5, &rng, engine);
   EXPECT_EQ(sp.num_units, 5u);
-  McSamples rl = McReliability(out.graph, pairs, 5, &rng);
+  McSamples rl = McReliability(out.graph, pairs, 5, &rng, engine);
   EXPECT_EQ(rl.num_units, 5u);
 }
 

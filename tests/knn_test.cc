@@ -66,22 +66,5 @@ TEST(KnnTest, PathGraphSettlesInHopOrder) {
   }
 }
 
-TEST(KnnTest, BatchMatchesPerSourceResults) {
-  UncertainGraph g = testing_util::CompleteK4(0.5);
-  std::vector<VertexId> sources = {0, 1, 2, 3, 0};
-  std::vector<std::vector<KnnResult>> batch =
-      MostProbableKnnBatch(g, sources, 3);
-  ASSERT_EQ(batch.size(), sources.size());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    std::vector<KnnResult> single = MostProbableKnn(g, sources[i], 3);
-    ASSERT_EQ(batch[i].size(), single.size()) << "source " << sources[i];
-    for (std::size_t j = 0; j < single.size(); ++j) {
-      EXPECT_EQ(batch[i][j].vertex, single[j].vertex);
-      EXPECT_DOUBLE_EQ(batch[i][j].path_probability,
-                       single[j].path_probability);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace ugs

@@ -87,17 +87,5 @@ TEST(MostProbablePathTest, SparsificationPreservesStrongRoutes) {
   EXPECT_NEAR(original.probability, std::pow(0.95, n - 1), 1e-9);
 }
 
-TEST(MostProbablePathTest, BatchMatchesPerSourceResults) {
-  UncertainGraph g = testing_util::PaperFigure2Graph();
-  std::vector<VertexId> sources = {0, 1, 2, 3, 1};
-  std::vector<std::vector<double>> batch =
-      MostProbablePathProbabilitiesBatch(g, sources);
-  ASSERT_EQ(batch.size(), sources.size());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    EXPECT_EQ(batch[i], MostProbablePathProbabilities(g, sources[i]))
-        << "source " << sources[i];
-  }
-}
-
 }  // namespace
 }  // namespace ugs

@@ -63,37 +63,44 @@ TEST(NiCoreTest, InflatedWeightIsOriginalOverSamplingProbability) {
   }
 }
 
-TEST(NiSparsifyTest, ExactEdgeCount) {
+/// NI calibrates on this pool (hardware concurrency); the result is the
+/// same at any width.
+class NiSparsifyTest : public ::testing::Test {
+ protected:
+  ThreadPool pool;
+};
+
+TEST_F(NiSparsifyTest, ExactEdgeCount) {
   Rng rng(5);
   UncertainGraph g = GenerateErdosRenyi(
       100, 800, ProbabilityDistribution::Uniform(0.05, 0.6), &rng);
   NiOptions options;
   for (double alpha : {0.16, 0.32, 0.64}) {
     Rng local = rng.Fork();
-    Result<NiResult> r = NiSparsify(g, alpha, options, &local);
+    Result<NiResult> r = NiSparsify(g, alpha, options, &local, pool);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r->edges.size(), TargetEdgeCount(g, alpha));
     EXPECT_EQ(r->probabilities.size(), r->edges.size());
   }
 }
 
-TEST(NiSparsifyTest, DistinctEdges) {
+TEST_F(NiSparsifyTest, DistinctEdges) {
   Rng rng(6);
   UncertainGraph g = GenerateErdosRenyi(
       60, 400, ProbabilityDistribution::Uniform(0.1, 0.8), &rng);
-  Result<NiResult> r = NiSparsify(g, 0.4, {}, &rng);
+  Result<NiResult> r = NiSparsify(g, 0.4, {}, &rng, pool);
   ASSERT_TRUE(r.ok());
   std::set<EdgeId> distinct(r->edges.begin(), r->edges.end());
   EXPECT_EQ(distinct.size(), r->edges.size());
 }
 
-TEST(NiSparsifyTest, ProbabilitiesCappedAtOne) {
+TEST_F(NiSparsifyTest, ProbabilitiesCappedAtOne) {
   // NI inflates kept weights by 1/l; the back-transform must cap at 1
   // (the paper's p' = min(w' p_min, 1)).
   Rng rng(7);
   UncertainGraph g = GenerateErdosRenyi(
       80, 600, ProbabilityDistribution::Uniform(0.05, 0.95), &rng);
-  Result<NiResult> r = NiSparsify(g, 0.2, {}, &rng);
+  Result<NiResult> r = NiSparsify(g, 0.2, {}, &rng, pool);
   ASSERT_TRUE(r.ok());
   bool saw_capped = false;
   for (double p : r->probabilities) {
@@ -106,24 +113,24 @@ TEST(NiSparsifyTest, ProbabilitiesCappedAtOne) {
   EXPECT_TRUE(saw_capped);
 }
 
-TEST(NiSparsifyTest, InvalidAlphaRejected) {
+TEST_F(NiSparsifyTest, InvalidAlphaRejected) {
   UncertainGraph g = testing_util::CompleteK4(0.5);
   Rng rng(8);
-  EXPECT_FALSE(NiSparsify(g, 0.0, {}, &rng).ok());
-  EXPECT_FALSE(NiSparsify(g, 1.2, {}, &rng).ok());
+  EXPECT_FALSE(NiSparsify(g, 0.0, {}, &rng, pool).ok());
+  EXPECT_FALSE(NiSparsify(g, 1.2, {}, &rng, pool).ok());
 }
 
-TEST(NiSparsifyTest, CalibrationRecorded) {
+TEST_F(NiSparsifyTest, CalibrationRecorded) {
   Rng rng(9);
   UncertainGraph g = GenerateErdosRenyi(
       80, 500, ProbabilityDistribution::Uniform(0.1, 0.7), &rng);
-  Result<NiResult> r = NiSparsify(g, 0.3, {}, &rng);
+  Result<NiResult> r = NiSparsify(g, 0.3, {}, &rng, pool);
   ASSERT_TRUE(r.ok());
   EXPECT_GE(r->calibration_runs, 1);
   EXPECT_GT(r->epsilon_used, 0.0);
 }
 
-TEST(NiSparsifyTest, WeightCapFlagOnPathologicalPmin) {
+TEST_F(NiSparsifyTest, WeightCapFlagOnPathologicalPmin) {
   // One edge with p = 1e-6 and others near 1: ratio exceeds the cap.
   std::vector<UncertainEdge> edges{{0, 1, 1e-6}};
   for (VertexId i = 1; i + 1 < 20; ++i) {
@@ -136,7 +143,7 @@ TEST(NiSparsifyTest, WeightCapFlagOnPathologicalPmin) {
   Rng rng(10);
   NiOptions options;
   options.max_weight = 1000;
-  Result<NiResult> r = NiSparsify(g, 0.5, options, &rng);
+  Result<NiResult> r = NiSparsify(g, 0.5, options, &rng, pool);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->weight_cap_hit);
 }

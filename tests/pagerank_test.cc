@@ -76,7 +76,8 @@ TEST(PageRankTest, DanglingMassRedistributed) {
 TEST(McPageRankTest, ShapeAndRowSums) {
   UncertainGraph g = testing_util::CompleteK4(0.5);
   Rng rng(1);
-  McSamples s = McPageRank(g, 20, &rng);
+  const SampleEngine engine;
+  McSamples s = McPageRank(g, 20, &rng, {}, engine);
   EXPECT_EQ(s.num_units, 4u);
   EXPECT_EQ(s.num_samples, 20u);
   for (std::size_t sample = 0; sample < s.num_samples; ++sample) {
@@ -89,7 +90,8 @@ TEST(McPageRankTest, ShapeAndRowSums) {
 TEST(McPageRankTest, HubGetsHigherMeanRank) {
   UncertainGraph g = testing_util::StarGraph(8, 0.9);
   Rng rng(2);
-  McSamples s = McPageRank(g, 50, &rng);
+  const SampleEngine engine;
+  McSamples s = McPageRank(g, 50, &rng, {}, engine);
   double center = s.UnitMean(0);
   for (std::size_t leaf = 1; leaf < 8; ++leaf) {
     EXPECT_GT(center, s.UnitMean(leaf));

@@ -213,8 +213,8 @@ TEST(EstimatorPolicyTest, AutoNeverPicksStratified) {
 }
 
 // ---------------------------------------------------------------------
-// Golden equivalence: GraphSession output is bit-identical to the legacy
-// free-function entry points, at every thread count.
+// Golden equivalence: GraphSession output is bit-identical to a direct
+// call of the query's kernel on a 1-thread engine, at every thread count.
 // ---------------------------------------------------------------------
 
 constexpr int kThreadLadder[] = {1, 2, 8};
@@ -228,6 +228,11 @@ GraphSession SessionWithThreads(int threads) {
 }
 
 std::vector<VertexPair> TestPairs() { return {{0, 3}, {1, 2}, {2, 0}}; }
+
+/// The serial kernel call each session result is compared against.
+SampleEngine ReferenceEngine() {
+  return SampleEngine(SampleEngineOptions{.num_threads = 1});
+}
 
 QueryRequest BaseRequest(const std::string& query) {
   QueryRequest request;
@@ -244,7 +249,8 @@ QueryRequest BaseRequest(const std::string& query) {
 TEST(QueryGoldenTest, ReliabilityMatchesLegacyAtEveryThreadCount) {
   UncertainGraph g = testing_util::CompleteK4(0.5);
   Rng rng(kSeed);
-  McSamples legacy = McReliability(g, TestPairs(), kSamples, &rng);
+  McSamples legacy =
+      McReliability(g, TestPairs(), kSamples, &rng, ReferenceEngine());
   for (int threads : kThreadLadder) {
     GraphSession session = SessionWithThreads(threads);
     Result<QueryResult> result = session.Run(BaseRequest("reliability"));
@@ -256,7 +262,8 @@ TEST(QueryGoldenTest, ReliabilityMatchesLegacyAtEveryThreadCount) {
 TEST(QueryGoldenTest, ShortestPathMatchesLegacyAtEveryThreadCount) {
   UncertainGraph g = testing_util::CompleteK4(0.5);
   Rng rng(kSeed);
-  McSamples legacy = McShortestPath(g, TestPairs(), kSamples, &rng);
+  McSamples legacy =
+      McShortestPath(g, TestPairs(), kSamples, &rng, ReferenceEngine());
   for (int threads : kThreadLadder) {
     GraphSession session = SessionWithThreads(threads);
     Result<QueryResult> result = session.Run(BaseRequest("shortest-path"));
@@ -268,7 +275,7 @@ TEST(QueryGoldenTest, ShortestPathMatchesLegacyAtEveryThreadCount) {
 TEST(QueryGoldenTest, PageRankMatchesLegacyAtEveryThreadCount) {
   UncertainGraph g = testing_util::CompleteK4(0.5);
   Rng rng(kSeed);
-  McSamples legacy = McPageRank(g, kSamples, &rng);
+  McSamples legacy = McPageRank(g, kSamples, &rng, {}, ReferenceEngine());
   for (int threads : kThreadLadder) {
     GraphSession session = SessionWithThreads(threads);
     Result<QueryResult> result = session.Run(BaseRequest("pagerank"));
@@ -280,7 +287,8 @@ TEST(QueryGoldenTest, PageRankMatchesLegacyAtEveryThreadCount) {
 TEST(QueryGoldenTest, ClusteringMatchesLegacyAtEveryThreadCount) {
   UncertainGraph g = testing_util::CompleteK4(0.5);
   Rng rng(kSeed);
-  McSamples legacy = McClusteringCoefficient(g, kSamples, &rng);
+  McSamples legacy =
+      McClusteringCoefficient(g, kSamples, &rng, ReferenceEngine());
   for (int threads : kThreadLadder) {
     GraphSession session = SessionWithThreads(threads);
     Result<QueryResult> result = session.Run(BaseRequest("clustering"));
@@ -292,7 +300,7 @@ TEST(QueryGoldenTest, ClusteringMatchesLegacyAtEveryThreadCount) {
 TEST(QueryGoldenTest, ConnectivityMatchesLegacyAtEveryThreadCount) {
   UncertainGraph g = testing_util::CompleteK4(0.5);
   Rng rng(kSeed);
-  double legacy = EstimateConnectivity(g, kSamples, &rng);
+  double legacy = EstimateConnectivity(g, kSamples, &rng, ReferenceEngine());
   for (int threads : kThreadLadder) {
     GraphSession session = SessionWithThreads(threads);
     Result<QueryResult> result = session.Run(BaseRequest("connectivity"));
@@ -331,10 +339,9 @@ TEST(QueryGoldenTest, StratifiedConnectivityMatchesLegacyAtEveryThreadCount) {
   StratifiedOptions options;
   options.num_pivot_edges = 4;
   options.total_samples = kSamples;
-  SampleEngine reference_engine(SampleEngineOptions{.num_threads = 1});
   Rng rng(kSeed);
-  double legacy = StratifiedEstimate(g, factory, options, &rng,
-                                     reference_engine);
+  double legacy =
+      StratifiedEstimate(g, factory, options, &rng, ReferenceEngine());
   for (int threads : kThreadLadder) {
     GraphSession session = SessionWithThreads(threads);
     QueryRequest request = BaseRequest("connectivity");
@@ -355,7 +362,8 @@ TEST(QueryGoldenTest, ExactEstimatorsMatchOracles) {
   connectivity.estimator = Estimator::kExact;
   Result<QueryResult> conn = session.Run(connectivity);
   ASSERT_TRUE(conn.ok());
-  EXPECT_EQ(conn->scalar, ExactConnectivityProbability(g));
+  ThreadPool pool(1);
+  EXPECT_EQ(conn->scalar, ExactConnectivityProbability(g, pool));
 
   QueryRequest reliability = BaseRequest("reliability");
   reliability.estimator = Estimator::kExact;
@@ -364,7 +372,7 @@ TEST(QueryGoldenTest, ExactEstimatorsMatchOracles) {
   ASSERT_EQ(rel->means.size(), TestPairs().size());
   for (std::size_t i = 0; i < TestPairs().size(); ++i) {
     EXPECT_EQ(rel->means[i],
-              ExactReliability(g, TestPairs()[i].s, TestPairs()[i].t));
+              ExactReliability(g, TestPairs()[i].s, TestPairs()[i].t, pool));
   }
 
   QueryRequest distance = BaseRequest("shortest-path");
@@ -374,7 +382,7 @@ TEST(QueryGoldenTest, ExactEstimatorsMatchOracles) {
   for (std::size_t i = 0; i < TestPairs().size(); ++i) {
     EXPECT_EQ(dist->means[i],
               ExactExpectedDistance(g, TestPairs()[i].s, TestPairs()[i].t,
-                                    nullptr));
+                                    nullptr, pool));
   }
 }
 

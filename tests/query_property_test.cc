@@ -25,16 +25,21 @@ UncertainGraph SmallGraph(std::uint64_t seed) {
                             &rng, /*ensure_connected=*/false);
 }
 
-class McVsExactTest : public ::testing::TestWithParam<std::uint64_t> {};
+/// Estimators and oracles share this engine (hardware concurrency);
+/// their values are the same at any width.
+class McVsExactTest : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  const SampleEngine engine;
+};
 
 TEST_P(McVsExactTest, ReliabilityWithinConfidence) {
   UncertainGraph g = SmallGraph(GetParam());
   Rng rng(GetParam() * 3 + 1);
   const int kSamples = 20000;
   for (VertexId t : {1u, 3u, 6u}) {
-    double exact = ExactReliability(g, 0, t);
+    double exact = ExactReliability(g, 0, t, engine.pool());
     std::vector<double> mc =
-        EstimateReliability(g, {{0, t}}, kSamples, &rng);
+        McReliability(g, {{0, t}}, kSamples, &rng, engine).UnitMeans();
     // 5-sigma binomial bound.
     double sigma = std::sqrt(exact * (1 - exact) / kSamples);
     EXPECT_NEAR(mc[0], exact, 5 * sigma + 5e-3)
@@ -46,8 +51,8 @@ TEST_P(McVsExactTest, ConnectivityWithinConfidence) {
   UncertainGraph g = SmallGraph(GetParam());
   Rng rng(GetParam() * 5 + 2);
   const int kSamples = 20000;
-  double exact = ExactConnectivityProbability(g);
-  double mc = EstimateConnectivity(g, kSamples, &rng);
+  double exact = ExactConnectivityProbability(g, engine.pool());
+  double mc = EstimateConnectivity(g, kSamples, &rng, engine);
   double sigma = std::sqrt(exact * (1 - exact) / kSamples);
   EXPECT_NEAR(mc, exact, 5 * sigma + 5e-3) << "seed " << GetParam();
 }
@@ -56,11 +61,12 @@ TEST_P(McVsExactTest, ConditionalShortestPathMatches) {
   UncertainGraph g = SmallGraph(GetParam());
   Rng rng(GetParam() * 7 + 3);
   double exact_connect = 0.0;
-  double exact_distance = ExactExpectedDistance(g, 0, 5, &exact_connect);
+  double exact_distance =
+      ExactExpectedDistance(g, 0, 5, &exact_connect, engine.pool());
   if (exact_connect < 0.05) {
     GTEST_SKIP() << "pair (0,5) almost never connected for this seed";
   }
-  McSamples sp = McShortestPath(g, {{0, 5}}, 30000, &rng);
+  McSamples sp = McShortestPath(g, {{0, 5}}, 30000, &rng, engine);
   double mc_distance = sp.UnitMean(0);
   std::size_t valid = sp.UnitSamples(0).size();
   EXPECT_NEAR(static_cast<double>(valid) / sp.num_samples, exact_connect,
@@ -80,8 +86,9 @@ TEST(McSamplesPropertyTest, ReliabilityMeanEqualsValidSpFraction) {
       20, 50, ProbabilityDistribution::Uniform(0.2, 0.8), &g_rng);
   std::vector<VertexPair> pairs{{0, 10}, {3, 17}};
   Rng r1(5), r2(5);  // Identical streams.
-  McSamples sp = McShortestPath(g, pairs, 500, &r1);
-  McSamples rl = McReliability(g, pairs, 500, &r2);
+  const SampleEngine engine;
+  McSamples sp = McShortestPath(g, pairs, 500, &r1, engine);
+  McSamples rl = McReliability(g, pairs, 500, &r2, engine);
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     double valid_fraction =
         static_cast<double>(sp.UnitSamples(i).size()) / sp.num_samples;
@@ -97,10 +104,11 @@ TEST(EmdSelfDistanceTest, SameDistributionNearZero) {
       30, 120, ProbabilityDistribution::Uniform(0.2, 0.8), &g_rng);
   std::vector<VertexPair> pairs{{0, 15}};
   Rng r1(1), r2(2), r3(3), r4(4);
-  double small = MeanUnitEmd(McReliability(g, pairs, 100, &r1),
-                             McReliability(g, pairs, 100, &r2));
-  double large = MeanUnitEmd(McReliability(g, pairs, 10000, &r3),
-                             McReliability(g, pairs, 10000, &r4));
+  const SampleEngine engine;
+  double small = MeanUnitEmd(McReliability(g, pairs, 100, &r1, engine),
+                             McReliability(g, pairs, 100, &r2, engine));
+  double large = MeanUnitEmd(McReliability(g, pairs, 10000, &r3, engine),
+                             McReliability(g, pairs, 10000, &r4, engine));
   EXPECT_LT(large, small + 1e-9);
   EXPECT_LT(large, 0.02);
 }

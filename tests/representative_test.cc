@@ -28,7 +28,8 @@ TEST(GreedyRepresentativeTest, RespectsDegreeBudgets) {
   Rng rng(1);
   UncertainGraph g = GenerateErdosRenyi(
       60, 400, ProbabilityDistribution::Uniform(0.1, 0.9), &rng);
-  std::vector<EdgeId> rep = GreedyDegreeRepresentative(g, &rng);
+  ThreadPool pool;
+  std::vector<EdgeId> rep = GreedyDegreeRepresentative(g, &rng, pool);
   std::vector<double> degree(g.num_vertices(), 0.0);
   for (EdgeId e : rep) {
     degree[g.edge(e).u] += 1.0;
@@ -46,7 +47,8 @@ TEST(GreedyRepresentativeTest, DistinctEdges) {
   Rng rng(2);
   UncertainGraph g = GenerateErdosRenyi(
       40, 200, ProbabilityDistribution::Uniform(0.2, 0.9), &rng);
-  std::vector<EdgeId> rep = GreedyDegreeRepresentative(g, &rng);
+  ThreadPool pool;
+  std::vector<EdgeId> rep = GreedyDegreeRepresentative(g, &rng, pool);
   std::set<EdgeId> distinct(rep.begin(), rep.end());
   EXPECT_EQ(distinct.size(), rep.size());
 }
@@ -58,7 +60,8 @@ TEST(GreedyRepresentativeTest, BetterDegreeMaeThanModal) {
   UncertainGraph g = GenerateErdosRenyi(
       100, 1500, ProbabilityDistribution::Uniform(0.05, 0.4), &rng);
   std::vector<EdgeId> modal = ModalRepresentative(g);
-  std::vector<EdgeId> greedy = GreedyDegreeRepresentative(g, &rng);
+  ThreadPool pool;
+  std::vector<EdgeId> greedy = GreedyDegreeRepresentative(g, &rng, pool);
   EXPECT_LT(RepresentativeDegreeMae(g, greedy),
             RepresentativeDegreeMae(g, modal));
   EXPECT_LT(RepresentativeDegreeMae(g, greedy), 1.0);
@@ -87,11 +90,12 @@ TEST(RepresentativeLimitationTest, CannotAnswerProbabilisticQueries) {
   // Pr[G connected] with 0 or 1, never the true 0.219.
   UncertainGraph g = testing_util::CompleteK4(0.3);
   Rng rng(4);
-  std::vector<EdgeId> rep = GreedyDegreeRepresentative(g, &rng);
+  ThreadPool pool;
+  std::vector<EdgeId> rep = GreedyDegreeRepresentative(g, &rng, pool);
   UncertainGraph det = MaterializeRepresentative(g, rep);
-  double p = ExactConnectivityProbability(det);
+  double p = ExactConnectivityProbability(det, pool);
   EXPECT_TRUE(p == 0.0 || p == 1.0);
-  EXPECT_NEAR(ExactConnectivityProbability(g), 0.2186, 0.001);
+  EXPECT_NEAR(ExactConnectivityProbability(g, pool), 0.2186, 0.001);
 }
 
 }  // namespace

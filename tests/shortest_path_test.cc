@@ -67,7 +67,8 @@ TEST(McShortestPathTest, CertainPathGraphExactDistances) {
   UncertainGraph g = testing_util::PathGraph(5, 1.0);
   Rng rng(2);
   std::vector<VertexPair> pairs{{0, 4}, {1, 3}};
-  McSamples s = McShortestPath(g, pairs, 10, &rng);
+  const SampleEngine engine;
+  McSamples s = McShortestPath(g, pairs, 10, &rng, engine);
   EXPECT_EQ(s.num_units, 2u);
   for (std::size_t sample = 0; sample < s.num_samples; ++sample) {
     EXPECT_TRUE(s.IsValid(sample, 0));
@@ -82,7 +83,8 @@ TEST(McShortestPathTest, DisconnectedSamplesMarkedInvalid) {
   UncertainGraph g = UncertainGraph::FromEdges(2, {{0, 1, 0.3}});
   Rng rng(3);
   std::vector<VertexPair> pairs{{0, 1}};
-  McSamples s = McShortestPath(g, pairs, 2000, &rng);
+  const SampleEngine engine;
+  McSamples s = McShortestPath(g, pairs, 2000, &rng, engine);
   std::size_t valid = 0;
   for (std::size_t sample = 0; sample < s.num_samples; ++sample) {
     if (s.IsValid(sample, 0)) {
@@ -98,7 +100,8 @@ TEST(McShortestPathTest, SharedSourceGrouping) {
   UncertainGraph g = testing_util::PathGraph(6, 1.0);
   Rng rng(4);
   std::vector<VertexPair> pairs{{0, 1}, {0, 3}, {0, 5}, {2, 4}};
-  McSamples s = McShortestPath(g, pairs, 5, &rng);
+  const SampleEngine engine;
+  McSamples s = McShortestPath(g, pairs, 5, &rng, engine);
   for (std::size_t sample = 0; sample < s.num_samples; ++sample) {
     EXPECT_DOUBLE_EQ(s.At(sample, 0), 1.0);
     EXPECT_DOUBLE_EQ(s.At(sample, 1), 3.0);

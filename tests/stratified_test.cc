@@ -22,6 +22,18 @@ WorldQuery ConnectivityQuery(const UncertainGraph& g) {
   };
 }
 
+/// Every query here holds no scratch, so all engine batches share it.
+WorldQueryFactory FactoryOf(WorldQuery query) {
+  return [query = std::move(query)] { return query; };
+}
+
+/// Estimates sample on this engine (hardware concurrency); they are the
+/// same at any width.
+class StratifiedTest : public ::testing::Test {
+ protected:
+  const SampleEngine engine;
+};
+
 TEST(HighestEntropyEdgesTest, PicksClosestToHalf) {
   UncertainGraph g = UncertainGraph::FromEdges(
       4, {{0, 1, 0.99}, {1, 2, 0.5}, {2, 3, 0.1}, {0, 3, 0.45}});
@@ -36,19 +48,19 @@ TEST(HighestEntropyEdgesTest, ClampsToEdgeCount) {
   EXPECT_EQ(HighestEntropyEdges(g, 100).size(), 2u);
 }
 
-TEST(StratifiedTest, MatchesExactOnK4) {
+TEST_F(StratifiedTest, MatchesExactOnK4) {
   UncertainGraph g = testing_util::CompleteK4(0.3);
-  double exact = ExactConnectivityProbability(g);
+  double exact = ExactConnectivityProbability(g, engine.pool());
   StratifiedOptions options;
   options.num_pivot_edges = 4;
   options.total_samples = 4000;
   Rng rng(1);
-  double estimate =
-      StratifiedEstimate(g, ConnectivityQuery(g), options, &rng);
+  double estimate = StratifiedEstimate(g, FactoryOf(ConnectivityQuery(g)),
+                                       options, &rng, engine);
   EXPECT_NEAR(estimate, exact, 0.02);
 }
 
-TEST(StratifiedTest, AllEdgesPivotedIsExact) {
+TEST_F(StratifiedTest, AllEdgesPivotedIsExact) {
   // With every edge a pivot, each stratum is a single world: the
   // "estimate" is the exact sum of Equation (1).
   UncertainGraph g = testing_util::PathGraph(4, 0.7);
@@ -56,44 +68,46 @@ TEST(StratifiedTest, AllEdgesPivotedIsExact) {
   options.num_pivot_edges = 3;  // = |E|.
   options.total_samples = 8;
   Rng rng(2);
-  double estimate =
-      StratifiedEstimate(g, ConnectivityQuery(g), options, &rng);
+  double estimate = StratifiedEstimate(g, FactoryOf(ConnectivityQuery(g)),
+                                       options, &rng, engine);
   EXPECT_NEAR(estimate, std::pow(0.7, 3), 1e-9);
 }
 
-TEST(StratifiedTest, MonteCarloAgreesOnSimpleMean) {
+TEST_F(StratifiedTest, MonteCarloAgreesOnSimpleMean) {
   // Query = number of present edges; its expectation is sum(p).
   UncertainGraph g = testing_util::CompleteK4(0.3);
-  WorldQuery count = [](const PossibleWorld& world) {
+  WorldQueryFactory count = FactoryOf([](const PossibleWorld& world) {
     return static_cast<double>(world.edges().size());
-  };
+  });
   Rng r1(3), r2(4);
-  double mc = MonteCarloEstimate(g, count, 20000, &r1);
+  double mc = MonteCarloEstimate(g, count, 20000, &r1, engine);
   StratifiedOptions options;
   options.total_samples = 20000;
   options.num_pivot_edges = 3;
-  double st = StratifiedEstimate(g, count, options, &r2);
+  double st = StratifiedEstimate(g, count, options, &r2, engine);
   EXPECT_NEAR(mc, 1.8, 0.05);
   EXPECT_NEAR(st, 1.8, 0.05);
 }
 
-TEST(StratifiedTest, ReducesVarianceVsPlainMc) {
+TEST_F(StratifiedTest, ReducesVarianceVsPlainMc) {
   // Repeated-run variance of the connectivity estimator: stratification
   // over the highest-entropy edges must not increase it (it removes the
   // across-strata component).
   UncertainGraph g = testing_util::CompleteK4(0.4);
-  WorldQuery query = ConnectivityQuery(g);
+  WorldQueryFactory query = FactoryOf(ConnectivityQuery(g));
   const int kBudget = 256;
   const int kRuns = 60;
   Rng rng(5);
   auto mc_estimator = [&](Rng* r) {
-    return std::vector<double>{MonteCarloEstimate(g, query, kBudget, r)};
+    return std::vector<double>{
+        MonteCarloEstimate(g, query, kBudget, r, engine)};
   };
   StratifiedOptions options;
   options.num_pivot_edges = 4;
   options.total_samples = kBudget;
   auto stratified_estimator = [&](Rng* r) {
-    return std::vector<double>{StratifiedEstimate(g, query, options, r)};
+    return std::vector<double>{
+        StratifiedEstimate(g, query, options, r, engine)};
   };
   Rng v1(6), v2(7);
   double mc_var = MeanEstimatorVariance(mc_estimator, kRuns, &v1);
@@ -101,7 +115,7 @@ TEST(StratifiedTest, ReducesVarianceVsPlainMc) {
   EXPECT_LT(st_var, mc_var * 1.1);  // Allow 10% estimation noise.
 }
 
-TEST(StratifiedTest, DeterministicEdgesSkipImpossibleStrata) {
+TEST_F(StratifiedTest, DeterministicEdgesSkipImpossibleStrata) {
   // p = 1 pivot: half the strata are impossible; renormalization keeps
   // the estimate unbiased.
   UncertainGraph g = UncertainGraph::FromEdges(
@@ -110,17 +124,18 @@ TEST(StratifiedTest, DeterministicEdgesSkipImpossibleStrata) {
   options.num_pivot_edges = 2;
   options.total_samples = 2000;
   Rng rng(8);
-  double estimate =
-      StratifiedEstimate(g, ConnectivityQuery(g), options, &rng);
+  double estimate = StratifiedEstimate(g, FactoryOf(ConnectivityQuery(g)),
+                                       options, &rng, engine);
   EXPECT_NEAR(estimate, 0.5, 1e-9);  // Exact: all strata enumerated.
 }
 
-TEST(StratifiedTest, EmptyGraphQueryStillRuns) {
+TEST_F(StratifiedTest, EmptyGraphQueryStillRuns) {
   UncertainGraph g = UncertainGraph::FromEdges(1, {});
   StratifiedOptions options;
   Rng rng(9);
   double estimate = StratifiedEstimate(
-      g, [](const PossibleWorld&) { return 42.0; }, options, &rng);
+      g, FactoryOf([](const PossibleWorld&) { return 42.0; }), options, &rng,
+      engine);
   EXPECT_DOUBLE_EQ(estimate, 42.0);
 }
 

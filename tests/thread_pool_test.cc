@@ -1,7 +1,6 @@
 #include "util/thread_pool.h"
 
 #include <atomic>
-#include <chrono>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -139,61 +138,6 @@ TEST(ThreadPoolTest, ManyOverlappingLoopsAllComplete) {
 
 TEST(ThreadPoolTest, HardwareThreadsIsPositive) {
   EXPECT_GE(ThreadPool::HardwareThreads(), 1);
-}
-
-TEST(ThreadPoolTest, DefaultPoolResize) {
-  ThreadPool::SetDefaultThreads(3);
-  EXPECT_EQ(ThreadPool::Default().num_threads(), 3);
-  std::atomic<int> count{0};
-  ThreadPool::Default().ParallelFor(50, [&](std::size_t) {
-    count.fetch_add(1);
-  });
-  EXPECT_EQ(count.load(), 50);
-  // Restore the hardware-sized default for other tests in this binary.
-  ThreadPool::SetDefaultThreads(0);
-  EXPECT_EQ(ThreadPool::Default().num_threads(),
-            ThreadPool::HardwareThreads());
-}
-
-TEST(ThreadPoolTest, ResizeRacingInFlightDefaultLoopIsSafe) {
-  // Regression test for the SetDefaultThreads lifetime bug: engines
-  // built with num_threads = 0 resolve ThreadPool::Default() per call,
-  // and a resize used to destroy the live pool under an in-flight
-  // ParallelFor. Now the old pool is retired -- drained, workers joined,
-  // object parked -- so the loop completes, every index exactly once,
-  // and a reference taken before the resize stays valid.
-  ThreadPool::SetDefaultThreads(4);
-  ThreadPool& before = ThreadPool::Default();
-  constexpr std::size_t kTasks = 300;
-  std::vector<std::atomic<int>> hits(kTasks);
-  std::atomic<bool> started{false};
-  std::thread driver([&] {
-    before.ParallelFor(kTasks, [&](std::size_t i) {
-      started.store(true);
-      // Keep each index slow enough that the resize lands mid-loop.
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      hits[i].fetch_add(1);
-    });
-  });
-  while (!started.load()) std::this_thread::yield();
-  ThreadPool::SetDefaultThreads(2);  // Retires `before` mid-flight.
-  driver.join();
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-
-  // The stale reference still works (loops on a retired pool run
-  // inline), and the resized default pool is live.
-  std::atomic<int> stale_count{0};
-  before.ParallelFor(40, [&](std::size_t) { stale_count.fetch_add(1); });
-  EXPECT_EQ(stale_count.load(), 40);
-  EXPECT_EQ(ThreadPool::Default().num_threads(), 2);
-  std::atomic<int> fresh_count{0};
-  ThreadPool::Default().ParallelFor(40, [&](std::size_t) {
-    fresh_count.fetch_add(1);
-  });
-  EXPECT_EQ(fresh_count.load(), 40);
-  ThreadPool::SetDefaultThreads(0);  // Restore for other tests.
 }
 
 TEST(ThreadPoolTest, ManyMoreTasksThanThreads) {

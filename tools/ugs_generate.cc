@@ -3,7 +3,7 @@
 //
 //   ugs_generate --dataset=flickr|twitter|flickr-reduced|density<P>|er
 //                [--scale=<f>] [--seed=<u>] [--vertices=<n>]
-//                [--edges=<m>] [--threads=<n>] --out=<path>
+//                [--edges=<m>] --out=<path>
 //
 // 'er' generates an Erdos-Renyi graph with --vertices/--edges and
 // uniform probabilities; the named datasets are the paper stand-ins of
@@ -19,7 +19,6 @@
 #include "graph/graph_io.h"
 #include "graph/graph_stats.h"
 #include "util/parse.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -31,9 +30,7 @@ void Usage() {
       "  --scale     size multiplier for named datasets (default 1.0)\n"
       "  --seed      RNG seed (default 1)\n"
       "  --vertices  vertex count for 'er' (default 1000)\n"
-      "  --edges     edge count for 'er' (default 8000)\n"
-      "  --threads   worker pool size (default 0 = hardware;\n"
-      "              env UGS_THREADS)\n");
+      "  --edges     edge count for 'er' (default 8000)\n");
   std::exit(2);
 }
 
@@ -49,10 +46,6 @@ int main(int argc, char** argv) {
   double scale = 1.0;
   std::uint64_t seed = 1;
   std::uint64_t vertices = 1000, edges = 8000;
-  std::int64_t threads = 0;
-  if (const char* env = std::getenv("UGS_THREADS")) {
-    threads = ugs::ParseInt64OrExit("UGS_THREADS", env);
-  }
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--dataset=", 10) == 0) {
@@ -69,15 +62,11 @@ int main(int argc, char** argv) {
       if (vertices == 0) Die("--vertices must be positive");
     } else if (std::strncmp(arg, "--edges=", 8) == 0) {
       edges = ugs::ParseUint64OrExit("--edges", arg + 8);
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      threads = ugs::ParseInt64OrExit("--threads", arg + 10);
     } else {
       Usage();
     }
   }
   if (dataset.empty() || out.empty()) Usage();
-  if (threads < 0) Die("--threads must be >= 0");
-  ugs::ThreadPool::SetDefaultThreads(static_cast<int>(threads));
 
   ugs::UncertainGraph graph;
   if (dataset == "flickr") {

@@ -25,7 +25,6 @@
 #include "service/wire.h"
 #include "tools/tool_common.h"
 #include "util/parse.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -123,9 +122,10 @@ int main(int argc, char** argv) {
 
   ugs::Result<ugs::Estimator> estimator = ugs::ParseEstimator(estimator_name);
   if (!estimator.ok()) Die(estimator.status().message());
-  ugs::ThreadPool::SetDefaultThreads(static_cast<int>(threads));
 
-  auto session = ugs::GraphSession::Open(in);
+  ugs::GraphSessionOptions options;
+  options.engine.num_threads = static_cast<int>(threads);
+  auto session = ugs::GraphSession::Open(in, options);
   if (!session.ok()) Die(session.status().ToString());
   const ugs::UncertainGraph& graph = (*session)->graph();
   if (!json) {

@@ -6,12 +6,15 @@
 //             [--backend=epoll] [--workers=4] [--max-sessions=8]
 //             [--max-bytes=0] [--cache-entries=0] [--cache-bytes=0]
 //             [--cache-max-entry-bytes=0] [--engine-threads=0]
-//             [--threads=0] [--port-file=<path>]
+//             [--port-file=<path>]
 //
 // Graph ids resolve to files in --dir ("g1" -> g1 or g1.txt). One
 // reactor thread multiplexes every connection and --workers query
 // threads drain the decoded requests (idle connections cost no worker;
-// pipelined requests are answered in order). --backend accepts only
+// pipelined requests are answered in order). Each resident graph's
+// session owns one --engine-threads pool, shared by that graph's later
+// versions, so engine workers stay within
+// max-sessions x (engine-threads - 1). --backend accepts only
 // "epoll"; the legacy blocking backend was removed one release after
 // its deprecation, and unknown values are a typed CLI error.
 // --cache-entries/--cache-bytes enable the exact result cache
@@ -32,7 +35,6 @@
 
 #include "service/server.h"
 #include "util/parse.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -53,8 +55,9 @@ void Usage() {
       "  --cache-max-entry-bytes=<n> admission cap on one cached entry;\n"
       "                      0 = cache-bytes/8 (responses over the cap\n"
       "                      are served but never cached)\n"
-      "  --engine-threads=<n> per-session engine pool; 0 = shared default\n"
-      "  --threads=<n>       shared default pool size (env UGS_THREADS)\n"
+      "  --engine-threads=<n> threads of each resident graph's engine pool;\n"
+      "                      0 = hardware concurrency. Engine workers stay\n"
+      "                      within max-sessions x (engine-threads - 1)\n"
       "  --slow-query-ms=<n> log one structured line per request slower\n"
       "                      than n ms; 0 = off (docs/observability.md)\n"
       "  --no-telemetry      skip per-request span recording (counters\n"
@@ -78,11 +81,8 @@ int main(int argc, char** argv) {
   std::string dir, host = "127.0.0.1", port_file, backend = "epoll";
   std::int64_t port = 7471, workers = 4, max_sessions = 8, max_bytes = 0;
   std::int64_t cache_entries = 0, cache_bytes = 0, cache_max_entry_bytes = 0;
-  std::int64_t engine_threads = 0, threads = 0, slow_query_ms = 0;
+  std::int64_t engine_threads = 0, slow_query_ms = 0;
   bool telemetry_enabled = true;
-  if (const char* env = std::getenv("UGS_THREADS")) {
-    threads = ugs::ParseInt64OrExit("UGS_THREADS", env);
-  }
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--dir=", 6) == 0) {
@@ -108,8 +108,6 @@ int main(int argc, char** argv) {
       cache_bytes = ugs::ParseInt64OrExit("--cache-bytes", arg + 14);
     } else if (std::strncmp(arg, "--engine-threads=", 17) == 0) {
       engine_threads = ugs::ParseInt64OrExit("--engine-threads", arg + 17);
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      threads = ugs::ParseInt64OrExit("--threads", arg + 10);
     } else if (std::strncmp(arg, "--slow-query-ms=", 16) == 0) {
       slow_query_ms = ugs::ParseInt64OrExit("--slow-query-ms", arg + 16);
     } else if (std::strcmp(arg, "--no-telemetry") == 0) {
@@ -125,12 +123,11 @@ int main(int argc, char** argv) {
   if (workers <= 0) Die("--workers must be positive");
   if (max_sessions < 0 || max_bytes < 0 || cache_entries < 0 ||
       cache_bytes < 0 || cache_max_entry_bytes < 0 || engine_threads < 0 ||
-      threads < 0 || slow_query_ms < 0) {
+      slow_query_ms < 0) {
     Die("budgets, thread counts, and --slow-query-ms must be >= 0");
   }
   ugs::Status backend_ok = ugs::ValidateServerBackend(backend);
   if (!backend_ok.ok()) Die(backend_ok.message());
-  ugs::ThreadPool::SetDefaultThreads(static_cast<int>(threads));
 
   ugs::ServerOptions options;
   options.host = host;

@@ -71,14 +71,14 @@ int main(int argc, char** argv) {
     Die("--alpha must be in (0, 1], got " + std::to_string(alpha));
   }
   if (threads < 0) Die("--threads must be >= 0");
-  ugs::ThreadPool::SetDefaultThreads(static_cast<int>(threads));
+  ugs::ThreadPool pool(static_cast<int>(threads));
 
   ugs::Result<ugs::UncertainGraph> graph = ugs::LoadEdgeList(in);
   if (!graph.ok()) {
     std::fprintf(stderr, "error: %s\n", graph.status().ToString().c_str());
     return 1;
   }
-  auto method = ugs::MakeSparsifierByName(method_name, h);
+  auto method = ugs::MakeSparsifierByName(method_name, h, &pool);
   if (!method.ok()) {
     std::fprintf(stderr, "error: %s\n", method.status().ToString().c_str());
     return 1;
