@@ -12,6 +12,7 @@
 #
 # Usage: scripts/serve_smoke.sh [build_dir] [extra ugs_serve flags...]
 #   e.g. scripts/serve_smoke.sh build --cache-entries=64
+#        scripts/serve_smoke.sh build --no-telemetry
 set -euo pipefail
 
 # Both arguments are optional: a leading --flag means the build dir was
@@ -224,9 +225,10 @@ case " ${EXTRA_FLAGS[*]:-} " in
     ;;
 esac
 
-# The Prometheus sub-verb: the exposition must parse as text, name the
-# request counter, and carry a nonzero request-latency histogram count
-# (every query above landed in some kind= series).
+# The Prometheus sub-verb: the exposition must parse as text and name the
+# request counter. With spans on, every query above landed in some kind=
+# series, so the request-latency histogram count is nonzero; with
+# --no-telemetry no span is recorded, so the stats JSON must say so.
 "${BUILD_DIR}/ugs_client" --port="${PORT}" --metrics > "${WORK}/metrics.txt"
 case "$(cat "${WORK}/metrics.txt")" in
   *ugs_requests_total*) ;;
@@ -236,14 +238,29 @@ case "$(cat "${WORK}/metrics.txt")" in
     exit 1
     ;;
 esac
-HISTO_COUNT="$(awk '$1 ~ /^ugs_request_latency_seconds_count/ {sum += $2} \
-  END {printf "%d", sum}' "${WORK}/metrics.txt")"
-if [[ "${HISTO_COUNT}" -le 0 ]]; then
-  echo "request-latency histogram count is zero in the exposition" >&2
-  cat "${WORK}/metrics.txt" >&2
-  exit 1
-fi
-echo "metrics exposition OK (request histogram count=${HISTO_COUNT})"
+case " ${EXTRA_FLAGS[*]:-} " in
+  *" --no-telemetry "*)
+    case "${STATS}" in
+      *'"telemetry":{"enabled":false,'*'"spans_recorded":0,'*) ;;
+      *)
+        echo "expected \"enabled\":false and \"spans_recorded\":0 with" \
+          "--no-telemetry" >&2
+        exit 1
+        ;;
+    esac
+    echo "telemetry off: no spans recorded, counters live"
+    ;;
+  *)
+    HISTO_COUNT="$(awk '$1 ~ /^ugs_request_latency_seconds_count/ \
+      {sum += $2} END {printf "%d", sum}' "${WORK}/metrics.txt")"
+    if [[ "${HISTO_COUNT}" -le 0 ]]; then
+      echo "request-latency histogram count is zero in the exposition" >&2
+      cat "${WORK}/metrics.txt" >&2
+      exit 1
+    fi
+    echo "metrics exposition OK (request histogram count=${HISTO_COUNT})"
+    ;;
+esac
 # The update surfaces in the exposition: the batch counter moved and the
 # per-graph version gauge names g2 at 2.
 if ! grep -q '^ugs_updates_total 1$' "${WORK}/metrics.txt"; then

@@ -390,13 +390,16 @@ class MostProbablePathQuery final : public Query {
 
 }  // namespace
 
-Result<std::unique_ptr<Query>> MakeQueryByName(const std::string& name) {
+std::string CanonicalQueryName(const std::string& name) {
   // Short aliases matching the paper's figure labels and the legacy
   // ugs_query spellings.
-  if (name == "cc") return MakeQueryByName("clustering");
-  if (name == "sp") return MakeQueryByName("shortest-path");
-  if (name == "mpp") return MakeQueryByName("most-probable-path");
+  if (name == "cc") return "clustering";
+  if (name == "sp") return "shortest-path";
+  if (name == "mpp") return "most-probable-path";
+  return name;
+}
 
+Result<std::unique_ptr<Query>> MakeQueryByName(const std::string& name) {
   if (name == "reliability") return {std::make_unique<ReliabilityQuery>()};
   if (name == "connectivity") return {std::make_unique<ConnectivityQuery>()};
   if (name == "shortest-path") {
@@ -408,6 +411,8 @@ Result<std::unique_ptr<Query>> MakeQueryByName(const std::string& name) {
   if (name == "most-probable-path") {
     return {std::make_unique<MostProbablePathQuery>()};
   }
+  const std::string canonical = CanonicalQueryName(name);
+  if (canonical != name) return MakeQueryByName(canonical);
   return Status::NotFound("unknown query '" + name + "'");
 }
 

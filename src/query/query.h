@@ -135,10 +135,14 @@ class Query {
                                   const SampleEngine& engine) const = 0;
 };
 
+/// The canonical registry name of `name`: the aliases "cc"
+/// (clustering), "sp" (shortest-path), and "mpp" (most-probable-path)
+/// resolve; every other name comes back unchanged.
+std::string CanonicalQueryName(const std::string& name);
+
 /// Builds a query by registry name. Canonical names are listed by
-/// KnownQueryNames(); the aliases "cc" (clustering), "sp"
-/// (shortest-path), and "mpp" (most-probable-path) are also understood.
-/// Returns NotFound for unknown names.
+/// KnownQueryNames(); the aliases of CanonicalQueryName are also
+/// understood. Returns NotFound for unknown names.
 [[nodiscard]] Result<std::unique_ptr<Query>> MakeQueryByName(
     const std::string& name);
 

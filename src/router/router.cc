@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "query/query.h"
-#include "util/logging.h"
 
 namespace ugs {
 
@@ -25,16 +24,6 @@ std::uint64_t MicrosSince(std::chrono::steady_clock::time_point start) {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
-}
-
-/// The canonical kind a request name records under (the router only
-/// sees the request, never the executed query, so it resolves the
-/// documented aliases itself).
-std::string CanonicalKind(const std::string& name) {
-  if (name == "cc") return "clustering";
-  if (name == "sp") return "shortest-path";
-  if (name == "mpp") return "most-probable-path";
-  return name;
 }
 
 /// Raced replies must agree on everything deterministic. kResult frames
@@ -73,42 +62,11 @@ FrameServerOptions Router::MakeTransportOptions() {
   transport.host = options_.host;
   transport.port = options_.port;
   transport.num_workers = options_.num_workers;
-  if (options_.telemetry.enabled) {
-    transport.trace_sink = [this](const telemetry::RequestTrace& trace) {
-      RecordTrace(trace);
-    };
-  }
+  transport.trace_sink = telemetry_.Sink();
   return transport;
 }
 
 void Router::BuildMetrics() {
-  const auto add_kind = [this](const std::string& kind) {
-    kind_latency_.emplace_back(
-        kind,
-        std::make_unique<telemetry::Histogram>(telemetry::LatencyBucketsUs()));
-    telemetry::Histogram* histogram = kind_latency_.back().second.get();
-    kind_index_[kind] = histogram;
-    metrics_.AddHistogram("ugs_request_latency_seconds",
-                          "Request latency (decoded to socket) by kind.",
-                          {{"kind", kind}}, histogram, 1e-6);
-  };
-  for (const std::string& name : KnownQueryNames()) add_kind(name);
-  add_kind("stats");
-  add_kind("update");
-  add_kind("other");
-  other_latency_ = kind_index_.at("other");
-  for (std::size_t i = 0; i < telemetry::kNumStages; ++i) {
-    stage_latency_[i] =
-        std::make_unique<telemetry::Histogram>(telemetry::LatencyBucketsUs());
-    metrics_.AddHistogram(
-        "ugs_request_stage_seconds", "Request time by pipeline stage.",
-        {{"stage", telemetry::StageName(static_cast<telemetry::Stage>(i))}},
-        stage_latency_[i].get(), 1e-6);
-  }
-  metrics_.AddCounter("ugs_requests_total",
-                      "Frames answered with a result.", {}, &requests_);
-  metrics_.AddCounter("ugs_request_errors_total",
-                      "Frames answered with an error.", {}, &errors_);
   metrics_.AddCounter("ugs_router_failovers_total",
                       "Forwards retried on another shard.", {}, &failovers_);
   metrics_.AddCounter("ugs_router_races_total",
@@ -124,9 +82,6 @@ void Router::BuildMetrics() {
   metrics_.AddCounter("ugs_router_update_failures_total",
                       "Update broadcasts that failed on some shard.", {},
                       &update_failures_);
-  metrics_.AddCounter("ugs_slow_queries_total",
-                      "Requests slower than the slow-query threshold.", {},
-                      &slow_queries_);
   for (const std::unique_ptr<ShardLink>& shard : shards_) {
     const std::string label =
         shard->addr.host + ":" + std::to_string(shard->addr.port);
@@ -146,7 +101,7 @@ void Router::BuildMetrics() {
 Router::Router(RouterOptions options)
     : options_(std::move(options)),
       ring_(options_.shards.size()),
-      traces_(options_.telemetry.trace_ring),
+      telemetry_(options_.telemetry, KnownQueryNames(), &metrics_),
       server_(MakeTransportOptions(),
               [this](FrameType type, const std::string& payload,
                      telemetry::RequestTrace* trace) {
@@ -372,7 +327,7 @@ ReplyFrame Router::HandleFrame(FrameType type, const std::string& payload,
   }
   if (traced) {
     trace->graph = request->graph;
-    trace->query = CanonicalKind(request->request.query);
+    trace->query = CanonicalQueryName(request->request.query);
     trace->samples = static_cast<std::uint64_t>(request->request.num_samples);
   }
   ReplyFrame reply = RouteQuery(*request, payload);
@@ -384,9 +339,9 @@ ReplyFrame Router::HandleFrame(FrameType type, const std::string& payload,
 ReplyFrame Router::Counted(ReplyFrame reply) {
   if (reply.type == FrameType::kResult ||
       reply.type == FrameType::kUpdateReply) {
-    requests_.Add();
+    telemetry_.requests.Add();
   } else if (reply.type == FrameType::kError) {
-    errors_.Add();
+    telemetry_.errors.Add();
   }
   return reply;
 }
@@ -625,59 +580,13 @@ std::optional<ReplyFrame> Router::RaceForward(const std::string& payload,
                                      std::move(winner.payload))};
 }
 
-// --- Telemetry. ---
-
-void Router::RecordTrace(const telemetry::RequestTrace& trace) {
-  auto it = kind_index_.find(trace.query);
-  telemetry::Histogram* latency =
-      it != kind_index_.end() ? it->second : other_latency_;
-  latency->Record(trace.total_us);
-  for (std::size_t i = 0; i < telemetry::kNumStages; ++i) {
-    stage_latency_[i]->Record(trace.stage_us[i]);
-  }
-  traces_.Record(trace);
-  const int slow_ms = options_.telemetry.slow_query_ms;
-  if (slow_ms > 0 &&
-      trace.total_us >= static_cast<std::uint64_t>(slow_ms) * 1000) {
-    slow_queries_.Add();
-    UGS_LOG(WARNING) << telemetry::SlowQueryLine(trace);
-  }
-}
-
-std::string Router::TelemetryJson() const {
-  std::string out =
-      std::string("{\"enabled\":") +
-      (options_.telemetry.enabled ? "true" : "false") +
-      ",\"slow_query_ms\":" + std::to_string(options_.telemetry.slow_query_ms) +
-      ",\"slow_queries\":" + std::to_string(slow_queries_.Value()) +
-      ",\"spans_recorded\":" + std::to_string(traces_.recorded()) +
-      ",\"request_ms\":{";
-  bool first = true;
-  for (const auto& [kind, histogram] : kind_latency_) {
-    const telemetry::HistogramSnapshot snapshot = histogram->Snapshot();
-    if (snapshot.count == 0) continue;  // Keep the object compact.
-    if (!first) out.push_back(',');
-    first = false;
-    out += "\"" + kind + "\":" + telemetry::PercentilesJson(snapshot);
-  }
-  out += "},\"stage_ms\":{";
-  for (std::size_t i = 0; i < telemetry::kNumStages; ++i) {
-    if (i > 0) out.push_back(',');
-    out += std::string("\"") +
-           telemetry::StageName(static_cast<telemetry::Stage>(i)) +
-           "\":" + telemetry::PercentilesJson(stage_latency_[i]->Snapshot());
-  }
-  out += "}}";
-  return out;
-}
-
 // --- Stats. ---
 
 RouterStats Router::stats() const {
   RouterStats stats;
   stats.connections = server_.connections();
-  stats.requests = requests_.Value();
-  stats.errors = errors_.Value() + server_.protocol_errors();
+  stats.requests = telemetry_.requests.Value();
+  stats.errors = telemetry_.errors.Value() + server_.protocol_errors();
   stats.failovers = failovers_.Value();
   stats.raced = raced_.Value();
   stats.race_mismatches = race_mismatches_.Value();
@@ -735,7 +644,7 @@ std::string Router::AggregatedStatsJson() const {
            "\",\"stats\":" + (last_stats.empty() ? "null" : last_stats) +
            "}";
   }
-  out += "],\"telemetry\":" + TelemetryJson() + "}";
+  out += "],\"telemetry\":" + telemetry_.Json() + "}";
   return out;
 }
 

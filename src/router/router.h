@@ -8,7 +8,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "router/hash_ring.h"
@@ -78,8 +77,8 @@ struct RouterOptions {
   /// startup set retries.
   ConnectOptions connect;
 
-  /// Span recording, slow-query log, trace ring. The metrics registry
-  /// and counters are always live; `enabled` gates only the per-request
+  /// Span recording and the slow-query log. The metrics registry and
+  /// counters are always live; `enabled` gates only the per-request
   /// span bookkeeping (docs/observability.md).
   telemetry::ServiceOptions telemetry;
 };
@@ -87,7 +86,8 @@ struct RouterOptions {
 /// Monotonic counters of router traffic.
 struct RouterStats {
   std::uint64_t connections = 0;  ///< Frontend connections accepted.
-  std::uint64_t requests = 0;     ///< Frames answered with a result.
+  std::uint64_t requests = 0;     ///< Query and update frames answered
+                                  ///< with a result.
   std::uint64_t errors = 0;       ///< Frames answered with an error.
   std::uint64_t failovers = 0;    ///< Forwards retried on another shard.
   std::uint64_t raced = 0;        ///< Requests sent to two replicas.
@@ -234,16 +234,10 @@ class Router {
   /// Wraps a reply frame, counting results vs errors.
   ReplyFrame Counted(ReplyFrame reply);
 
-  /// Trace sink (reactor thread): ring + histograms + slow-query log.
-  void RecordTrace(const telemetry::RequestTrace& trace);
-
-  /// The "telemetry" object of the aggregated stats JSON.
-  std::string TelemetryJson() const;
-
   /// Transport options with the trace sink patched in.
   FrameServerOptions MakeTransportOptions();
-  /// Builds and registers the router's metrics (per-kind / per-stage
-  /// latency histograms, per-shard forward series, plain counters).
+  /// Registers the router's own metrics (per-shard forward series,
+  /// routing counters) next to the request telemetry.
   void BuildMetrics();
 
   /// Aggregated stats (empty stats verb).
@@ -260,23 +254,14 @@ class Router {
   std::vector<std::unique_ptr<ShardLink>> shards_;
 
   telemetry::Registry metrics_;
-  telemetry::Counter requests_;
-  telemetry::Counter errors_;
+  /// Request counters, latency by kind and by stage, slow-query log.
+  telemetry::RequestTelemetry telemetry_;
   telemetry::Counter failovers_;
   telemetry::Counter raced_;
   telemetry::Counter race_mismatches_;
   telemetry::Counter monitor_demotions_;
   telemetry::Counter updates_;
   telemetry::Counter update_failures_;
-  telemetry::Counter slow_queries_;
-  /// Request latency by query kind (canonical names + "stats" +
-  /// "other"), insertion-ordered for stable JSON.
-  std::vector<std::pair<std::string, std::unique_ptr<telemetry::Histogram>>>
-      kind_latency_;
-  std::unordered_map<std::string, telemetry::Histogram*> kind_index_;
-  telemetry::Histogram* other_latency_ = nullptr;
-  std::unique_ptr<telemetry::Histogram> stage_latency_[telemetry::kNumStages];
-  telemetry::TraceRecorder traces_;
 
   std::thread monitor_;
   Mutex monitor_mutex_;

@@ -1,11 +1,9 @@
 #include "service/server.h"
 
-#include <chrono>
 #include <cstdio>
 #include <utility>
 
 #include "query/query.h"
-#include "util/logging.h"
 
 namespace ugs {
 
@@ -36,45 +34,15 @@ FrameServerOptions Server::MakeTransportOptions() {
   transport.host = options_.host;
   transport.port = options_.port;
   transport.num_workers = options_.num_workers;
-  if (options_.telemetry.enabled) {
-    transport.trace_sink = [this](const telemetry::RequestTrace& trace) {
-      RecordTrace(trace);
-    };
-  }
+  transport.trace_sink = telemetry_.Sink();
   return transport;
-}
-
-void Server::BuildHistograms() {
-  const auto add_kind = [this](const std::string& kind) {
-    kind_latency_.emplace_back(
-        kind,
-        std::make_unique<telemetry::Histogram>(telemetry::LatencyBucketsUs()));
-    telemetry::Histogram* histogram = kind_latency_.back().second.get();
-    kind_index_[kind] = histogram;
-    metrics_.AddHistogram("ugs_request_latency_seconds",
-                          "Request latency (decoded to socket) by kind.",
-                          {{"kind", kind}}, histogram, 1e-6);
-  };
-  for (const std::string& name : KnownQueryNames()) add_kind(name);
-  add_kind("stats");
-  add_kind("update");
-  add_kind("other");
-  other_latency_ = kind_index_.at("other");
-  for (std::size_t i = 0; i < telemetry::kNumStages; ++i) {
-    stage_latency_[i] =
-        std::make_unique<telemetry::Histogram>(telemetry::LatencyBucketsUs());
-    metrics_.AddHistogram(
-        "ugs_request_stage_seconds", "Request time by pipeline stage.",
-        {{"stage", telemetry::StageName(static_cast<telemetry::Stage>(i))}},
-        stage_latency_[i].get(), 1e-6);
-  }
 }
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       registry_(MakeRegistryOptions()),
       cache_(options_.cache),
-      traces_(options_.telemetry.trace_ring),
+      telemetry_(options_.telemetry, KnownQueryNames(), &metrics_),
       server_(MakeTransportOptions(),
               [this](FrameType type, const std::string& payload,
                      telemetry::RequestTrace* trace) {
@@ -87,14 +55,6 @@ Server::Server(ServerOptions options)
                     return ExecuteStats(payload, trace);
                 }
               }) {
-  BuildHistograms();
-  metrics_.AddCounter("ugs_requests_total",
-                      "Query frames answered with a result.", {}, &requests_);
-  metrics_.AddCounter("ugs_request_errors_total",
-                      "Frames answered with an error.", {}, &errors_);
-  metrics_.AddCounter("ugs_slow_queries_total",
-                      "Requests slower than the slow-query threshold.", {},
-                      &slow_queries_);
   metrics_.AddCounter("ugs_worlds_sampled_total",
                       "Possible worlds drawn by the sample engines.", {},
                       &worlds_sampled_);
@@ -123,7 +83,7 @@ ReplyFrame Server::ExecuteQuery(const std::string& payload,
   } else {
     if (traced) {
       trace->graph = request->graph;
-      trace->query = request->request.query;
+      trace->query = CanonicalQueryName(request->request.query);
     }
     std::string key;
     std::uint64_t key_version = 0;
@@ -140,7 +100,7 @@ ReplyFrame Server::ExecuteQuery(const std::string& payload,
         // sound because the result is a pure function of (graph id,
         // graph version, request), seed included -- and shares the
         // cached bytes instead of copying them.
-        requests_.Add();
+        telemetry_.requests.Add();
         if (traced) trace->cache_hit = true;
         return {FrameType::kResult, std::move(hit)};
       }
@@ -155,9 +115,8 @@ ReplyFrame Server::ExecuteQuery(const std::string& payload,
       Result<QueryResult> result = (*session)->Run(request->request);
       clock.Stamp(trace, telemetry::Stage::kExecute);
       if (result.ok()) {
-        requests_.Add();
+        telemetry_.requests.Add();
         if (traced) {
-          trace->query = result->query;  // Canonical (aliases resolved).
           trace->estimator = EstimatorName(result->estimator);
           trace->samples =
               static_cast<std::uint64_t>(result->samples.num_samples);
@@ -180,7 +139,7 @@ ReplyFrame Server::ExecuteQuery(const std::string& payload,
       failure = result.status();
     }
   }
-  errors_.Add();
+  telemetry_.errors.Add();
   if (traced) trace->ok = false;
   return {FrameType::kError,
           std::make_shared<const std::string>(EncodeError(failure))};
@@ -204,7 +163,7 @@ ReplyFrame Server::ExecuteStats(const std::string& payload,
   if (options_.telemetry.enabled) trace->graph = payload;
   Result<SessionRegistry::Handle> session = registry_.Acquire(payload);
   if (!session.ok()) {
-    errors_.Add();
+    telemetry_.errors.Add();
     if (options_.telemetry.enabled) trace->ok = false;
     return {FrameType::kError, std::make_shared<const std::string>(
                                    EncodeError(session.status()))};
@@ -237,7 +196,7 @@ ReplyFrame Server::ExecuteUpdate(const std::string& payload,
       // unreachable (version-keyed lookups ask for *version); record
       // the exact stale count and let LRU retire the bytes.
       if (cache_.enabled()) cache_.Invalidate(update->graph, *version - 1);
-      requests_.Add();
+      telemetry_.requests.Add();
       WireUpdateReply reply;
       reply.version = *version;
       reply.applied = static_cast<std::uint32_t>(update->updates.size());
@@ -248,64 +207,10 @@ ReplyFrame Server::ExecuteUpdate(const std::string& payload,
     }
     failure = version.status();
   }
-  errors_.Add();
+  telemetry_.errors.Add();
   if (traced) trace->ok = false;
   return {FrameType::kError,
           std::make_shared<const std::string>(EncodeError(failure))};
-}
-
-// --- Telemetry. ---
-
-void Server::RecordTrace(const telemetry::RequestTrace& trace) {
-  auto it = kind_index_.find(trace.query);
-  telemetry::Histogram* latency =
-      it != kind_index_.end() ? it->second : other_latency_;
-  latency->Record(trace.total_us);
-  for (std::size_t i = 0; i < telemetry::kNumStages; ++i) {
-    stage_latency_[i]->Record(trace.stage_us[i]);
-  }
-  traces_.Record(trace);
-  const int slow_ms = options_.telemetry.slow_query_ms;
-  if (slow_ms > 0 &&
-      trace.total_us >= static_cast<std::uint64_t>(slow_ms) * 1000) {
-    slow_queries_.Add();
-    UGS_LOG(WARNING) << telemetry::SlowQueryLine(trace);
-  }
-}
-
-std::string Server::TelemetryJson() const {
-  const std::uint64_t worlds = worlds_sampled_.Value();
-  const std::uint64_t up_ms = server_.uptime_ms();
-  char rate[40];
-  std::snprintf(rate, sizeof(rate), "%.1f",
-                up_ms > 0 ? static_cast<double>(worlds) * 1e3 /
-                                static_cast<double>(up_ms)
-                          : 0.0);
-  std::string out =
-      std::string("{\"enabled\":") +
-      (options_.telemetry.enabled ? "true" : "false") +
-      ",\"slow_query_ms\":" + std::to_string(options_.telemetry.slow_query_ms) +
-      ",\"slow_queries\":" + std::to_string(slow_queries_.Value()) +
-      ",\"spans_recorded\":" + std::to_string(traces_.recorded()) +
-      ",\"worlds_sampled\":" + std::to_string(worlds) +
-      ",\"samples_per_sec\":" + rate + ",\"request_ms\":{";
-  bool first = true;
-  for (const auto& [kind, histogram] : kind_latency_) {
-    const telemetry::HistogramSnapshot snapshot = histogram->Snapshot();
-    if (snapshot.count == 0) continue;  // Keep the object compact.
-    if (!first) out.push_back(',');
-    first = false;
-    out += "\"" + kind + "\":" + telemetry::PercentilesJson(snapshot);
-  }
-  out += "},\"stage_ms\":{";
-  for (std::size_t i = 0; i < telemetry::kNumStages; ++i) {
-    if (i > 0) out.push_back(',');
-    out += std::string("\"") +
-           telemetry::StageName(static_cast<telemetry::Stage>(i)) +
-           "\":" + telemetry::PercentilesJson(stage_latency_[i]->Snapshot());
-  }
-  out += "}}";
-  return out;
 }
 
 // --- Stats. ---
@@ -313,11 +218,11 @@ std::string Server::TelemetryJson() const {
 ServerStats Server::stats() const {
   ServerStats stats;
   stats.connections = server_.connections();
-  stats.requests = requests_.Value();
+  stats.requests = telemetry_.requests.Value();
   // Execution-level errors plus the transport tier's own (unexpected
   // frame types, garbage headers, mid-frame EOF) -- the same total the
   // pre-split server counted in one place.
-  stats.errors = errors_.Value() + server_.protocol_errors();
+  stats.errors = telemetry_.errors.Value() + server_.protocol_errors();
   stats.uptime_ms = server_.uptime_ms();
   stats.in_flight = server_.in_flight();
   return stats;
@@ -325,6 +230,12 @@ ServerStats Server::stats() const {
 
 std::string Server::StatsJson() const {
   ServerStats server = stats();
+  const std::uint64_t worlds = worlds_sampled_.Value();
+  char rate[40];
+  std::snprintf(rate, sizeof(rate), "%.1f",
+                server.uptime_ms > 0 ? static_cast<double>(worlds) * 1e3 /
+                                           static_cast<double>(server.uptime_ms)
+                                     : 0.0);
   return std::string("{\"server\":{\"backend\":\"epoll\"") +
          ",\"workers\":" + std::to_string(options_.num_workers) +
          ",\"connections\":" + std::to_string(server.connections) +
@@ -334,7 +245,10 @@ std::string Server::StatsJson() const {
          ",\"in_flight\":" + std::to_string(server.in_flight) +
          "},\"cache\":" + cache_.StatsJson() +
          ",\"registry\":" + registry_.StatsJson() +
-         ",\"telemetry\":" + TelemetryJson() + "}";
+         ",\"telemetry\":" +
+         telemetry_.Json(",\"worlds_sampled\":" + std::to_string(worlds) +
+                         ",\"samples_per_sec\":" + rate) +
+         "}";
 }
 
 }  // namespace ugs

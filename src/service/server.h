@@ -2,11 +2,7 @@
 #define UGS_SERVICE_SERVER_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "service/frame_server.h"
 #include "service/result_cache.h"
@@ -49,8 +45,8 @@ struct ServerOptions {
   ResultCacheOptions cache;
   /// The multi-graph registry behind the server.
   SessionRegistryOptions registry;
-  /// Span recording, slow-query log, trace ring. The metrics registry
-  /// and counters are always live; `enabled` gates only the per-request
+  /// Span recording and the slow-query log. The metrics registry and
+  /// counters are always live; `enabled` gates only the per-request
   /// span bookkeeping (docs/observability.md).
   telemetry::ServiceOptions telemetry;
 };
@@ -58,7 +54,8 @@ struct ServerOptions {
 /// Monotonic counters of server traffic.
 struct ServerStats {
   std::uint64_t connections = 0;
-  std::uint64_t requests = 0;  ///< Query frames answered with a result.
+  std::uint64_t requests = 0;  ///< Query and update frames answered
+                               ///< with a result.
   std::uint64_t errors = 0;    ///< Frames answered with an error.
   std::uint64_t uptime_ms = 0;  ///< Milliseconds since Start.
   std::uint64_t in_flight = 0;  ///< Requests accepted, not yet answered.
@@ -82,8 +79,8 @@ struct ServerStats {
 ///
 /// Observability: every request's span (decode -> cache lookup -> queue
 /// wait -> execute -> encode -> socket write) is stamped into a trace,
-/// folded into per-kind and per-stage latency histograms, retained in a
-/// ring, and logged when slower than the slow-query threshold. The
+/// folded into per-kind and per-stage latency histograms, and logged
+/// when slower than the slow-query threshold. The
 /// stats verb's JSON grows a "telemetry" section, and the kStats
 /// sub-verb kMetricsStatsVerb returns the Prometheus text exposition
 /// (docs/observability.md).
@@ -149,36 +146,20 @@ class Server {
   ReplyFrame ExecuteUpdate(const std::string& payload,
                            telemetry::RequestTrace* trace);
 
-  /// Trace sink (reactor thread): ring + histograms + slow-query log.
-  void RecordTrace(const telemetry::RequestTrace& trace);
-
-  /// The "telemetry" object of the stats JSON.
-  std::string TelemetryJson() const;
-
   /// Registry options with the telemetry hooks patched in.
   SessionRegistryOptions MakeRegistryOptions() const;
   /// Transport options with the trace sink patched in.
   FrameServerOptions MakeTransportOptions();
-  /// Builds and registers the per-kind / per-stage latency histograms.
-  void BuildHistograms();
 
   ServerOptions options_;
   SessionRegistry registry_;
   ResultCache cache_;
 
   telemetry::Registry metrics_;
-  telemetry::Counter requests_;
-  telemetry::Counter errors_;
-  telemetry::Counter slow_queries_;
+  /// Request counters, latency by kind (canonical query names +
+  /// "stats" + "update" + "other") and by stage, slow-query log.
+  telemetry::RequestTelemetry telemetry_;
   telemetry::Counter worlds_sampled_;
-  /// Request latency by query kind (canonical names + "stats" +
-  /// "other"), insertion-ordered for stable JSON.
-  std::vector<std::pair<std::string, std::unique_ptr<telemetry::Histogram>>>
-      kind_latency_;
-  std::unordered_map<std::string, telemetry::Histogram*> kind_index_;
-  telemetry::Histogram* other_latency_ = nullptr;
-  std::unique_ptr<telemetry::Histogram> stage_latency_[telemetry::kNumStages];
-  telemetry::TraceRecorder traces_;
 
   /// Last member: destruction joins the transport threads before the
   /// registry/cache/metrics they execute against go away.

@@ -4,10 +4,13 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "util/sync.h"
+#include "telemetry/metrics.h"
 
 namespace ugs {
 namespace telemetry {
@@ -65,32 +68,6 @@ class StageClock {
   std::chrono::steady_clock::time_point last_{};
 };
 
-/// Fixed-capacity ring of the most recent request traces. Record() is
-/// a short critical section (string moves into a preallocated slot);
-/// it is called once per request after the reply is on the wire, off
-/// the sampling hot path.
-class TraceRecorder {
- public:
-  explicit TraceRecorder(std::size_t capacity = 256);
-
-  void Record(RequestTrace trace);
-
-  /// Retained traces, oldest first.
-  std::vector<RequestTrace> Snapshot() const;
-
-  /// Total traces ever recorded (not just retained).
-  std::uint64_t recorded() const;
-
-  /// Immutable after construction, so readable without the lock.
-  std::size_t capacity() const { return capacity_; }
-
- private:
-  const std::size_t capacity_;
-  mutable Mutex mutex_;
-  std::vector<RequestTrace> ring_ UGS_GUARDED_BY(mutex_);
-  std::uint64_t recorded_ UGS_GUARDED_BY(mutex_) = 0;
-};
-
 /// Service-level telemetry knobs shared by ugs_serve and ugs_router.
 struct ServiceOptions {
   /// Record spans + latency histograms per request. Off = the transport
@@ -98,16 +75,56 @@ struct ServiceOptions {
   /// baseline); the metrics registry and plain counters stay live.
   bool enabled = true;
   /// Log one structured slow-query line per request whose total time
-  /// exceeds this many milliseconds; 0 disables the log.
+  /// reaches this many milliseconds; 0 disables the log.
   int slow_query_ms = 0;
-  /// Capacity of the recent-trace ring buffer.
-  std::size_t trace_ring = 256;
 };
 
 /// One structured slow-query log line:
 /// `slow-query graph=g1 query=reliability estimator=sampled status=ok
 ///  cache_hit=0 samples=1000 total_ms=41.203 decode_ms=0.012 ...`.
 std::string SlowQueryLine(const RequestTrace& trace);
+
+/// The per-request telemetry of one serving front end (ugs_serve or
+/// ugs_router): the answered/error counters, request latency by kind
+/// and by pipeline stage, the slow-query check, and the "telemetry"
+/// object of the stats JSON. Everything is registered into the owner's
+/// Registry at construction; the counters are live even when spans are
+/// off.
+class RequestTelemetry {
+ public:
+  /// `query_kinds` are the query labels in stats-JSON order; the frame
+  /// kinds "stats" and "update" follow, then "other" for every kind not
+  /// listed. `registry` is borrowed and must outlive this object.
+  RequestTelemetry(const ServiceOptions& options,
+                   const std::vector<std::string>& query_kinds,
+                   Registry* registry);
+
+  RequestTelemetry(const RequestTelemetry&) = delete;
+  RequestTelemetry& operator=(const RequestTelemetry&) = delete;
+
+  /// The frame server's trace sink; null when spans are disabled.
+  std::function<void(const RequestTrace&)> Sink();
+
+  /// Folds one completed span into the kind and stage histograms and
+  /// logs it when it reaches the slow-query threshold.
+  void Record(const RequestTrace& trace);
+
+  /// The "telemetry" stats object. `extra` is a `,"key":value...`
+  /// fragment spliced in after "spans_recorded".
+  std::string Json(const std::string& extra = "") const;
+
+  Counter requests;  ///< Query and update frames answered with a result.
+  Counter errors;    ///< Frames answered with an error.
+
+ private:
+  const ServiceOptions options_;
+  Counter slow_queries_;
+  /// Latency by kind, in construction order with "other" last.
+  std::vector<std::pair<std::string, std::unique_ptr<Histogram>>> kinds_;
+  /// Every recorded span stamps all stages, so any stage's count is the
+  /// number of spans recorded.
+  std::unique_ptr<Histogram> stages_[kNumStages];
+};
 
 }  // namespace telemetry
 }  // namespace ugs

@@ -47,6 +47,16 @@ TEST(QueryRegistryTest, AliasesResolveToCanonicalNames) {
   EXPECT_EQ((*MakeQueryByName("mpp"))->name(), "most-probable-path");
 }
 
+TEST(QueryRegistryTest, CanonicalQueryNameResolvesOnlyAliases) {
+  EXPECT_EQ(CanonicalQueryName("cc"), "clustering");
+  EXPECT_EQ(CanonicalQueryName("sp"), "shortest-path");
+  EXPECT_EQ(CanonicalQueryName("mpp"), "most-probable-path");
+  for (const std::string& name : KnownQueryNames()) {
+    EXPECT_EQ(CanonicalQueryName(name), name);
+  }
+  EXPECT_EQ(CanonicalQueryName("frobnicate"), "frobnicate");
+}
+
 TEST(QueryRegistryTest, EstimatorNamesRoundTrip) {
   for (Estimator e :
        {Estimator::kAuto, Estimator::kSampled, Estimator::kSkipSampler,

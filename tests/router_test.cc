@@ -370,6 +370,57 @@ TEST_F(RouterTest, MetricsSubVerbAnswersFromTheRouterItself) {
       << *text;
 }
 
+TEST_F(RouterTest, TelemetrySectionRecordsRoutedSpans) {
+  std::unique_ptr<Server> shard_a = StartShard();
+  std::unique_ptr<Server> shard_b = StartShard();
+  std::unique_ptr<Router> router =
+      StartRouter({shard_a.get(), shard_b.get()}, RouterOptions{});
+
+  Client client = ConnectTo(router->port());
+  ASSERT_TRUE(client.Query(Id("g1"), CoveringRequests().front()).ok());
+  Result<std::string> stats = client.Stats("");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  // The router's own section is the last "telemetry" object; embedded
+  // shard replies carry theirs earlier in the document.
+  const std::string section =
+      stats->substr(stats->rfind("\"telemetry\":{"));
+  EXPECT_EQ(section.rfind("\"telemetry\":{\"enabled\":true", 0), 0u)
+      << section;
+  EXPECT_NE(section.find("\"spans_recorded\":1,"), std::string::npos)
+      << section;
+  EXPECT_NE(section.find("\"request_ms\":{\"reliability\":{\"count\":1"),
+            std::string::npos)
+      << section;
+  EXPECT_NE(section.find("\"stage_ms\":{\"decode\":"), std::string::npos)
+      << section;
+}
+
+TEST_F(RouterTest, DisabledTelemetryKeepsCountersButSkipsSpans) {
+  std::unique_ptr<Server> shard_a = StartShard();
+  std::unique_ptr<Server> shard_b = StartShard();
+  RouterOptions options;
+  options.telemetry.enabled = false;
+  std::unique_ptr<Router> router =
+      StartRouter({shard_a.get(), shard_b.get()}, options);
+
+  Client client = ConnectTo(router->port());
+  ASSERT_TRUE(client.Query(Id("g1"), CoveringRequests().front()).ok());
+  Result<std::string> stats = client.Stats("");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->rfind("{\"router\":{", 0), 0u) << *stats;
+  EXPECT_NE(stats->find("\"requests\":1"), std::string::npos) << *stats;
+  const std::string section =
+      stats->substr(stats->rfind("\"telemetry\":{"));
+  EXPECT_EQ(section.rfind("\"telemetry\":{\"enabled\":false", 0), 0u)
+      << section;
+  EXPECT_NE(section.find("\"spans_recorded\":0,"), std::string::npos)
+      << section;
+  EXPECT_NE(section.find("\"request_ms\":{}"), std::string::npos) << section;
+  Result<std::string> text = client.Stats(kMetricsStatsVerb);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_NE(text->find("ugs_requests_total 1"), std::string::npos) << *text;
+}
+
 TEST_F(RouterTest, GraphDescribeRoutesLikeAQuery) {
   std::unique_ptr<Server> shard_a = StartShard();
   std::unique_ptr<Server> shard_b = StartShard();

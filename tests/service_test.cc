@@ -613,6 +613,26 @@ TEST_F(ServiceTest, DisabledTelemetryKeepsCountersButSkipsSpans) {
   EXPECT_NE(text->find("ugs_requests_total 1"), std::string::npos) << *text;
 }
 
+TEST_F(ServiceTest, CachedAliasQueriesCountUnderTheCanonicalName) {
+  ServerOptions options;
+  options.cache.max_entries = 64;
+  std::unique_ptr<Server> server = StartServerWith(options);
+  Client client = ConnectTo(*server);
+  QueryRequest request;
+  request.query = "cc";  // Alias of clustering.
+  request.num_samples = 8;
+  ASSERT_TRUE(client.Query(Id("g1"), request).ok());
+  ASSERT_TRUE(client.Query(Id("g1"), request).ok());  // Cache hit.
+  EXPECT_EQ(server->cache().counters().hits, 1u);
+
+  Result<std::string> stats = client.Stats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_NE(stats->find("\"request_ms\":{\"clustering\":{\"count\":2"),
+            std::string::npos)
+      << *stats;
+  EXPECT_EQ(stats->find("\"other\":"), std::string::npos) << *stats;
+}
+
 TEST_P(ServiceBackendTest, StopWithIdleConnectedClientReturns) {
   std::unique_ptr<Server> server = StartServer(2);
   Client idle = ConnectTo(*server);  // Connected but never sends.

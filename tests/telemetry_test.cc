@@ -233,46 +233,101 @@ TEST(RegistryTest, EscapesLabelValues) {
             std::string::npos);
 }
 
-TEST(TraceRecorderTest, RingRetainsMostRecentTracesInOrder) {
-  TraceRecorder recorder(/*capacity=*/4);
-  for (int i = 0; i < 10; ++i) {
-    RequestTrace trace;
-    trace.graph = "g" + std::to_string(i);
-    recorder.Record(std::move(trace));
-  }
-  EXPECT_EQ(recorder.recorded(), 10u);
-  const std::vector<RequestTrace> traces = recorder.Snapshot();
-  ASSERT_EQ(traces.size(), 4u);
-  EXPECT_EQ(traces.front().graph, "g6");
-  EXPECT_EQ(traces.back().graph, "g9");
-}
-
-TEST(TraceRecorderTest, SnapshotBelowCapacityReturnsAllRecorded) {
-  TraceRecorder recorder(/*capacity=*/8);
+RequestTrace TraceOf(const std::string& query, std::uint64_t total_us) {
   RequestTrace trace;
-  trace.graph = "only";
-  recorder.Record(std::move(trace));
-  const std::vector<RequestTrace> traces = recorder.Snapshot();
-  ASSERT_EQ(traces.size(), 1u);
-  EXPECT_EQ(traces[0].graph, "only");
+  trace.query = query;
+  trace.total_us = total_us;
+  return trace;
 }
 
-TEST(TraceRecorderTest, ConcurrentRecordsCountExactly) {
-  TraceRecorder recorder(/*capacity=*/16);
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 1000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&recorder] {
-      for (int i = 0; i < kPerThread; ++i) {
-        recorder.Record(RequestTrace{});
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(recorder.recorded(),
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(recorder.Snapshot().size(), 16u);
+TEST(RequestTelemetryTest, UnknownKindLandsInOther) {
+  Registry registry;
+  RequestTelemetry telemetry({}, {"reliability"}, &registry);
+  telemetry.Record(TraceOf("frobnicate", 10));
+  const std::string json = telemetry.Json();
+  EXPECT_NE(json.find("\"request_ms\":{\"other\":{\"count\":1"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(registry.PrometheusText().find(
+                "ugs_request_latency_seconds_count{kind=\"other\"} 1"),
+            std::string::npos);
+}
+
+TEST(RequestTelemetryTest, SpansRecordedCountsRecordCalls) {
+  Registry registry;
+  RequestTelemetry telemetry({}, {"reliability"}, &registry);
+  EXPECT_NE(telemetry.Json().find("\"spans_recorded\":0,"),
+            std::string::npos);
+  for (int i = 0; i < 5; ++i) telemetry.Record(TraceOf("stats", 3));
+  EXPECT_NE(telemetry.Json().find("\"spans_recorded\":5,"),
+            std::string::npos)
+      << telemetry.Json();
+}
+
+TEST(RequestTelemetryTest, SlowQueryThresholdIsInclusive) {
+  ServiceOptions options;
+  options.slow_query_ms = 2;
+  Registry registry;
+  RequestTelemetry telemetry(options, {}, &registry);
+  telemetry.Record(TraceOf("update", 1999));  // One microsecond under.
+  EXPECT_NE(telemetry.Json().find("\"slow_queries\":0,"), std::string::npos);
+  telemetry.Record(TraceOf("update", 2000));  // Exactly at the threshold.
+  EXPECT_NE(telemetry.Json().find("\"slow_queries\":1,"), std::string::npos);
+  EXPECT_NE(registry.PrometheusText().find("ugs_slow_queries_total 1\n"),
+            std::string::npos);
+}
+
+TEST(RequestTelemetryTest, ZeroThresholdDisablesTheSlowQueryLog) {
+  Registry registry;
+  RequestTelemetry telemetry({}, {}, &registry);
+  telemetry.Record(TraceOf("stats", 60000000));
+  EXPECT_NE(telemetry.Json().find("\"slow_query_ms\":0,\"slow_queries\":0,"),
+            std::string::npos)
+      << telemetry.Json();
+}
+
+TEST(RequestTelemetryTest, RequestMsOmitsKindsWithZeroCount) {
+  Registry registry;
+  RequestTelemetry telemetry({}, {"reliability", "pagerank"}, &registry);
+  EXPECT_NE(telemetry.Json().find("\"request_ms\":{},\"stage_ms\":{"),
+            std::string::npos)
+      << telemetry.Json();
+  telemetry.Record(TraceOf("pagerank", 40));
+  const std::string json = telemetry.Json();
+  EXPECT_NE(json.find("\"request_ms\":{\"pagerank\":{\"count\":1"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("\"reliability\""), std::string::npos) << json;
+  // Every stage renders, counted or not.
+  EXPECT_NE(json.find("\"stage_ms\":{\"decode\":{\"count\":1"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"write\":{\"count\":1"), std::string::npos) << json;
+}
+
+TEST(RequestTelemetryTest, ExtraFragmentFollowsSpansRecorded) {
+  Registry registry;
+  RequestTelemetry telemetry({}, {}, &registry);
+  EXPECT_EQ(telemetry.Json(",\"worlds_sampled\":7").rfind(
+                "{\"enabled\":true,\"slow_query_ms\":0,\"slow_queries\":0,"
+                "\"spans_recorded\":0,\"worlds_sampled\":7,\"request_ms\":{",
+                0),
+            0u);
+}
+
+TEST(RequestTelemetryTest, DisabledTelemetryHasNoSinkButLiveCounters) {
+  ServiceOptions options;
+  options.enabled = false;
+  Registry registry;
+  RequestTelemetry telemetry(options, {}, &registry);
+  EXPECT_FALSE(static_cast<bool>(telemetry.Sink()));
+  telemetry.requests.Add();
+  telemetry.errors.Add(2);
+  const std::string text = registry.PrometheusText();
+  EXPECT_NE(text.find("ugs_requests_total 1\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("ugs_request_errors_total 2\n"), std::string::npos)
+      << text;
+  EXPECT_EQ(telemetry.Json().rfind("{\"enabled\":false,", 0), 0u);
 }
 
 TEST(SlowQueryLineTest, FormatsEveryStageAndIdentity) {
