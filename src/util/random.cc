@@ -13,32 +13,11 @@ std::uint64_t SplitMix64(std::uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-inline std::uint64_t Rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = SplitMix64(&sm);
-}
-
-std::uint64_t Rng::Next64() {
-  const std::uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  // 53 high bits -> [0,1) with full double precision.
-  return static_cast<double>(Next64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::Uniform(double lo, double hi) {
@@ -60,12 +39,6 @@ std::int64_t Rng::UniformInt(std::int64_t lo, std::int64_t hi) {
   UGS_DCHECK(lo <= hi);
   std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
   return lo + static_cast<std::int64_t>(NextIndex(span));
-}
-
-bool Rng::Bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return NextDouble() < p;
 }
 
 double Rng::Exponential(double rate) {

@@ -26,10 +26,23 @@ class Rng {
 
   /// Next raw 64 random bits.
   std::uint64_t operator()() { return Next64(); }
-  std::uint64_t Next64();
+  std::uint64_t Next64() {
+    const std::uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double NextDouble();
+  double NextDouble() {
+    // 53 high bits -> [0,1) with full double precision.
+    return static_cast<double>(Next64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double Uniform(double lo, double hi);
@@ -41,7 +54,11 @@ class Rng {
   std::int64_t UniformInt(std::int64_t lo, std::int64_t hi);
 
   /// Bernoulli trial with success probability p (clamped to [0,1]).
-  bool Bernoulli(double p);
+  bool Bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return NextDouble() < p;
+  }
 
   /// Standard exponential deviate with the given rate (mean = 1/rate).
   double Exponential(double rate);
@@ -72,6 +89,10 @@ class Rng {
   Rng Fork();
 
  private:
+  static std::uint64_t Rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 
