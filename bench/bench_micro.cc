@@ -14,7 +14,7 @@
 #include "query/clustering.h"
 #include "query/pagerank.h"
 #include "query/shortest_path.h"
-#include "query/skip_sampler.h"
+#include "query/sample_engine.h"
 #include "query/world_sampler.h"
 #include "sparsify/backbone.h"
 #include "sparsify/emd.h"
@@ -58,39 +58,55 @@ void BM_SampleWorld(benchmark::State& state) {
 }
 BENCHMARK(BM_SampleWorld)->Arg(1000)->Arg(4000);
 
-void BM_SkipSampleWorld(benchmark::State& state) {
-  // Bucketed geometric-skip sampler on a low-probability graph. Draws
-  // ~4x fewer random numbers than BM_SampleWorld, but is NOT faster
-  // wall-clock with the cheap xoshiro RNG (see skip_sampler.h); this
-  // benchmark documents that tradeoff.
-  ugs::Rng g_rng(99);
-  ugs::ChungLuOptions options;
-  options.num_vertices = static_cast<std::size_t>(state.range(0));
-  options.avg_degree = 16.0;
-  static std::map<std::int64_t, ugs::UncertainGraph> cache;
-  auto it = cache.find(state.range(0));
-  if (it == cache.end()) {
-    it = cache
-             .emplace(state.range(0),
-                      ugs::GenerateChungLu(
-                          options,
-                          ugs::ProbabilityDistribution::TruncatedExponential(
-                              12.5),
-                          &g_rng))
-             .first;
-  }
-  const ugs::UncertainGraph& g = it->second;
-  ugs::SkipWorldSampler sampler(g);
-  ugs::Rng rng(1);
-  std::vector<char> present;
-  for (auto _ : state) {
-    sampler.Sample(&rng, &present);
-    benchmark::DoNotOptimize(present.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(g.num_edges()));
+/// The serve_miss workload's graph (Twitter-like, |E| = 49.7k, mean
+/// p ~ 0.156).
+const ugs::UncertainGraph& ServeMissGraph() {
+  static const ugs::UncertainGraph* graph =
+      new ugs::UncertainGraph(ugs::MakeTwitterLike(1.0));
+  return *graph;
 }
-BENCHMARK(BM_SkipSampleWorld)->Arg(1000)->Arg(4000);
+
+/// ServeMissGraph's edges with p redrawn uniform on [0, 1): mean p ~ 0.5.
+const ugs::UncertainGraph& HalfProbabilityGraph() {
+  static const ugs::UncertainGraph* graph = [] {
+    const ugs::UncertainGraph& g = ServeMissGraph();
+    std::vector<ugs::UncertainEdge> edges(g.edges().begin(), g.edges().end());
+    ugs::Rng rng(5);
+    for (ugs::UncertainEdge& edge : edges) edge.p = rng.NextDouble();
+    return new ugs::UncertainGraph(
+        ugs::UncertainGraph::FromEdges(g.num_vertices(), std::move(edges)));
+  }();
+  return *graph;
+}
+
+/// World sampling as one request sees it: SampleEngine::Run of
+/// `samples` worlds on one thread with a no-op evaluator, so each world
+/// costs its draw plus its view (plain: SampleWorld + Rebuild; block:
+/// the 16-lane pass + Adopt, a whole block even for 1 sample). Args:
+/// graph (0 = ServeMissGraph, 1 = HalfProbabilityGraph), block (0 =
+/// plain, 1 = block sampler), samples per request. Items = worlds.
+void BM_SampleRequest(benchmark::State& state) {
+  const ugs::UncertainGraph& g =
+      state.range(0) == 0 ? ServeMissGraph() : HalfProbabilityGraph();
+  const ugs::SampleEngine engine(ugs::SampleEngineOptions{
+      .num_threads = 1, .use_skip_sampler = state.range(1) != 0});
+  const int samples = static_cast<int>(state.range(2));
+  ugs::Rng rng(1);
+  for (auto _ : state) {
+    ugs::McSamples out =
+        engine.Run(g, 1, samples, &rng, false, []() -> ugs::SampleEngine::WorldEval {
+          return [](ugs::PossibleWorld&, double*, char*) {};
+        });
+    benchmark::DoNotOptimize(out.values.data());
+  }
+  state.SetItemsProcessed(state.iterations() * samples);
+}
+BENCHMARK(BM_SampleRequest)
+    ->ArgNames({"graph", "block", "samples"})
+    ->ArgsProduct({{0}, {0, 1}, {1, 16, 1000}})
+    ->Args({1, 0, 1000})
+    ->Args({1, 1, 1000})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_BackboneBgi(benchmark::State& state) {
   const ugs::UncertainGraph& g =
@@ -180,12 +196,6 @@ BENCHMARK(BM_IndexedHeapUpdate);
 // The per-world kernel rungs of the perf ladder run on one world of a
 // graph shaped like the serve_miss benchmark input (2000 V, ~49k E,
 // E[p] ~ 0.15, so a world keeps ~16% of the edges).
-const ugs::UncertainGraph& ServeMissGraph() {
-  static const ugs::UncertainGraph* graph =
-      new ugs::UncertainGraph(ugs::MakeTwitterLike(1.0));
-  return *graph;
-}
-
 ugs::PossibleWorld SampledServeMissWorld() {
   ugs::PossibleWorld world(ServeMissGraph());
   ugs::Rng rng(1);

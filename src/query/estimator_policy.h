@@ -11,10 +11,14 @@ namespace ugs {
 /// Tunables of the estimator-selection policy. The defaults encode the
 /// paper's operating points; a serving layer can override per deployment.
 struct EstimatorPolicyOptions {
-  /// Auto picks kSkipSampler when the graph's mean edge probability is
-  /// below this: geometric skipping draws O(p |E|) RNG values per world
-  /// instead of |E|, which pays off exactly on low-probability graphs
-  /// (the paper's datasets average p ~ 0.1-0.2).
+  /// Auto picks kSkipSampler (the block sampler) when the graph's mean
+  /// edge probability is below this. The block sampler decides 16 worlds
+  /// per pass over the edges and hands each world over as a sorted edge
+  /// list; its cost per world grows with the present edges, so it wins
+  /// most on low-probability graphs (the paper's datasets average
+  /// p ~ 0.1-0.2). The threshold predates it: bench_micro's
+  /// BM_SampleRequest rungs measure it against plain sampling at mean
+  /// p ~ 0.16 and ~ 0.5.
   double skip_sampler_max_mean_probability = 0.25;
 };
 
@@ -34,8 +38,8 @@ struct EstimatorPolicyOptions {
 ///      budget (2^|E| * max(1, |pairs|) <= num_samples -- the exact
 ///      oracles enumerate once per pair, one sampled world serves all
 ///      pairs): no extra cost, zero variance.
-///   3. kSkipSampler when supported and the graph's worlds are sparse
-///      enough for skipping to win (see EstimatorPolicyOptions).
+///   3. kSkipSampler (the block sampler) when supported and the graph's
+///      worlds are sparse enough (see EstimatorPolicyOptions).
 ///   4. kSampled.
 /// kStratified is never auto-selected: its variance win depends on the
 /// entropy concentration of the pivot edges, which the policy cannot

@@ -16,7 +16,7 @@ namespace ugs {
 
 /// Configuration of a GraphSession.
 struct GraphSessionOptions {
-  /// Engine configuration shared by the session's plain and skip-sampler
+  /// Engine configuration shared by the session's plain and block-sampler
   /// engines, which run on one pool of engine.num_threads threads (<= 0 =
   /// hardware concurrency). Successor sessions (WithUpdates) reuse it.
   SampleEngineOptions engine;
@@ -42,7 +42,7 @@ struct GraphSessionOptions {
 
 /// The serving facade of the query layer: owns one loaded UncertainGraph
 /// together with the per-graph state every request needs (cached stats,
-/// a plain and a skip-sampler SampleEngine sharing one pool), and
+/// a plain and a block-sampler SampleEngine sharing one pool), and
 /// executes QueryRequests through the query registry under the
 /// estimator-selection policy.
 ///
@@ -73,8 +73,9 @@ class GraphSession {
   /// Graph statistics, computed once at session construction.
   const GraphStats& stats() const { return stats_; }
 
-  /// The session's plain sampling engine (skip-sampler requests are
-  /// routed to a twin engine with use_skip_sampler set).
+  /// The session's plain sampling engine (kSkipSampler requests are
+  /// routed to a twin engine with use_skip_sampler set, which draws
+  /// worlds with the block sampler).
   const SampleEngine& engine() const { return engine_; }
 
   const GraphSessionOptions& options() const { return options_; }
@@ -115,7 +116,7 @@ class GraphSession {
   GraphSessionOptions options_;
   GraphStats stats_;
   SampleEngine engine_;
-  SampleEngine skip_engine_;
+  SampleEngine skip_engine_;  // use_skip_sampler: the block sampler.
 };
 
 }  // namespace ugs

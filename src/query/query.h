@@ -38,8 +38,11 @@ namespace ugs {
 enum class Estimator {
   kAuto = 0,
   kSampled,        ///< Plain Monte-Carlo possible worlds (SampleEngine).
-  kSkipSampler,    ///< Monte-Carlo with geometric edge skipping; same
-                   ///< distribution, different random stream.
+  kSkipSampler,    ///< Monte-Carlo with the lane-parallel block sampler
+                   ///< (query/block_sampler.h: 16 worlds per pass over
+                   ///< the edges); same distribution, different random
+                   ///< stream. Named for the geometric-skip sampler it
+                   ///< replaced; wire byte 2 and the name "skip" stay.
   kStratified,     ///< Recursive stratified sampling over high-entropy
                    ///< pivot edges (Li et al., ICDE 2014).
   kExact,          ///< Full 2^|E| world enumeration (Equation 1); only
@@ -128,7 +131,7 @@ class Query {
 
   /// Executes under an already-resolved estimator (never kAuto). For
   /// kSkipSampler the caller must pass an engine built with
-  /// use_skip_sampler = true; GraphSession does. Assumes Validate passed.
+  /// use_skip_sampler = true (the block sampler); GraphSession does. Assumes Validate passed.
   virtual Result<QueryResult> Run(const UncertainGraph& graph,
                                   const QueryRequest& request,
                                   Estimator estimator,

@@ -1,10 +1,9 @@
 #include "query/sample_engine.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
-#include "query/skip_sampler.h"
+#include "query/block_sampler.h"
 #include "util/check.h"
 
 namespace ugs {
@@ -63,31 +62,54 @@ McSamples SampleEngine::RunWorlds(const UncertainGraph& graph,
   const std::uint64_t base = rng->Next64();
   const std::size_t batch = static_cast<std::size_t>(options_.batch_size);
   const std::size_t total = out.num_samples;
-  const std::size_t num_batches = (total + batch - 1) / batch;
-
-  std::optional<SkipWorldSampler> skip_storage;
-  if (options_.use_skip_sampler) skip_storage.emplace(graph);
-  const SkipWorldSampler* skip =
-      skip_storage.has_value() ? &*skip_storage : nullptr;
-
   double* values = out.values.data();
   char* valid = track_valid ? out.valid.data() : nullptr;
+  const auto evaluate = [&](const WorldEval& eval, PossibleWorld& world,
+                            std::size_t s) {
+    eval(world, values + s * num_units,
+         valid != nullptr ? valid + s * num_units : nullptr);
+  };
+
+  if (options_.use_skip_sampler) {
+    // Sample s is lane s % kLanes of block s / kLanes. A task runs whole
+    // blocks and every block decides all its lanes, so world s does not
+    // depend on num_samples or batch_size.
+    constexpr std::size_t kLanes = BlockWorldSampler::kLanes;
+    const std::size_t num_blocks = (total + kLanes - 1) / kLanes;
+    const std::size_t blocks_per_task = (batch + kLanes - 1) / kLanes;
+    const std::size_t num_tasks =
+        (num_blocks + blocks_per_task - 1) / blocks_per_task;
+    pool().ParallelFor(num_tasks, [&](std::size_t t) {
+      WorldEval eval = factory();
+      PossibleWorld world(graph);
+      BlockWorldSampler sampler;
+      const std::size_t first = t * blocks_per_task;
+      const std::size_t last = std::min(first + blocks_per_task, num_blocks);
+      for (std::size_t block = first; block < last; ++block) {
+        Rng block_rng = SampleRng(base, block);
+        sampler.SampleBlock(graph, &block_rng);
+        const std::size_t begin = block * kLanes;
+        const std::size_t end = std::min(begin + kLanes, total);
+        for (std::size_t s = begin; s < end; ++s) {
+          world.Adopt(sampler.Lane(s - begin));
+          evaluate(eval, world, s);
+        }
+      }
+    });
+    return out;
+  }
+
+  const std::size_t num_batches = (total + batch - 1) / batch;
   pool().ParallelFor(num_batches, [&](std::size_t b) {
     WorldEval eval = factory();
     PossibleWorld world(graph);
-    std::vector<char>& present = world.mutable_present();
     const std::size_t begin = b * batch;
     const std::size_t end = std::min(begin + batch, total);
     for (std::size_t s = begin; s < end; ++s) {
       Rng sample_rng = SampleRng(base, s);
-      if (skip != nullptr) {
-        skip->Sample(&sample_rng, &present);
-      } else {
-        SampleWorld(graph, &sample_rng, &present);
-      }
+      SampleWorld(graph, &sample_rng, &world.mutable_present());
       if (build_view) world.Rebuild();
-      eval(world, values + s * num_units,
-           valid != nullptr ? valid + s * num_units : nullptr);
+      evaluate(eval, world, s);
     }
   });
   return out;

@@ -23,9 +23,12 @@ struct SampleEngineOptions {
   /// scratch construction and the atomic work-stealing claim; it never
   /// affects results.
   int batch_size = 32;
-  /// Draw worlds with SkipWorldSampler (geometric skipping, fewer RNG
-  /// calls on low-probability graphs) instead of the plain per-edge
+  /// Draw worlds with the lane-parallel BlockWorldSampler
+  /// (query/block_sampler.h: 16 worlds per pass over the edges, each
+  /// adopted as a sorted edge list) instead of the plain per-edge
   /// sampler. Changes the random stream but not the world distribution.
+  /// The name predates the block sampler, which replaced a
+  /// geometric-skip sampler behind it.
   bool use_skip_sampler = false;
   /// Borrowed telemetry counter bumped by num_samples once per Run /
   /// RunMean (worlds drawn; the samples/sec signal). Null = untracked.
@@ -35,18 +38,20 @@ struct SampleEngineOptions {
 
 /// Shared parallel Monte-Carlo possible-world engine. The serving entry
 /// point above it is GraphSession (query/graph_session.h), which owns one
-/// plain and one skip-sampler engine per loaded graph. Owns the sample
+/// plain and one block-sampler engine per loaded graph. Owns the sample
 /// loop every sampling-based evaluator used to hand-roll: allocate the
 /// McSamples matrix, derive one deterministic RNG per sample by
 /// seed-splitting, dispatch batches of worlds to the pool, and let each
 /// evaluation write into its sample's disjoint row.
 ///
-/// Determinism guarantee: sample s is generated from an Rng derived as
-/// SampleRng(base, s), where `base` is a single Next64() draw from the
-/// caller's Rng. World generation and evaluation therefore depend only on
-/// (base, s), never on scheduling -- results are bit-identical for any
-/// thread count and any batch size, and reproducible from the caller's
-/// seed exactly like the old serial loops.
+/// Determinism guarantee: `base` is a single Next64() draw from the
+/// caller's Rng. The plain sampler generates sample s from
+/// SampleRng(base, s); the block sampler generates it as lane s % 16 of
+/// block s / 16, drawn from SampleRng(base, s / 16), and always decides
+/// all 16 lanes. World generation and evaluation therefore depend only on
+/// (base, s), never on scheduling or on how many samples are asked for --
+/// results are bit-identical for any thread count and any batch size,
+/// and reproducible from the caller's seed.
 ///
 /// Run/RunMean are const and safe to call concurrently: each call is its
 /// own task group on the pool's executor, so overlapping requests
@@ -54,7 +59,7 @@ struct SampleEngineOptions {
 ///
 /// An engine always dispatches to exactly one pool, which it holds by
 /// shared_ptr: either one it builds from options.num_threads, or one
-/// handed in so twin engines (a session's plain and skip-sampler pair)
+/// handed in so twin engines (a session's plain and block-sampler pair)
 /// share a single executor.
 class SampleEngine {
  public:
@@ -72,9 +77,10 @@ class SampleEngine {
       std::function<void(PossibleWorld& world, double* row, char* valid)>;
 
   /// Builds a WorldEval plus whatever scratch it needs (union-find,
-  /// distance arrays, ...). Called once per dispatched batch, so scratch
-  /// is never shared across threads and its cost is amortized over
-  /// batch_size worlds.
+  /// distance arrays, ...). Called once per dispatched batch (with the
+  /// block sampler: per batch_size worlds rounded up to whole blocks), so
+  /// scratch is never shared across threads and its cost is amortized
+  /// over the batch.
   using WorldEvalFactory = std::function<WorldEval()>;
 
   /// The core sample loop: num_samples worlds of `graph`, evaluated into
@@ -85,10 +91,11 @@ class SampleEngine {
                 int num_samples, Rng* rng, bool track_valid,
                 const WorldEvalFactory& factory) const;
 
-  /// The same sample loop without the view: the evaluator receives the
-  /// raw sampled bitmap and no edge list or adjacency is built. For
-  /// callers that time or inspect the sampler alone; queries use the
-  /// PossibleWorld overload.
+  /// The same sample loop, handing the evaluator the sampled bitmap.
+  /// The plain sampler builds no edge list or adjacency here; the block
+  /// sampler adopts its edge lists as in the view loop (that is how it
+  /// writes the bitmap). For callers that time or inspect the sampler
+  /// alone; queries use the PossibleWorld overload.
   using BitmapEval = std::function<void(std::vector<char>& present,
                                         double* row, char* valid)>;
   using BitmapEvalFactory = std::function<BitmapEval()>;
@@ -119,8 +126,9 @@ class SampleEngine {
   static Rng SampleRng(std::uint64_t base, std::uint64_t index);
 
  private:
-  /// Both Run overloads: samples into a per-task PossibleWorld and, when
-  /// `build_view` is set, rebuilds its view before evaluating.
+  /// Both Run overloads: samples into a per-task PossibleWorld. The
+  /// block sampler always adopts its edge lists; the plain sampler
+  /// rebuilds the view only when `build_view` is set.
   McSamples RunWorlds(const UncertainGraph& graph, std::size_t num_units,
                       int num_samples, Rng* rng, bool track_valid,
                       const WorldEvalFactory& factory, bool build_view) const;

@@ -1,5 +1,7 @@
 #include "query/world_sampler.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 
 namespace ugs {
@@ -35,6 +37,16 @@ void PossibleWorld::Rebuild() {
     k += present_[e] != 0;
   }
   num_present_ = k;
+  adjacency_built_ = false;
+}
+
+void PossibleWorld::Adopt(std::span<const EdgeId> edges) {
+  UGS_DCHECK(std::is_sorted(edges.begin(), edges.end()));
+  UGS_DCHECK(edges.empty() || edges.back() < present_.size());
+  std::fill(present_.begin(), present_.end(), 0);
+  for (EdgeId e : edges) present_[e] = 1;
+  edges_.assign(edges.begin(), edges.end());
+  num_present_ = edges.size();
   adjacency_built_ = false;
 }
 

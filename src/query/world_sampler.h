@@ -26,10 +26,11 @@ std::size_t CountPresent(const std::vector<char>& present);
 /// ~0.1-0.2 on the paper's datasets), so kernels that walk this view skip
 /// the absent edges instead of testing a flag per edge or per CSR entry.
 ///
-/// Lifecycle: write the bitmap through mutable_present() (a sampler, or
-/// stratified pivot conditioning), then call Rebuild() before reading
-/// anything else; Rebuild() recompacts the edge list and drops the
-/// adjacency so the next Neighbors() call rebuilds it. The view keeps a
+/// Lifecycle: either install a sorted edge list with Adopt() (the block
+/// sampler), or write the bitmap through mutable_present() (the plain
+/// sampler, or stratified pivot conditioning) and then call Rebuild()
+/// before reading anything else. Both drop the adjacency so the next
+/// Neighbors() call rebuilds it. The view keeps a
 /// reference to the graph and reuses its buffers across rebuilds, so a
 /// per-task instance allocates only on its first world. Not thread-safe
 /// (the adjacency is built lazily inside const accessors): each engine
@@ -49,6 +50,13 @@ class PossibleWorld {
   /// Re-derives the edge list from the bitmap and invalidates the
   /// adjacency. Call after every write through mutable_present().
   void Rebuild();
+
+  /// Installs `edges` (ascending ids, each < |E|) as the present edges:
+  /// copies the list, rewrites the whole bitmap from it (so no earlier
+  /// write through mutable_present() survives) and invalidates the
+  /// adjacency. Replaces the bitmap scan of Rebuild() for samplers that
+  /// produce sorted edge lists.
+  void Adopt(std::span<const EdgeId> edges);
 
   /// Present edge ids, ascending.
   std::span<const EdgeId> edges() const {
