@@ -92,11 +92,11 @@ void BM_SampleRequest(benchmark::State& state) {
       .num_threads = 1, .use_skip_sampler = state.range(1) != 0});
   const int samples = static_cast<int>(state.range(2));
   ugs::Rng rng(1);
+  const auto no_op = []() -> ugs::SampleEngine::WorldEval {
+    return [](ugs::PossibleWorld&, double*, char*) {};
+  };
   for (auto _ : state) {
-    ugs::McSamples out =
-        engine.Run(g, 1, samples, &rng, false, []() -> ugs::SampleEngine::WorldEval {
-          return [](ugs::PossibleWorld&, double*, char*) {};
-        });
+    ugs::McSamples out = engine.Run(g, 1, samples, &rng, false, no_op);
     benchmark::DoNotOptimize(out.values.data());
   }
   state.SetItemsProcessed(state.iterations() * samples);

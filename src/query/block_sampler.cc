@@ -74,10 +74,10 @@ void BlockWorldSampler::SampleBlock(const UncertainGraph& graph,
   // into one kChunk-bit word per lane, whose set bits are appended to
   // that lane's list. The chunk size fixes the order in which random
   // words are drawn, so it is part of the stream.
-  std::uint8_t low[kChunk];
-  std::uint8_t high[kChunk];
-  std::uint8_t pending[kChunk];
-  std::uint32_t pending_undecided[kChunk];
+  std::uint8_t low[kChunk] = {};
+  std::uint8_t high[kChunk] = {};
+  std::uint8_t pending[kChunk] = {};
+  std::uint32_t pending_undecided[kChunk] = {};
   for (std::size_t base = 0; base < edges.size(); base += kChunk) {
     const std::size_t count = std::min(kChunk, edges.size() - base);
     std::size_t num_pending = 0;
@@ -121,7 +121,7 @@ void BlockWorldSampler::SampleBlock(const UncertainGraph& graph,
       const int bit = static_cast<int>(l % 8);
       std::uint64_t word = 0;
       for (std::size_t g = 0; g < kChunk / 8; ++g) {
-        std::uint64_t packed;
+        std::uint64_t packed = 0;
         std::memcpy(&packed, bytes + 8 * g, sizeof(packed));
         if constexpr (std::endian::native == std::endian::big) {
           packed = __builtin_bswap64(packed);

@@ -131,7 +131,8 @@ class Query {
 
   /// Executes under an already-resolved estimator (never kAuto). For
   /// kSkipSampler the caller must pass an engine built with
-  /// use_skip_sampler = true (the block sampler); GraphSession does. Assumes Validate passed.
+  /// use_skip_sampler = true (the block sampler); GraphSession does.
+  /// Assumes Validate passed.
   virtual Result<QueryResult> Run(const UncertainGraph& graph,
                                   const QueryRequest& request,
                                   Estimator estimator,

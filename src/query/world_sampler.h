@@ -30,11 +30,11 @@ std::size_t CountPresent(const std::vector<char>& present);
 /// sampler), or write the bitmap through mutable_present() (the plain
 /// sampler, or stratified pivot conditioning) and then call Rebuild()
 /// before reading anything else. Both drop the adjacency so the next
-/// Neighbors() call rebuilds it. The view keeps a
-/// reference to the graph and reuses its buffers across rebuilds, so a
-/// per-task instance allocates only on its first world. Not thread-safe
-/// (the adjacency is built lazily inside const accessors): each engine
-/// task owns its own instance.
+/// Neighbors() call rebuilds it. The view keeps a reference to the graph
+/// and reuses its buffers across rebuilds, so a per-task instance
+/// allocates only on its first world. Not thread-safe (the adjacency is
+/// built lazily inside const accessors): each engine task owns its own
+/// instance.
 class PossibleWorld {
  public:
   /// The empty world (no edge present) of `graph`, which must outlive

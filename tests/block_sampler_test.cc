@@ -32,7 +32,9 @@ std::vector<char> LaneBitmap(const BlockWorldSampler& sampler,
 }
 
 /// 5-sigma band of a Bernoulli(p) frequency over n trials.
-double FiveSigma(double p, double n) { return 5.0 * std::sqrt(p * (1 - p) / n); }
+double FiveSigma(double p, double n) {
+  return 5.0 * std::sqrt(p * (1 - p) / n);
+}
 
 TEST(BlockSamplerTest, InclusionFrequencyMatchesProbability) {
   // Thresholds from near 0 to near 1, including p = 1/2 (P = 2^63, a
@@ -40,6 +42,7 @@ TEST(BlockSamplerTest, InclusionFrequencyMatchesProbability) {
   const std::vector<double> ps = {0.001, 0.015, 0.1,  0.156, 0.3,
                                   0.5,   0.55,  0.75, 0.9,   0.999};
   std::vector<UncertainEdge> edges;
+  edges.reserve(ps.size());
   for (std::size_t i = 0; i < ps.size(); ++i) {
     edges.push_back({static_cast<VertexId>(i),
                      static_cast<VertexId>(i + 1), ps[i]});
@@ -80,6 +83,7 @@ TEST(BlockSamplerTest, LanesAndEdgesAreIndependent) {
   for (int b = 0; b < kBlocks; ++b) {
     sampler.SampleBlock(g, &rng);
     std::vector<std::vector<char>> worlds;
+    worlds.reserve(kLanes);
     for (std::size_t l = 0; l < kLanes; ++l) {
       worlds.push_back(LaneBitmap(sampler, l, g.num_edges()));
     }

@@ -3,10 +3,11 @@
 // bytes (McSamples::values and ::valid, the per-unit means, the scalar).
 // The expected hashes were recorded before the kernels were last
 // rewritten (the kSkipSampler rows when the block sampler replaced the
-// geometric-skip sampler behind that estimator); any change to a kernel's arithmetic, its summation order,
-// the world stream or the stratified/exact drivers shows up here as a
-// hash mismatch even when both sides of a GraphSession-vs-free-function
-// comparison moved together.
+// geometric-skip sampler behind that estimator); any change to a
+// kernel's arithmetic, its summation order, the world stream or the
+// stratified/exact drivers shows up here as a hash mismatch even when
+// both sides of a GraphSession-vs-free-function comparison moved
+// together.
 
 #include <algorithm>
 #include <cstdint>
