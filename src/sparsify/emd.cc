@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/check.h"
 #include "util/indexed_heap.h"
@@ -9,46 +10,107 @@
 namespace ugs {
 namespace {
 
-double TypedDelta(const SparseState& state, VertexId u, double delta_abs,
-                  DiscrepancyType type) {
-  if (type == DiscrepancyType::kAbsolute) return delta_abs;
-  double d = state.graph().ExpectedDegree(u);
-  return d > 0.0 ? delta_abs / d : 0.0;
+/// The typed discrepancy of a vertex with absolute discrepancy
+/// `delta_abs` and Eq. (8) weight `pi` (its expected degree under the
+/// relative discrepancy, where a zero degree gives 0).
+template <DiscrepancyType kType>
+double TypedDelta(double delta_abs, double pi) {
+  if constexpr (kType == DiscrepancyType::kAbsolute) {
+    return delta_abs;
+  } else {
+    return pi > 0.0 ? delta_abs / pi : 0.0;
+  }
+}
+
+/// Eq. (9)'s insertion probability for a candidate whose endpoints have
+/// discrepancies du0, dv0 (at p_hat_e = 0) and weights pi_u, pi_v.
+///
+/// The candidate is hypothetically inserted at p_hat = 0, so the optimal
+/// step of Eq. (8) lands directly on the proposed probability (clamped).
+/// The full step is used rather than the entropy-guarded h-scaled one:
+/// a swap replaces the removed edge's probability mass, and inserting at
+/// h * step would leak (1 - h) of that mass out of the graph each
+/// E-phase, leaving EMD strictly worse than the GDB it wraps -- the
+/// opposite of the paper's Table 2. The entropy guard h applies inside
+/// the GDB M-phase refinement (Algorithm 2), matching the paper's
+/// Figure 3 walk-through where insertions carry their Eq.-(9) optimum.
+double ClampedStep(double du0, double dv0, double pi_u, double pi_v) {
+  return std::max(0.0, std::min(1.0, DegreeStepK1(du0, dv0, pi_u, pi_v)));
+}
+
+/// Eq. (10)'s gain of inserting that candidate with probability w: the
+/// decrease of its two endpoint terms of D1.
+template <DiscrepancyType kType>
+double Gain(double du0, double dv0, double pi_u, double pi_v, double w) {
+  const double tu0 = TypedDelta<kType>(du0, pi_u);
+  const double tv0 = TypedDelta<kType>(dv0, pi_v);
+  const double tuw = TypedDelta<kType>(du0 - w, pi_u);  // At p_hat_e = w.
+  const double tvw = TypedDelta<kType>(dv0 - w, pi_v);
+  return tu0 * tu0 - tuw * tuw + tv0 * tv0 - tvw * tvw;
+}
+
+/// A candidate edge's insertion probability and gain in the current state.
+struct Candidate {
+  double p;
+  double gain;
+};
+
+template <DiscrepancyType kType>
+Candidate ScoreCandidate(const SparseState& state, EdgeId e) {
+  const UncertainEdge& ed = state.graph().edge(e);
+  const double du0 = state.DeltaAbs(ed.u);
+  const double dv0 = state.DeltaAbs(ed.v);
+  const double pi_u = DegreeStepWeight(state.graph(), ed.u, kType);
+  const double pi_v = DegreeStepWeight(state.graph(), ed.v, kType);
+  const double p = ClampedStep(du0, dv0, pi_u, pi_v);
+  return {p, Gain<kType>(du0, dv0, pi_u, pi_v, p)};
+}
+
+/// Lines 14-17 of Algorithm 3: the best candidate among the E \ E_b edges
+/// at `top`, plus the just-removed edge `e` itself. The first strictly
+/// greater gain wins, so ties keep the incumbent e.
+template <DiscrepancyType kType>
+std::pair<EdgeId, double> BestCandidate(const SparseState& state,
+                                        VertexId top, EdgeId e) {
+  const UncertainGraph& graph = state.graph();
+  EdgeId best_edge = e;
+  const Candidate incumbent = ScoreCandidate<kType>(state, e);
+  double best_p = incumbent.p;
+  double best_gain = incumbent.gain;
+  for (const AdjacencyEntry& a : graph.Neighbors(top)) {
+    const EdgeId er = a.edge;
+    if (state.InBackbone(er) || er == e) continue;
+    const Candidate c = ScoreCandidate<kType>(state, er);
+    if (c.gain > best_gain) {
+      best_gain = c.gain;
+      best_edge = er;
+      best_p = c.p;
+    }
+  }
+  return {best_edge, best_p};
 }
 
 }  // namespace
 
-double CandidateProbability(const SparseState& state, EdgeId e, double h,
+double CandidateProbability(const SparseState& state, EdgeId e,
                             DiscrepancyType type) {
   UGS_DCHECK(!state.InBackbone(e));
-  (void)h;
-  // Candidate is hypothetically inserted at p_hat = 0, so the optimal step
-  // of Eq. (8) lands directly on the proposed probability (clamped).
-  //
-  // The full step is used rather than the entropy-guarded h-scaled one:
-  // a swap replaces the removed edge's probability mass, and inserting at
-  // h * step would leak (1 - h) of that mass out of the graph each
-  // E-phase, leaving EMD strictly worse than the GDB it wraps -- the
-  // opposite of the paper's Table 2. The entropy guard h applies inside
-  // the GDB M-phase refinement (Algorithm 2), matching the paper's
-  // Figure 3 walk-through where insertions carry their Eq.-(9) optimum.
-  const double step = OptimalStepK1(state, e, type);
-  return std::max(0.0, std::min(1.0, step));
+  return type == DiscrepancyType::kAbsolute
+             ? ScoreCandidate<DiscrepancyType::kAbsolute>(state, e).p
+             : ScoreCandidate<DiscrepancyType::kRelative>(state, e).p;
 }
 
 double InsertionGain(const SparseState& state, EdgeId e, double w,
                      DiscrepancyType type) {
   UGS_DCHECK(!state.InBackbone(e));
   const UncertainEdge& ed = state.graph().edge(e);
-  const double du0 = state.DeltaAbs(ed.u);        // delta at p_hat_e = 0.
+  const double du0 = state.DeltaAbs(ed.u);
   const double dv0 = state.DeltaAbs(ed.v);
-  const double du_w = du0 - w;                    // delta at p_hat_e = w.
-  const double dv_w = dv0 - w;
-  const double tu0 = TypedDelta(state, ed.u, du0, type);
-  const double tv0 = TypedDelta(state, ed.v, dv0, type);
-  const double tuw = TypedDelta(state, ed.u, du_w, type);
-  const double tvw = TypedDelta(state, ed.v, dv_w, type);
-  return tu0 * tu0 - tuw * tuw + tv0 * tv0 - tvw * tvw;
+  const double pi_u = DegreeStepWeight(state.graph(), ed.u, type);
+  const double pi_v = DegreeStepWeight(state.graph(), ed.v, type);
+  return type == DiscrepancyType::kAbsolute
+             ? Gain<DiscrepancyType::kAbsolute>(du0, dv0, pi_u, pi_v, w)
+             : Gain<DiscrepancyType::kRelative>(du0, dv0, pi_u, pi_v, w);
 }
 
 EmdStats RunEmd(SparseState* state, const EmdOptions& options) {
@@ -84,22 +146,11 @@ EmdStats RunEmd(SparseState* state, const EmdOptions& options) {
       // Line 13: most-discrepant vertex.
       const VertexId top = heap.Top();
 
-      // Lines 14-17: best candidate among E \ E_b edges at `top`, plus
-      // the just-removed edge itself. Ties keep the incumbent e.
-      EdgeId best_edge = e;
-      double best_p = CandidateProbability(*state, e, options.h, type);
-      double best_gain = InsertionGain(*state, e, best_p, type);
-      for (const AdjacencyEntry& a : graph.Neighbors(top)) {
-        EdgeId er = a.edge;
-        if (state->InBackbone(er) || er == e) continue;
-        double w = CandidateProbability(*state, er, options.h, type);
-        double gain = InsertionGain(*state, er, w, type);
-        if (gain > best_gain) {
-          best_gain = gain;
-          best_edge = er;
-          best_p = w;
-        }
-      }
+      // Lines 14-17: the best candidate at `top`, or e itself.
+      const auto [best_edge, best_p] =
+          type == DiscrepancyType::kAbsolute
+              ? BestCandidate<DiscrepancyType::kAbsolute>(*state, top, e)
+              : BestCandidate<DiscrepancyType::kRelative>(*state, top, e);
 
       // Lines 19-20: insert the winner, refresh heap entries.
       state->AddEdge(best_edge, best_p);

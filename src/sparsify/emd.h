@@ -44,9 +44,8 @@ double InsertionGain(const SparseState& state, EdgeId e, double w,
 /// The probability Eq. (9) would assign to edge e if it were inserted
 /// now: the full clamped optimal step (the swap replaces the removed
 /// edge's probability mass, so no h-scaling -- see emd.cc for the
-/// rationale). Does not modify state. `h` is accepted for signature
-/// stability but unused.
-double CandidateProbability(const SparseState& state, EdgeId e, double h,
+/// rationale). Does not modify state.
+double CandidateProbability(const SparseState& state, EdgeId e,
                             DiscrepancyType type);
 
 }  // namespace ugs

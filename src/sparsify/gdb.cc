@@ -29,13 +29,10 @@ double OptimalStep(const SparseState& state, EdgeId e,
   UGS_DCHECK(k >= 1);
   if (k == 1) {
     // Eq. (8): weighted combination of the endpoint discrepancies.
-    // pi(u) = 1 for absolute discrepancy, C_G(u) for relative.
-    double pi_u = 1.0, pi_v = 1.0;
-    if (options.discrepancy == DiscrepancyType::kRelative) {
-      pi_u = state.graph().ExpectedDegree(ed.u);
-      pi_v = state.graph().ExpectedDegree(ed.v);
-    }
-    return (pi_v * delta_u + pi_u * delta_v) / (pi_u + pi_v);
+    return DegreeStepK1(
+        delta_u, delta_v,
+        DegreeStepWeight(state.graph(), ed.u, options.discrepancy),
+        DegreeStepWeight(state.graph(), ed.v, options.discrepancy));
   }
   // Eq. (14) general cut rule (k = 2 reduces to Eq. 15). Delta-hat(e) is
   // the discrepancy mass of edges not incident to either endpoint:
@@ -51,12 +48,13 @@ double OptimalStep(const SparseState& state, EdgeId e,
 
 }  // namespace
 
-double OptimalStepK1(const SparseState& state, EdgeId e,
-                     DiscrepancyType type) {
-  GdbOptions options;
-  options.discrepancy = type;
-  options.rule = CutRule::Degrees();
-  return OptimalStep(state, e, options);
+bool EntropyRises(double proposed, double current) {
+  const double a = std::abs(proposed - 0.5);
+  const double b = std::abs(current - 0.5);
+  const double gap = a * a - b * b;
+  if (std::abs(gap) > 1e-12) return gap < 0.0;
+  if (proposed == current) return false;  // Equal inputs, equal logs.
+  return EdgeEntropyBits(proposed) > EdgeEntropyBits(current);
 }
 
 double UpdateEdgeProbability(SparseState* state, EdgeId e,
@@ -69,7 +67,7 @@ double UpdateEdgeProbability(SparseState* state, EdgeId e,
     proposed = 0.0;  // Line 8: clamp; entropy at the boundary is 0.
   } else if (proposed >= 1.0) {
     proposed = 1.0;  // Line 9.
-  } else if (EdgeEntropyBits(proposed) > EdgeEntropyBits(current)) {
+  } else if (EntropyRises(proposed, current)) {
     // Line 10: the optimal step raises this edge's entropy; move only a
     // fraction h of the way (still a descent direction, h in [0,1]).
     proposed = Clamp01(current + options.h * step);

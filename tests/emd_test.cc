@@ -16,25 +16,35 @@ using testing_util::PaperFigure2Graph;
 
 constexpr DiscrepancyType kAbs = DiscrepancyType::kAbsolute;
 
-TEST(EmdPrimitivesTest, CandidateProbabilityFullStepAtH1) {
+TEST(EmdPrimitivesTest, CandidateProbabilityIsTheFullStep) {
   UncertainGraph g = PaperFigure2Graph();
   SparseState state(g, PaperFigure2Backbone());
   state.RemoveEdge(2);  // Remove (u1,u4): deltas u1 = 0.8, u4 = 0.2.
   // Candidate (u1,u2): step = (0.8 + 0.4)/2 = 0.6.
-  EXPECT_NEAR(CandidateProbability(state, 0, 1.0, kAbs), 0.6, 1e-12);
+  EXPECT_NEAR(CandidateProbability(state, 0, kAbs), 0.6, 1e-12);
   // Candidate (u1,u4) itself: step = (0.8 + 0.2)/2 = 0.5.
-  EXPECT_NEAR(CandidateProbability(state, 2, 1.0, kAbs), 0.5, 1e-12);
+  EXPECT_NEAR(CandidateProbability(state, 2, kAbs), 0.5, 1e-12);
   // Candidate (u1,u3): step = (0.8 + 0.2)/2 = 0.5.
-  EXPECT_NEAR(CandidateProbability(state, 1, 1.0, kAbs), 0.5, 1e-12);
+  EXPECT_NEAR(CandidateProbability(state, 1, kAbs), 0.5, 1e-12);
 }
 
-TEST(EmdPrimitivesTest, CandidateProbabilityIgnoresH) {
-  // Insertions carry the full Eq.-(9) optimum regardless of h: the swap
-  // replaces the removed edge's probability mass (see emd.cc).
+TEST(EmdPrimitivesTest, CandidateProbabilityClampsTheStep) {
+  // An empty backbone leaves every delta at the full expected degree:
+  // (0,1) steps (1.8 + 1.8) / 2 = 1.8, clamped to 1.
+  UncertainGraph dense =
+      UncertainGraph::FromEdges(3, {{0, 1, 0.9}, {0, 2, 0.9}, {1, 2, 0.9}});
+  SparseState full(dense, {});
+  EXPECT_EQ(CandidateProbability(full, 0, kAbs), 1.0);
+  EXPECT_EQ(CandidateProbability(full, 0, DiscrepancyType::kRelative), 1.0);
+
+  // Over-assigned endpoints: with (u1,u4) and (u2,u4) at 1, u1 = -0.2 and
+  // u2 = -0.5, so (u1,u2) steps -0.35, clamped to 0.
   UncertainGraph g = PaperFigure2Graph();
   SparseState state(g, PaperFigure2Backbone());
-  state.RemoveEdge(2);
-  EXPECT_NEAR(CandidateProbability(state, 0, 0.1, kAbs), 0.6, 1e-12);
+  state.SetProbability(2, 1.0);
+  state.SetProbability(3, 1.0);
+  EXPECT_EQ(CandidateProbability(state, 0, kAbs), 0.0);
+  EXPECT_EQ(InsertionGain(state, 0, 0.0, kAbs), 0.0);
 }
 
 TEST(EmdPrimitivesTest, InsertionGainMatchesQuadraticForm) {

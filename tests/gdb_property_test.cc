@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -188,6 +190,85 @@ TEST(SparseStatePropertyTest, ObjectiveMatchesDefinition) {
   EXPECT_NEAR(state.ObjectiveD1(DiscrepancyType::kAbsolute), 0.56, 1e-12);
   double rel = 0.75 * 0.75 + 0.8 * 0.8 + (1.0 / 3.0) * (1.0 / 3.0);
   EXPECT_NEAR(state.ObjectiveD1(DiscrepancyType::kRelative), rel, 1e-12);
+}
+
+// EntropyRises must answer exactly as the two-logarithm test it replaces,
+// on every pair, including the pairs inside its 1e-12 band where only the
+// logs can decide.
+bool LogTest(double proposed, double current) {
+  return EdgeEntropyBits(proposed) > EdgeEntropyBits(current);
+}
+
+/// Counts the pairs (p, c) on which EntropyRises and the log test differ,
+/// checking both orders.
+int Disagreements(const std::vector<std::pair<double, double>>& pairs) {
+  int bad = 0;
+  for (const auto& [p, c] : pairs) {
+    if (EntropyRises(p, c) != LogTest(p, c)) ++bad;
+    if (EntropyRises(c, p) != LogTest(c, p)) ++bad;
+  }
+  return bad;
+}
+
+TEST(EntropyRisesPropertyTest, MatchesLogTestOnRandomPairs) {
+  Rng rng(31);
+  std::vector<std::pair<double, double>> pairs;
+  for (int i = 0; i < 500000; ++i) {
+    pairs.emplace_back(rng.NextDouble(), rng.NextDouble());
+  }
+  EXPECT_EQ(Disagreements(pairs), 0);
+}
+
+TEST(EntropyRisesPropertyTest, MatchesLogTestNearOneHalf) {
+  // Both points within 2^-k of 1/2, for k = 1..40: below k ~ 20 the
+  // entropies differ by less than the logs' rounding, so the band decides.
+  Rng rng(32);
+  for (int k = 1; k <= 40; ++k) {
+    const double scale = std::ldexp(1.0, -k);
+    std::vector<std::pair<double, double>> pairs;
+    for (int i = 0; i < 5000; ++i) {
+      const double x = scale * (2.0 * rng.NextDouble() - 1.0);
+      const double y = scale * (2.0 * rng.NextDouble() - 1.0);
+      pairs.emplace_back(0.5 + x, 0.5 + y);
+      pairs.emplace_back(0.5 + x, 0.5 - x);  // Mirror pair.
+      pairs.emplace_back(0.5 + x, 0.5 + x * (1.0 + 1e-6));
+    }
+    pairs.emplace_back(0.5 + scale, 0.5 - scale);
+    pairs.emplace_back(0.5, 0.5 + scale);
+    EXPECT_EQ(Disagreements(pairs), 0) << "scale 2^-" << k;
+  }
+}
+
+TEST(EntropyRisesPropertyTest, MatchesLogTestNearTheEndpoints) {
+  // Points within 2^-k of 0 or 1, the endpoints themselves (entropy 0,
+  // the value a clamped edge carries) and mirror pairs (p, 1 - p).
+  Rng rng(33);
+  for (int k = 1; k <= 60; ++k) {
+    const double scale = std::ldexp(1.0, -k);
+    std::vector<std::pair<double, double>> pairs;
+    for (int i = 0; i < 2000; ++i) {
+      const double x = scale * rng.NextDouble();
+      const double y = scale * rng.NextDouble();
+      pairs.emplace_back(x, y);
+      pairs.emplace_back(1.0 - x, 1.0 - y);
+      pairs.emplace_back(x, 1.0 - y);
+      pairs.emplace_back(x, 1.0 - x);  // Mirror pair.
+      for (double end : {0.0, 1.0}) {
+        pairs.emplace_back(x, end);
+        pairs.emplace_back(1.0 - x, end);
+      }
+    }
+    EXPECT_EQ(Disagreements(pairs), 0) << "scale 2^-" << k;
+  }
+  EXPECT_EQ(Disagreements({{0.0, 0.0},
+                           {0.0, 1.0},
+                           {1.0, 1.0},
+                           {0.5, 0.0},
+                           {0.5, 1.0},
+                           {0.5, 0.5},
+                           {std::nextafter(0.0, 1.0), 0.0},
+                           {std::nextafter(1.0, 0.0), 1.0}}),
+            0);
 }
 
 }  // namespace
