@@ -161,14 +161,17 @@ EmdStats RunEmd(SparseState* state, const EmdOptions& options) {
     }
 
     // ---- M-phase (line 21): GDB on the restructured backbone ----
-    RunGdb(state, m_phase);
+    stats.sweeps += RunGdb(state, m_phase).sweeps;
 
     ++stats.iterations;
     double objective = state->ObjectiveD1(type);
     bool converged = std::abs(previous - objective) <=
                      options.tolerance * std::max(1.0, std::abs(previous));
     previous = objective;
-    if (converged) break;
+    if (converged) {
+      stats.converged = true;
+      break;
+    }
   }
   stats.final_objective = previous;
   return stats;

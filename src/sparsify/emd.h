@@ -25,7 +25,10 @@ struct EmdOptions {
 
 struct EmdStats {
   int iterations = 0;
+  int sweeps = 0;           ///< GDB sweeps, summed over the M-phases.
   std::size_t swaps = 0;    ///< backbone edges replaced by a different edge.
+  /// Stopped on the tolerance rather than on max_iterations.
+  bool converged = false;
   double initial_objective = 0.0;
   double final_objective = 0.0;
 };

@@ -101,7 +101,10 @@ GdbStats RunGdb(SparseState* state, const GdbOptions& options) {
             options.tolerance * std::max(1.0, std::abs(previous)) ||
         max_change <= 1e-12;
     previous = objective;
-    if (converged) break;
+    if (converged) {
+      stats.converged = true;
+      break;
+    }
   }
   stats.final_objective = previous;
   return stats;

@@ -37,6 +37,9 @@ struct GdbOptions {
 /// Result bookkeeping for a GDB run.
 struct GdbStats {
   int sweeps = 0;
+  /// Stopped on the tolerance (or on a sweep that moved nothing) rather
+  /// than on max_sweeps.
+  bool converged = false;
   double initial_objective = 0.0;
   double final_objective = 0.0;
 };

@@ -43,10 +43,13 @@ class GdbSparsifier final : public Sparsifier {
         BuildBackbone(graph, alpha, options_.backbone, rng);
     if (!backbone.ok()) return backbone.status();
     SparseState state(graph, backbone.value());
-    RunGdb(&state, options_.gdb);
+    const GdbStats stats = RunGdb(&state, options_.gdb);
     SparsifyOutput out;
     out.graph = state.BuildGraph(&out.original_edge_ids);
     out.seconds = timer.ElapsedSeconds();
+    out.sweeps = stats.sweeps;
+    out.converged = stats.converged;
+    out.final_objective = stats.final_objective;
     return out;
   }
 
@@ -69,10 +72,15 @@ class EmdSparsifier final : public Sparsifier {
         BuildBackbone(graph, alpha, options_.backbone, rng);
     if (!backbone.ok()) return backbone.status();
     SparseState state(graph, backbone.value());
-    RunEmd(&state, options_.emd);
+    const EmdStats stats = RunEmd(&state, options_.emd);
     SparsifyOutput out;
     out.graph = state.BuildGraph(&out.original_edge_ids);
     out.seconds = timer.ElapsedSeconds();
+    out.iterations = stats.iterations;
+    out.sweeps = stats.sweeps;
+    out.swaps = stats.swaps;
+    out.converged = stats.converged;
+    out.final_objective = stats.final_objective;
     return out;
   }
 

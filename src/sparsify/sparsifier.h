@@ -20,10 +20,21 @@ namespace ugs {
 /// Result of a sparsification run: the sparsified uncertain graph G'
 /// together with the ids of its edges in the original graph's edge list
 /// (parallel to graph.edges()) and the wall time spent.
+///
+/// GDB and EMD also report the work their optimizer did; every count
+/// stays zero for LP, NI and SS.
 struct SparsifyOutput {
   UncertainGraph graph;
   std::vector<EdgeId> original_edge_ids;
   double seconds = 0.0;
+  int iterations = 0;       ///< EMD's E+M rounds (0 for GDB).
+  int sweeps = 0;           ///< GDB sweeps (EMD: over all its M-phases).
+  std::size_t swaps = 0;    ///< EMD's E-phase edge replacements.
+  /// The run stopped on its tolerance, not on its iteration/sweep cap.
+  bool converged = false;
+  /// Final D1 of the method's own discrepancy type (absolute or
+  /// relative).
+  double final_objective = 0.0;
 };
 
 /// Uniform interface over every sparsification method in the paper: the

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "gen/datasets.h"
 #include "gen/generators.h"
+#include "sparsify/sparse_state.h"
 #include "tests/test_util.h"
 
 namespace ugs {
@@ -148,6 +150,91 @@ TEST(SparsifierTest, InvalidAlphaSurfacesStatus) {
   ASSERT_TRUE(method.ok());
   EXPECT_FALSE((*method)->Sparsify(TestGraph(), 0.0, &rng).ok());
   EXPECT_FALSE((*method)->Sparsify(TestGraph(), 1.5, &rng).ok());
+}
+
+// EMDR-t on a fixed graph and seed (the sparsify_eval regime at small
+// scale): the counts in SparsifyOutput are the ones RunEmd reports when
+// run by hand on the same backbone, and they add up round by round.
+TEST(SparsifierCostTest, EmdrTReportsTheCountsItRuns) {
+  const UncertainGraph g = MakeTwitterLike(0.1, 43);
+  auto method = MakeSparsifierByName("EMDR-t");
+  ASSERT_TRUE(method.ok());
+  Rng rng(99);
+  Result<SparsifyOutput> out = (*method)->Sparsify(g, 0.16, &rng);
+  ASSERT_TRUE(out.ok());
+
+  Rng by_hand_rng(99);
+  auto backbone = BuildBackbone(g, 0.16, BackboneOptions{}, &by_hand_rng);
+  ASSERT_TRUE(backbone.ok());
+  EmdOptions options;
+  options.discrepancy = DiscrepancyType::kRelative;
+  SparseState state(g, backbone.value());
+  const EmdStats stats = RunEmd(&state, options);
+  EXPECT_EQ(out->iterations, stats.iterations);
+  EXPECT_EQ(out->sweeps, stats.sweeps);
+  EXPECT_EQ(out->swaps, stats.swaps);
+  EXPECT_EQ(out->converged, stats.converged);
+  EXPECT_EQ(out->final_objective, stats.final_objective);
+  EXPECT_EQ(out->final_objective,
+            state.ObjectiveD1(DiscrepancyType::kRelative));
+  // Here the EM loop runs to its cap; the M-phases stop on tau.
+  EXPECT_EQ(stats.iterations, options.max_iterations);
+  EXPECT_FALSE(stats.converged);
+  EXPECT_GE(stats.sweeps, stats.iterations);
+  EXPECT_LT(stats.sweeps, stats.iterations * options.m_phase.max_sweeps);
+
+  // All rounds but the last, then the last one on its own: the same
+  // final state, and the counts of the two runs add up to the whole.
+  EmdOptions head = options;
+  head.max_iterations = stats.iterations - 1;
+  SparseState split(g, backbone.value());
+  const EmdStats head_stats = RunEmd(&split, head);
+  EmdOptions tail = options;
+  tail.max_iterations = 1;
+  const EmdStats tail_stats = RunEmd(&split, tail);
+  EXPECT_EQ(split.BackboneEdges(), state.BackboneEdges());
+  EXPECT_EQ(split.ObjectiveD1(DiscrepancyType::kRelative),
+            stats.final_objective);
+  EXPECT_EQ(head_stats.iterations + tail_stats.iterations, stats.iterations);
+  EXPECT_EQ(head_stats.sweeps + tail_stats.sweeps, stats.sweeps);
+  EXPECT_EQ(head_stats.swaps + tail_stats.swaps, stats.swaps);
+}
+
+TEST(SparsifierCostTest, GdbReportsItsSweeps) {
+  const UncertainGraph& g = TestGraph();
+  auto method = MakeSparsifierByName("GDBA");
+  ASSERT_TRUE(method.ok());
+  Rng rng(98);
+  Result<SparsifyOutput> out = (*method)->Sparsify(g, 0.16, &rng);
+  ASSERT_TRUE(out.ok());
+
+  Rng by_hand_rng(98);
+  BackboneOptions random;
+  random.kind = BackboneKind::kRandom;
+  auto backbone = BuildBackbone(g, 0.16, random, &by_hand_rng);
+  ASSERT_TRUE(backbone.ok());
+  SparseState state(g, backbone.value());
+  const GdbStats stats = RunGdb(&state, GdbOptions{});
+  EXPECT_EQ(out->iterations, 0);
+  EXPECT_EQ(out->sweeps, stats.sweeps);
+  EXPECT_EQ(out->swaps, 0u);
+  EXPECT_EQ(out->converged, stats.converged);
+  EXPECT_EQ(out->final_objective, stats.final_objective);
+}
+
+TEST(SparsifierCostTest, NonIterativeMethodsReportNoCounts) {
+  for (std::string name : {"LP-t", "NI", "SS"}) {
+    auto method = MakeSparsifierByName(name);
+    ASSERT_TRUE(method.ok());
+    Rng rng(97);
+    Result<SparsifyOutput> out = (*method)->Sparsify(TestGraph(), 0.16, &rng);
+    ASSERT_TRUE(out.ok()) << name;
+    EXPECT_EQ(out->iterations, 0) << name;
+    EXPECT_EQ(out->sweeps, 0) << name;
+    EXPECT_EQ(out->swaps, 0u) << name;
+    EXPECT_FALSE(out->converged) << name;
+    EXPECT_EQ(out->final_objective, 0.0) << name;
+  }
 }
 
 }  // namespace

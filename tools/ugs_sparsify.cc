@@ -104,6 +104,12 @@ int main(int argc, char** argv) {
               (*method)->name().c_str(), alpha, result->seconds,
               ugs::DegreeDiscrepancyMae(*graph, result->graph),
               ugs::RelativeEntropy(*graph, result->graph));
+  if (result->sweeps > 0) {  // GDB and EMD; LP, NI and SS do no sweeps.
+    std::printf("iterations=%d sweeps=%d swaps=%zu converged=%s "
+                "final-D1=%.6g\n",
+                result->iterations, result->sweeps, result->swaps,
+                result->converged ? "yes" : "no", result->final_objective);
+  }
   std::printf("wrote %s\n", out.c_str());
   return 0;
 }
