@@ -84,7 +84,8 @@ const ugs::UncertainGraph& HalfProbabilityGraph() {
 /// costs its draw plus its view (plain: SampleWorld + Rebuild; block:
 /// the 16-lane pass + Adopt, a whole block even for 1 sample). Args:
 /// graph (0 = ServeMissGraph, 1 = HalfProbabilityGraph), block (0 =
-/// plain, 1 = block sampler), samples per request. Items = worlds.
+/// plain, 1 = block sampler), samples per request. Items = worlds. The
+/// 1-16 sample rungs place kAuto's kBlockSamplerMinSamples.
 void BM_SampleRequest(benchmark::State& state) {
   const ugs::UncertainGraph& g =
       state.range(0) == 0 ? ServeMissGraph() : HalfProbabilityGraph();
@@ -103,7 +104,7 @@ void BM_SampleRequest(benchmark::State& state) {
 }
 BENCHMARK(BM_SampleRequest)
     ->ArgNames({"graph", "block", "samples"})
-    ->ArgsProduct({{0}, {0, 1}, {1, 16, 1000}})
+    ->ArgsProduct({{0}, {0, 1}, {1, 2, 4, 8, 16, 1000}})
     ->Args({1, 0, 1000})
     ->Args({1, 1, 1000})
     ->Unit(benchmark::kMicrosecond);

@@ -65,7 +65,8 @@ Result<Estimator> SelectEstimator(const UncertainGraph& graph,
       ExactIsCheaperThanSampling(graph, request)) {
     return Estimator::kExact;
   }
-  if (Supports(supported, Estimator::kSkipSampler) && graph.num_edges() > 0) {
+  if (Supports(supported, Estimator::kSkipSampler) && graph.num_edges() > 0 &&
+      request.num_samples >= kBlockSamplerMinSamples) {
     const double mean_probability =
         graph.ExpectedEdgeCount() / static_cast<double>(graph.num_edges());
     if (mean_probability < options.skip_sampler_max_mean_probability) {

@@ -8,6 +8,16 @@
 
 namespace ugs {
 
+/// Auto picks the block sampler (kSkipSampler) only for requests of at
+/// least this many samples. The block sampler decides a whole block of
+/// 16 worlds per pass whatever the request needs, so a small request
+/// pays for worlds it throws away. bench_micro's BM_SampleRequest rungs
+/// on the serve_miss-shaped graph (one pinned CPU of a shared 4-vCPU
+/// VM) put a block at ~1.2-1.5 ms and a plain world at ~0.27-0.32 ms:
+/// plain wins at 1 and 2 samples, the two tie at 4, and the block wins
+/// from 8. Requests below this draw the plain stream.
+inline constexpr int kBlockSamplerMinSamples = 5;
+
 /// Tunables of the estimator-selection policy. The defaults encode the
 /// paper's operating points; a serving layer can override per deployment.
 struct EstimatorPolicyOptions {
@@ -38,7 +48,8 @@ struct EstimatorPolicyOptions {
 ///      budget (2^|E| * max(1, |pairs|) <= num_samples -- the exact
 ///      oracles enumerate once per pair, one sampled world serves all
 ///      pairs): no extra cost, zero variance.
-///   3. kSkipSampler (the block sampler) when supported and the graph's
+///   3. kSkipSampler (the block sampler) when supported, the request
+///      has at least kBlockSamplerMinSamples samples and the graph's
 ///      worlds are sparse enough (see EstimatorPolicyOptions).
 ///   4. kSampled.
 /// kStratified is never auto-selected: its variance win depends on the

@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -210,6 +211,27 @@ TEST(EstimatorPolicyTest, AutoPicksSkipSamplerOnLowProbabilityGraphs) {
   choice = SelectEstimator(high, request, supported);
   ASSERT_TRUE(choice.ok());
   EXPECT_EQ(*choice, Estimator::kSampled);
+}
+
+TEST(EstimatorPolicyTest, AutoKeepsSmallRequestsOffTheBlockSampler) {
+  // A block decides 16 worlds whatever the request needs: a 1-sample
+  // request draws the plain stream, a 16-sample one a whole block.
+  UncertainGraph low = testing_util::PathGraph(40, 0.1);
+  QueryRequest request;
+  request.query = "reliability";
+  std::vector<Estimator> supported{Estimator::kSampled,
+                                   Estimator::kSkipSampler};
+  const std::pair<int, Estimator> cases[] = {
+      {1, Estimator::kSampled},
+      {kBlockSamplerMinSamples - 1, Estimator::kSampled},
+      {kBlockSamplerMinSamples, Estimator::kSkipSampler},
+      {16, Estimator::kSkipSampler}};
+  for (const auto& [samples, expected] : cases) {
+    request.num_samples = samples;
+    Result<Estimator> choice = SelectEstimator(low, request, supported);
+    ASSERT_TRUE(choice.ok());
+    EXPECT_EQ(*choice, expected) << samples << " samples";
+  }
 }
 
 TEST(EstimatorPolicyTest, AutoNeverPicksStratified) {
