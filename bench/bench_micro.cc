@@ -8,6 +8,7 @@
 
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "gen/datasets.h"
 #include "gen/generators.h"
@@ -153,6 +154,59 @@ void BM_EmdIteration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EmdIteration)->Arg(1000)->Arg(4000);
+
+/// The sparsify_eval benchmark's EMD input: the Twitter-like graph at
+/// 0.4 scale (800 V, ~19.6k E) and EMDR-t's spanning backbone at alpha =
+/// 0.16 (3130 edges).
+struct SparsifyEvalInput {
+  ugs::UncertainGraph graph = ugs::MakeTwitterLike(0.4);
+  std::vector<ugs::EdgeId> backbone;
+};
+const SparsifyEvalInput& SparsifyEval() {
+  static const SparsifyEvalInput* input = [] {
+    auto* in = new SparsifyEvalInput;
+    ugs::Rng rng(1);
+    in->backbone =
+        ugs::BuildBackbone(in->graph, 0.16, ugs::BackboneOptions{}, &rng)
+            .value();
+    return in;
+  }();
+  return *input;
+}
+
+/// A whole EMDR-t run (E-phases and GDB M-phases) on the sparsify_eval
+/// input; counters report its rounds, sweeps and swaps.
+void BM_EmdRun(benchmark::State& state) {
+  const SparsifyEvalInput& in = SparsifyEval();
+  ugs::EmdOptions emd;
+  emd.discrepancy = ugs::DiscrepancyType::kRelative;
+  ugs::EmdStats stats;
+  for (auto _ : state) {
+    ugs::SparseState sparse_state(in.graph, in.backbone);
+    stats = ugs::RunEmd(&sparse_state, emd);
+    benchmark::DoNotOptimize(sparse_state.TotalMass());
+  }
+  state.counters["iterations"] = stats.iterations;
+  state.counters["sweeps"] = stats.sweeps;
+  state.counters["swaps"] = static_cast<double>(stats.swaps);
+}
+BENCHMARK(BM_EmdRun)->Unit(benchmark::kMillisecond);
+
+/// A whole relative-discrepancy GDB run on the same backbone: EMD's
+/// M-phase on its own.
+void BM_GdbRun(benchmark::State& state) {
+  const SparsifyEvalInput& in = SparsifyEval();
+  ugs::GdbOptions gdb;
+  gdb.discrepancy = ugs::DiscrepancyType::kRelative;
+  ugs::GdbStats stats;
+  for (auto _ : state) {
+    ugs::SparseState sparse_state(in.graph, in.backbone);
+    stats = ugs::RunGdb(&sparse_state, gdb);
+    benchmark::DoNotOptimize(sparse_state.TotalMass());
+  }
+  state.counters["sweeps"] = stats.sweeps;
+}
+BENCHMARK(BM_GdbRun)->Unit(benchmark::kMillisecond);
 
 void BM_LpAssign(benchmark::State& state) {
   const ugs::UncertainGraph& g =

@@ -38,15 +38,19 @@ double ClampedStep(double du0, double dv0, double pi_u, double pi_v) {
   return std::max(0.0, std::min(1.0, DegreeStepK1(du0, dv0, pi_u, pi_v)));
 }
 
-/// Eq. (10)'s gain of inserting that candidate with probability w: the
-/// decrease of its two endpoint terms of D1.
-template <DiscrepancyType kType>
-double Gain(double du0, double dv0, double pi_u, double pi_v, double w) {
-  const double tu0 = TypedDelta<kType>(du0, pi_u);
-  const double tv0 = TypedDelta<kType>(dv0, pi_v);
-  const double tuw = TypedDelta<kType>(du0 - w, pi_u);  // At p_hat_e = w.
-  const double tvw = TypedDelta<kType>(dv0 - w, pi_v);
+/// Eq. (10)'s gain of inserting a candidate: the decrease of its two
+/// endpoint terms of D1, from the typed discrepancies of its endpoints u
+/// and v (in edge order) at p_hat_e = 0 and at p_hat_e = w.
+double Gain(double tu0, double tuw, double tv0, double tvw) {
   return tu0 * tu0 - tuw * tuw + tv0 * tv0 - tvw * tvw;
+}
+
+/// Gain of inserting the candidate with endpoint discrepancies du0, dv0
+/// and weights pi_u, pi_v at probability w.
+template <DiscrepancyType kType>
+double GainAt(double du0, double dv0, double pi_u, double pi_v, double w) {
+  return Gain(TypedDelta<kType>(du0, pi_u), TypedDelta<kType>(du0 - w, pi_u),
+              TypedDelta<kType>(dv0, pi_v), TypedDelta<kType>(dv0 - w, pi_v));
 }
 
 /// A candidate edge's insertion probability and gain in the current state.
@@ -63,12 +67,17 @@ Candidate ScoreCandidate(const SparseState& state, EdgeId e) {
   const double pi_u = DegreeStepWeight(state.graph(), ed.u, kType);
   const double pi_v = DegreeStepWeight(state.graph(), ed.v, kType);
   const double p = ClampedStep(du0, dv0, pi_u, pi_v);
-  return {p, Gain<kType>(du0, dv0, pi_u, pi_v, p)};
+  return {p, GainAt<kType>(du0, dv0, pi_u, pi_v, p)};
 }
 
 /// Lines 14-17 of Algorithm 3: the best candidate among the E \ E_b edges
 /// at `top`, plus the just-removed edge `e` itself. The first strictly
 /// greater gain wins, so ties keep the incumbent e.
+///
+/// The scan scores each candidate as ScoreCandidate does, bit for bit,
+/// with `top`'s terms loaded once: Eq. (8)'s step is symmetric in its
+/// endpoints (IEEE + and * commute), and Gain takes the endpoints in
+/// edge order.
 template <DiscrepancyType kType>
 std::pair<EdgeId, double> BestCandidate(const SparseState& state,
                                         VertexId top, EdgeId e) {
@@ -77,14 +86,25 @@ std::pair<EdgeId, double> BestCandidate(const SparseState& state,
   const Candidate incumbent = ScoreCandidate<kType>(state, e);
   double best_p = incumbent.p;
   double best_gain = incumbent.gain;
+  const double d_top = state.DeltaAbs(top);
+  const double pi_top = DegreeStepWeight(graph, top, kType);
+  const double t_top0 = TypedDelta<kType>(d_top, pi_top);
   for (const AdjacencyEntry& a : graph.Neighbors(top)) {
     const EdgeId er = a.edge;
     if (state.InBackbone(er) || er == e) continue;
-    const Candidate c = ScoreCandidate<kType>(state, er);
-    if (c.gain > best_gain) {
-      best_gain = c.gain;
+    const double d_other = state.DeltaAbs(a.neighbor);
+    const double pi_other = DegreeStepWeight(graph, a.neighbor, kType);
+    const double p = ClampedStep(d_top, d_other, pi_top, pi_other);
+    const double t_topw = TypedDelta<kType>(d_top - p, pi_top);
+    const double t_other0 = TypedDelta<kType>(d_other, pi_other);
+    const double t_otherw = TypedDelta<kType>(d_other - p, pi_other);
+    const double gain = graph.edge(er).u == top
+                            ? Gain(t_top0, t_topw, t_other0, t_otherw)
+                            : Gain(t_other0, t_otherw, t_top0, t_topw);
+    if (gain > best_gain) {
+      best_gain = gain;
       best_edge = er;
-      best_p = c.p;
+      best_p = p;
     }
   }
   return {best_edge, best_p};
@@ -109,8 +129,8 @@ double InsertionGain(const SparseState& state, EdgeId e, double w,
   const double pi_u = DegreeStepWeight(state.graph(), ed.u, type);
   const double pi_v = DegreeStepWeight(state.graph(), ed.v, type);
   return type == DiscrepancyType::kAbsolute
-             ? Gain<DiscrepancyType::kAbsolute>(du0, dv0, pi_u, pi_v, w)
-             : Gain<DiscrepancyType::kRelative>(du0, dv0, pi_u, pi_v, w);
+             ? GainAt<DiscrepancyType::kAbsolute>(du0, dv0, pi_u, pi_v, w)
+             : GainAt<DiscrepancyType::kRelative>(du0, dv0, pi_u, pi_v, w);
 }
 
 EmdStats RunEmd(SparseState* state, const EmdOptions& options) {
