@@ -53,7 +53,6 @@ bool EntropyRises(double proposed, double current) {
   const double b = std::abs(current - 0.5);
   const double gap = a * a - b * b;
   if (std::abs(gap) > 1e-12) return gap < 0.0;
-  if (proposed == current) return false;  // Equal inputs, equal logs.
   return EdgeEntropyBits(proposed) > EdgeEntropyBits(current);
 }
 

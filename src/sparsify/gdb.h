@@ -83,20 +83,20 @@ inline double OptimalStepK1(const SparseState& state, EdgeId e,
 /// with a = |proposed - 1/2| and b = |current - 1/2| the test is a < b
 /// wherever the two float evaluations cannot disagree. Writing
 /// H(1/2 + x) = 1 - sum_k c_k x^(2k) with every c_k > 0, a < b gives
-/// H(a) - H(b) >= c_1 (b^2 - a^2) = (2 / ln 2)(b^2 - a^2). So when
+/// H(1/2 + a) - H(1/2 + b) >= c_1 (b^2 - a^2) = (2 / ln 2)(b^2 - a^2),
+/// for every a, b in [0, 1/2]. So when
 /// |a^2 - b^2| > 1e-12 the true gap is at least 2.9e-12, far above the
 /// ~1e-15 rounding error of each log evaluation (and of a^2 - b^2
 /// itself), and the comparison of a and b decides. Inside that band the
-/// two EdgeEntropyBits calls decide, as they always did, except that
-/// equal arguments are answered without them (a converged edge's step
-/// is often exactly 0). A band on
+/// two EdgeEntropyBits calls decide, as they always did. A band on
 /// |a - b| instead would not do: near 1/2, b^2 - a^2 = (b - a)(b + a) is
 /// far smaller than b - a, so the logs can disagree outside it.
 bool EntropyRises(double proposed, double current);
 
 /// Applies the Algorithm 2 update (lines 7-10) to edge e under the given
 /// rule: full step if it clamps to {0,1} or does not increase entropy
-/// (EntropyRises), otherwise h * step. Returns the new probability (state is updated).
+/// (EntropyRises), otherwise h * step. Returns the new probability
+/// (state is updated).
 double UpdateEdgeProbability(SparseState* state, EdgeId e,
                              const GdbOptions& options);
 
