@@ -13,7 +13,7 @@ namespace ugs {
 /// 16 worlds per pass whatever the request needs, so a small request
 /// pays for worlds it throws away. bench_micro's BM_SampleRequest rungs
 /// on the serve_miss-shaped graph (one pinned CPU of a shared 4-vCPU
-/// VM) put a block at ~1.2-1.5 ms and a plain world at ~0.27-0.32 ms:
+/// VM) put a block at ~1.2-1.5 ms and a plain world at ~0.25-0.32 ms:
 /// plain wins at 1 and 2 samples, the two tie at 4, and the block wins
 /// from 8. Requests below this draw the plain stream.
 inline constexpr int kBlockSamplerMinSamples = 5;

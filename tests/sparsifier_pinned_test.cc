@@ -8,6 +8,7 @@
 // every quality test still passes.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
