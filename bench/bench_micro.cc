@@ -166,9 +166,8 @@ const SparsifyEvalInput& SparsifyEval() {
   static const SparsifyEvalInput* input = [] {
     auto* in = new SparsifyEvalInput;
     ugs::Rng rng(1);
-    in->backbone =
-        ugs::BuildBackbone(in->graph, 0.16, ugs::BackboneOptions{}, &rng)
-            .value();
+    const ugs::BackboneOptions spanning{};
+    in->backbone = ugs::BuildBackbone(in->graph, 0.16, spanning, &rng).value();
     return in;
   }();
   return *input;

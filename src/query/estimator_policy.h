@@ -13,9 +13,9 @@ namespace ugs {
 /// 16 worlds per pass whatever the request needs, so a small request
 /// pays for worlds it throws away. bench_micro's BM_SampleRequest rungs
 /// on the serve_miss-shaped graph (one pinned CPU of a shared 4-vCPU
-/// VM) put a block at ~1.2-1.5 ms and a plain world at ~0.25-0.32 ms:
-/// plain wins at 1 and 2 samples, the two tie at 4, and the block wins
-/// from 8. Requests below this draw the plain stream.
+/// VM) put a block at ~1.2-1.5 ms and a plain world at ~0.25-0.32 ms,
+/// a break-even near 4.7 worlds: plain wins at 1, 2 and (narrowly) 4
+/// samples, the block from 8. Requests below this draw the plain stream.
 inline constexpr int kBlockSamplerMinSamples = 5;
 
 /// Tunables of the estimator-selection policy. The defaults encode the

@@ -79,8 +79,8 @@ Candidate ScoreCandidate(const SparseState& state, EdgeId e) {
 /// endpoints (IEEE + and * commute), and Gain takes the endpoints in
 /// edge order.
 template <DiscrepancyType kType>
-std::pair<EdgeId, double> BestCandidate(const SparseState& state,
-                                        VertexId top, EdgeId e) {
+std::pair<EdgeId, double> BestCandidate(const SparseState& state, VertexId top,
+                                        EdgeId e) {
   const UncertainGraph& graph = state.graph();
   EdgeId best_edge = e;
   const Candidate incumbent = ScoreCandidate<kType>(state, e);

@@ -29,10 +29,10 @@ double OptimalStep(const SparseState& state, EdgeId e,
   UGS_DCHECK(k >= 1);
   if (k == 1) {
     // Eq. (8): weighted combination of the endpoint discrepancies.
-    return DegreeStepK1(
-        delta_u, delta_v,
-        DegreeStepWeight(state.graph(), ed.u, options.discrepancy),
-        DegreeStepWeight(state.graph(), ed.v, options.discrepancy));
+    const UncertainGraph& g = state.graph();
+    const DiscrepancyType type = options.discrepancy;
+    return DegreeStepK1(delta_u, delta_v, DegreeStepWeight(g, ed.u, type),
+                        DegreeStepWeight(g, ed.v, type));
   }
   // Eq. (14) general cut rule (k = 2 reduces to Eq. 15). Delta-hat(e) is
   // the discrepancy mass of edges not incident to either endpoint:

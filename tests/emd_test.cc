@@ -30,9 +30,8 @@ TEST(EmdPrimitivesTest, CandidateProbabilityIsTheFullStep) {
 
 TEST(EmdPrimitivesTest, CandidateProbabilityClampsTheStep) {
   // An empty backbone leaves every delta at the full expected degree:
-  // (0,1) steps (1.8 + 1.8) / 2 = 1.8, clamped to 1.
-  UncertainGraph dense =
-      UncertainGraph::FromEdges(3, {{0, 1, 0.9}, {0, 2, 0.9}, {1, 2, 0.9}});
+  // on K4 at p = 0.9, (0,1) steps (2.7 + 2.7) / 2 = 2.7, clamped to 1.
+  UncertainGraph dense = testing_util::CompleteK4(0.9);
   SparseState full(dense, {});
   EXPECT_EQ(CandidateProbability(full, 0, kAbs), 1.0);
   EXPECT_EQ(CandidateProbability(full, 0, DiscrepancyType::kRelative), 1.0);

@@ -260,15 +260,14 @@ TEST(EntropyRisesPropertyTest, MatchesLogTestNearTheEndpoints) {
     }
     EXPECT_EQ(Disagreements(pairs), 0) << "scale 2^-" << k;
   }
-  EXPECT_EQ(Disagreements({{0.0, 0.0},
-                           {0.0, 1.0},
-                           {1.0, 1.0},
-                           {0.5, 0.0},
-                           {0.5, 1.0},
-                           {0.5, 0.5},
-                           {std::nextafter(0.0, 1.0), 0.0},
-                           {std::nextafter(1.0, 0.0), 1.0}}),
-            0);
+  // Every pair of the endpoints, 1/2 and the floats next to the endpoints.
+  const double points[] = {0.0, 0.5, 1.0, std::nextafter(0.0, 1.0),
+                           std::nextafter(1.0, 0.0)};
+  std::vector<std::pair<double, double>> pairs;
+  for (double p : points) {
+    for (double c : points) pairs.emplace_back(p, c);
+  }
+  EXPECT_EQ(Disagreements(pairs), 0);
 }
 
 }  // namespace

@@ -63,7 +63,7 @@ const UncertainGraph& TwitterGraph() {
 
 /// Uniform p on [0.05, 0.7): many edges near 1/2, where GDB's entropy
 /// guard decides most updates.
-const UncertainGraph& ErGraph() {
+const UncertainGraph& ErdosRenyiGraph() {
   static const UncertainGraph* graph = [] {
     Rng rng(2019);
     return new UncertainGraph(GenerateErdosRenyi(
@@ -73,7 +73,7 @@ const UncertainGraph& ErGraph() {
 }
 
 struct PinnedCase {
-  const char* graph;  // "twitter" (alpha 0.16) or "er" (alpha 0.3).
+  const char* graph;  // "twitter-like" (alpha 0.16) or "erdos-renyi" (0.3).
   const char* method;
   std::uint64_t seed;
   std::uint64_t hash;
@@ -82,58 +82,58 @@ struct PinnedCase {
 // Expected hashes, one per (graph, method, seed). NI runs with no pool,
 // so it calibrates on one thread.
 const PinnedCase kCases[] = {
-    {"twitter", "GDBA", 7, 0x4d792c32339f21ba},
-    {"twitter", "GDBA", 20261018, 0xfdd0eea15498fce7},
-    {"twitter", "GDBR", 7, 0x9752b28666dfbc7},
-    {"twitter", "GDBR", 20261018, 0x3c9b654ae3c16e10},
-    {"twitter", "GDBA2", 7, 0x5e2e57d6cdec9f97},
-    {"twitter", "GDBA2", 20261018, 0x552869658ce33ff8},
-    {"twitter", "GDBAn", 7, 0x30529df859e7ebf3},
-    {"twitter", "GDBAn", 20261018, 0xe0529ba16330f7bd},
-    {"twitter", "GDBA-t", 7, 0xab86cecefc76806a},
-    {"twitter", "GDBA-t", 20261018, 0xf7f3a0ff2d9a05f8},
-    {"twitter", "EMDA", 7, 0x56c8aec418bebe34},
-    {"twitter", "EMDA", 20261018, 0x272e9f3dcd2c8321},
-    {"twitter", "EMDR", 7, 0x62f63e6d56976867},
-    {"twitter", "EMDR", 20261018, 0x7dbac75e4bc39690},
-    {"twitter", "EMDA-t", 7, 0x22ad40a74f0016d7},
-    {"twitter", "EMDA-t", 20261018, 0x198082e89ba06876},
-    {"twitter", "EMDR-t", 7, 0x7e2e7c60944a8e2d},
-    {"twitter", "EMDR-t", 20261018, 0x156ebe65a1d95ac7},
-    {"twitter", "LP", 7, 0x10c7180a80e23bac},
-    {"twitter", "LP", 20261018, 0x26976743e25b1170},
-    {"twitter", "LP-t", 7, 0xb3d55a27f1ab940e},
-    {"twitter", "LP-t", 20261018, 0xe4f3c8b13f0ebf79},
-    {"twitter", "NI", 7, 0x992b35de484c9b62},
-    {"twitter", "NI", 20261018, 0x10cd33874373f9fe},
-    {"twitter", "SS", 7, 0xaaf695563588430b},
-    {"twitter", "SS", 20261018, 0x2e68fdab4f77c936},
-    {"er", "GDBA", 7, 0x4bb449805d3dc033},
-    {"er", "GDBA", 20261018, 0x2b5320b7c0cea9fe},
-    {"er", "GDBR", 7, 0xca322e8a541153d9},
-    {"er", "GDBR", 20261018, 0x807210e9132502f5},
-    {"er", "GDBA2", 7, 0xcca1e57906e9127b},
-    {"er", "GDBA2", 20261018, 0x3334d0222093ed5b},
-    {"er", "GDBAn", 7, 0xb1973e0f9217258f},
-    {"er", "GDBAn", 20261018, 0x91a0e800fec4775e},
-    {"er", "GDBA-t", 7, 0x537509c3ade769f3},
-    {"er", "GDBA-t", 20261018, 0x29c7ecf0d6477ce4},
-    {"er", "EMDA", 7, 0xd7faa55ed2ea4a4f},
-    {"er", "EMDA", 20261018, 0x546c40a520b7f443},
-    {"er", "EMDR", 7, 0x7c510dbc83bd0059},
-    {"er", "EMDR", 20261018, 0x9d1e7f3ef5d2b5ab},
-    {"er", "EMDA-t", 7, 0x351919ad04fb96db},
-    {"er", "EMDA-t", 20261018, 0x65b3fee2eb4b8528},
-    {"er", "EMDR-t", 7, 0xc31357533d9a99f},
-    {"er", "EMDR-t", 20261018, 0x79600f01fa98c89f},
-    {"er", "LP", 7, 0xe6723059174a55db},
-    {"er", "LP", 20261018, 0xdf2a991b153662f1},
-    {"er", "LP-t", 7, 0xc41b64ddd8bfd260},
-    {"er", "LP-t", 20261018, 0xfef0faa1829602ec},
-    {"er", "NI", 7, 0x355b2dbc4463b8ed},
-    {"er", "NI", 20261018, 0x63b7c11d8ba00151},
-    {"er", "SS", 7, 0xd80f27b03e7bd5e6},
-    {"er", "SS", 20261018, 0xceeabb75088b3670},
+    {"twitter-like", "GDBA", 7, 0x4d792c32339f21ba},
+    {"twitter-like", "GDBA", 20261018, 0xfdd0eea15498fce7},
+    {"twitter-like", "GDBR", 7, 0x9752b28666dfbc7},
+    {"twitter-like", "GDBR", 20261018, 0x3c9b654ae3c16e10},
+    {"twitter-like", "GDBA2", 7, 0x5e2e57d6cdec9f97},
+    {"twitter-like", "GDBA2", 20261018, 0x552869658ce33ff8},
+    {"twitter-like", "GDBAn", 7, 0x30529df859e7ebf3},
+    {"twitter-like", "GDBAn", 20261018, 0xe0529ba16330f7bd},
+    {"twitter-like", "GDBA-t", 7, 0xab86cecefc76806a},
+    {"twitter-like", "GDBA-t", 20261018, 0xf7f3a0ff2d9a05f8},
+    {"twitter-like", "EMDA", 7, 0x56c8aec418bebe34},
+    {"twitter-like", "EMDA", 20261018, 0x272e9f3dcd2c8321},
+    {"twitter-like", "EMDR", 7, 0x62f63e6d56976867},
+    {"twitter-like", "EMDR", 20261018, 0x7dbac75e4bc39690},
+    {"twitter-like", "EMDA-t", 7, 0x22ad40a74f0016d7},
+    {"twitter-like", "EMDA-t", 20261018, 0x198082e89ba06876},
+    {"twitter-like", "EMDR-t", 7, 0x7e2e7c60944a8e2d},
+    {"twitter-like", "EMDR-t", 20261018, 0x156ebe65a1d95ac7},
+    {"twitter-like", "LP", 7, 0x10c7180a80e23bac},
+    {"twitter-like", "LP", 20261018, 0x26976743e25b1170},
+    {"twitter-like", "LP-t", 7, 0xb3d55a27f1ab940e},
+    {"twitter-like", "LP-t", 20261018, 0xe4f3c8b13f0ebf79},
+    {"twitter-like", "NI", 7, 0x992b35de484c9b62},
+    {"twitter-like", "NI", 20261018, 0x10cd33874373f9fe},
+    {"twitter-like", "SS", 7, 0xaaf695563588430b},
+    {"twitter-like", "SS", 20261018, 0x2e68fdab4f77c936},
+    {"erdos-renyi", "GDBA", 7, 0x4bb449805d3dc033},
+    {"erdos-renyi", "GDBA", 20261018, 0x2b5320b7c0cea9fe},
+    {"erdos-renyi", "GDBR", 7, 0xca322e8a541153d9},
+    {"erdos-renyi", "GDBR", 20261018, 0x807210e9132502f5},
+    {"erdos-renyi", "GDBA2", 7, 0xcca1e57906e9127b},
+    {"erdos-renyi", "GDBA2", 20261018, 0x3334d0222093ed5b},
+    {"erdos-renyi", "GDBAn", 7, 0xb1973e0f9217258f},
+    {"erdos-renyi", "GDBAn", 20261018, 0x91a0e800fec4775e},
+    {"erdos-renyi", "GDBA-t", 7, 0x537509c3ade769f3},
+    {"erdos-renyi", "GDBA-t", 20261018, 0x29c7ecf0d6477ce4},
+    {"erdos-renyi", "EMDA", 7, 0xd7faa55ed2ea4a4f},
+    {"erdos-renyi", "EMDA", 20261018, 0x546c40a520b7f443},
+    {"erdos-renyi", "EMDR", 7, 0x7c510dbc83bd0059},
+    {"erdos-renyi", "EMDR", 20261018, 0x9d1e7f3ef5d2b5ab},
+    {"erdos-renyi", "EMDA-t", 7, 0x351919ad04fb96db},
+    {"erdos-renyi", "EMDA-t", 20261018, 0x65b3fee2eb4b8528},
+    {"erdos-renyi", "EMDR-t", 7, 0xc31357533d9a99f},
+    {"erdos-renyi", "EMDR-t", 20261018, 0x79600f01fa98c89f},
+    {"erdos-renyi", "LP", 7, 0xe6723059174a55db},
+    {"erdos-renyi", "LP", 20261018, 0xdf2a991b153662f1},
+    {"erdos-renyi", "LP-t", 7, 0xc41b64ddd8bfd260},
+    {"erdos-renyi", "LP-t", 20261018, 0xfef0faa1829602ec},
+    {"erdos-renyi", "NI", 7, 0x355b2dbc4463b8ed},
+    {"erdos-renyi", "NI", 20261018, 0x63b7c11d8ba00151},
+    {"erdos-renyi", "SS", 7, 0xd80f27b03e7bd5e6},
+    {"erdos-renyi", "SS", 20261018, 0xceeabb75088b3670},
 };
 
 std::string CaseName(const PinnedCase& c) {
@@ -143,8 +143,8 @@ std::string CaseName(const PinnedCase& c) {
 
 TEST(SparsifierPinnedTest, OutputsMatchPinnedHashes) {
   for (const PinnedCase& c : kCases) {
-    const bool twitter = std::string(c.graph) == "twitter";
-    const UncertainGraph& graph = twitter ? TwitterGraph() : ErGraph();
+    const bool twitter = std::string(c.graph) == "twitter-like";
+    const UncertainGraph& graph = twitter ? TwitterGraph() : ErdosRenyiGraph();
     Result<std::unique_ptr<Sparsifier>> method = MakeSparsifierByName(c.method);
     ASSERT_TRUE(method.ok()) << CaseName(c);
     Rng rng(c.seed);

@@ -105,8 +105,7 @@ int main(int argc, char** argv) {
               ugs::DegreeDiscrepancyMae(*graph, result->graph),
               ugs::RelativeEntropy(*graph, result->graph));
   if (result->sweeps > 0) {  // GDB and EMD; LP, NI and SS do no sweeps.
-    std::printf("iterations=%d sweeps=%d swaps=%zu converged=%s "
-                "final-D1=%.6g\n",
+    std::printf("iterations=%d sweeps=%d swaps=%zu converged=%s D1=%.6g\n",
                 result->iterations, result->sweeps, result->swaps,
                 result->converged ? "yes" : "no", result->final_objective);
   }
