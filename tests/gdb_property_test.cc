@@ -220,8 +220,8 @@ TEST(EntropyRisesPropertyTest, MatchesLogTestOnRandomPairs) {
 }
 
 TEST(EntropyRisesPropertyTest, MatchesLogTestNearOneHalf) {
-  // Both points within 2^-k of 1/2, for k = 1..40: below k ~ 20 the
-  // entropies differ by less than the logs' rounding, so the band decides.
+  // Both points within 2^-k of 1/2, for k = 1..40: from k ~ 20 on most
+  // pairs fall inside the 1e-12 band, where only the logs decide.
   Rng rng(32);
   for (int k = 1; k <= 40; ++k) {
     const double scale = std::ldexp(1.0, -k);
