@@ -80,6 +80,9 @@ struct PinnedCase {
   const char* query;
   Estimator estimator;
   std::uint64_t hash;
+  /// PageRank's iteration cap. At 20 only an edgeless world stops on the
+  /// 1e-10 tolerance; at 200 every world stops on it (after 34-138).
+  int pagerank_iterations = 20;
 };
 
 QueryRequest RequestFor(const PinnedCase& c, const UncertainGraph& graph) {
@@ -89,7 +92,7 @@ QueryRequest RequestFor(const PinnedCase& c, const UncertainGraph& graph) {
   request.num_samples = 40;
   request.seed = 20261017;
   request.num_pivot_edges = 4;
-  request.pagerank.max_iterations = 20;
+  request.pagerank.max_iterations = c.pagerank_iterations;
   // Pairs among the highest-degree vertices, so that reliability and
   // distance are neither always 0 nor always 1 on the sparse graph.
   std::vector<VertexId> hubs(graph.num_vertices());
@@ -104,11 +107,16 @@ QueryRequest RequestFor(const PinnedCase& c, const UncertainGraph& graph) {
 }
 
 std::string CaseName(const PinnedCase& c) {
-  return std::string(c.graph) + "/" + c.query + "/" +
-         EstimatorName(c.estimator);
+  std::string name = std::string(c.graph) + "/" + c.query + "/" +
+                     EstimatorName(c.estimator);
+  if (std::string(c.query) == "pagerank") {
+    name += '/';
+    name += std::to_string(c.pagerank_iterations);
+  }
+  return name;
 }
 
-// Expected hashes, one per (graph, query, estimator).
+// Expected hashes, one per (graph, query, estimator[, PageRank cap]).
 const PinnedCase kCases[] = {
     {"twitter", "reliability", Estimator::kSampled, 0xebea625c20cbff45},
     {"twitter", "reliability", Estimator::kSkipSampler, 0xaaa81f890b9bc7f5},
@@ -118,6 +126,8 @@ const PinnedCase kCases[] = {
     {"twitter", "shortest-path", Estimator::kStratified, 0xd0b69fb8b698875f},
     {"twitter", "pagerank", Estimator::kSampled, 0x8910c2ae0a6c67a8},
     {"twitter", "pagerank", Estimator::kSkipSampler, 0xf81420d79667a902},
+    {"twitter", "pagerank", Estimator::kSampled, 0x8fbc05bfcae27f4a, 200},
+    {"twitter", "pagerank", Estimator::kSkipSampler, 0xb391159aba4c21a3, 200},
     {"twitter", "clustering", Estimator::kSampled, 0x20c59ef8de593e52},
     {"twitter", "clustering", Estimator::kSkipSampler, 0xb3de1d6a887c06ee},
     {"twitter", "connectivity", Estimator::kSampled, 0x608aa9db216c1834},
@@ -133,6 +143,8 @@ const PinnedCase kCases[] = {
     {"tiny", "shortest-path", Estimator::kExact, 0x79eea4efaf0dd430},
     {"tiny", "pagerank", Estimator::kSampled, 0xbf3c5c7e006c3ec4},
     {"tiny", "pagerank", Estimator::kSkipSampler, 0x3631e7f4cae3d7dc},
+    {"tiny", "pagerank", Estimator::kSampled, 0x2bb7d77dcc910c86, 200},
+    {"tiny", "pagerank", Estimator::kSkipSampler, 0x7dd1c2605c3d6a08, 200},
     {"tiny", "clustering", Estimator::kSampled, 0x7ec7fe35b972d7eb},
     {"tiny", "clustering", Estimator::kSkipSampler, 0x9a2c28212295aca0},
     {"tiny", "connectivity", Estimator::kSampled, 0xed841784f873eb8},
