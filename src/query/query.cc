@@ -71,6 +71,26 @@ Status ValidateSamples(const QueryRequest& request) {
   return Status::OK();
 }
 
+/// PageRank's options come off the wire as raw f64/i32. Every term the
+/// kernel sums must be >= +0, which damping in [0, 1] guarantees.
+Status ValidatePageRankOptions(const PageRankOptions& options) {
+  if (!(options.damping >= 0.0 && options.damping <= 1.0)) {
+    return Status::InvalidArgument("pagerank damping must be in [0, 1], got " +
+                                   std::to_string(options.damping));
+  }
+  if (!(options.tolerance >= 0.0)) {
+    return Status::InvalidArgument(
+        "pagerank tolerance must be non-negative, got " +
+        std::to_string(options.tolerance));
+  }
+  if (options.max_iterations < 0) {
+    return Status::InvalidArgument(
+        "pagerank max_iterations must be non-negative, got " +
+        std::to_string(options.max_iterations));
+  }
+  return Status::OK();
+}
+
 /// Stratification budget of a request.
 StratifiedOptions StratifiedOptionsOf(const QueryRequest& request) {
   StratifiedOptions options;
@@ -278,6 +298,7 @@ class PageRankQuery final : public Query {
     if (graph.num_vertices() == 0) {
       return Status::InvalidArgument("pagerank needs a non-empty graph");
     }
+    UGS_RETURN_IF_ERROR(ValidatePageRankOptions(request.pagerank));
     return ValidateSamples(request);
   }
 

@@ -480,6 +480,39 @@ TEST(QueryValidationTest, SampleCountMustBePositive) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(QueryValidationTest, PageRankRejectsBadOptions) {
+  GraphSession session(testing_util::CompleteK4(0.5));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto code_with = [&](auto edit) {
+    QueryRequest request = BaseRequest("pagerank");
+    edit(request.pagerank);
+    return session.Run(request).status().code();
+  };
+  for (double damping : {nan, -0.1, 1.5, inf, -inf}) {
+    EXPECT_EQ(code_with([&](PageRankOptions& o) { o.damping = damping; }),
+              StatusCode::kInvalidArgument)
+        << "damping " << damping;
+  }
+  for (double tolerance : {nan, -1e-12}) {
+    EXPECT_EQ(code_with([&](PageRankOptions& o) { o.tolerance = tolerance; }),
+              StatusCode::kInvalidArgument)
+        << "tolerance " << tolerance;
+  }
+  EXPECT_EQ(code_with([](PageRankOptions& o) { o.max_iterations = -1; }),
+            StatusCode::kInvalidArgument);
+  // The ends of each range are valid.
+  EXPECT_EQ(code_with([](PageRankOptions& o) { o.damping = 0.0; }),
+            StatusCode::kOk);
+  EXPECT_EQ(code_with([](PageRankOptions& o) { o.damping = 1.0; }),
+            StatusCode::kOk);
+  EXPECT_EQ(code_with([](PageRankOptions& o) {
+              o.tolerance = 0.0;
+              o.max_iterations = 0;
+            }),
+            StatusCode::kOk);
+}
+
 TEST(QueryValidationTest, KnnRejectsBadSourcesAndZeroK) {
   GraphSession session(testing_util::CompleteK4(0.5));
   QueryRequest request;

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -372,6 +373,35 @@ TEST_P(ServiceBackendTest, RequestErrorsAreTypedAndConnectionSurvives) {
   // After all those per-request errors the connection still answers.
   Result<QueryResult> good = client.Query(Id("g1"), request);
   EXPECT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_GE(server->stats().errors, 4u);
+}
+
+TEST_P(ServiceBackendTest, BadPageRankOptionsGetTypedErrorsAndServerAnswers) {
+  std::unique_ptr<Server> server = StartServer(1);
+  Client client = ConnectTo(*server);
+
+  QueryRequest request;
+  request.query = "pagerank";
+  request.num_samples = 4;
+  request.pagerank.max_iterations = 5;
+
+  // Each field travels as a raw f64/i32; out-of-range values come back as
+  // typed errors before any sampling.
+  std::vector<QueryRequest> bad(4, request);
+  bad[0].pagerank.damping = std::numeric_limits<double>::quiet_NaN();
+  bad[1].pagerank.damping = 2.0;
+  bad[2].pagerank.tolerance = -1.0;
+  bad[3].pagerank.max_iterations = -7;
+  for (const QueryRequest& r : bad) {
+    Result<QueryResult> result = client.Query(Id("g1"), r);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << result.status().ToString();
+  }
+
+  Result<QueryResult> good = client.Query(Id("g1"), request);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good->samples.num_samples, 4u);
   EXPECT_GE(server->stats().errors, 4u);
 }
 
