@@ -1,6 +1,5 @@
 #include "query/clustering.h"
 
-#include <algorithm>
 #include <memory>
 #include <span>
 
@@ -19,22 +18,18 @@ void LocalClusteringOnWorld(const PossibleWorld& world, double* cc,
 
   // Each triangle u < v < w is found once, from its smallest vertex u:
   // mark u's higher neighbors, then for every higher neighbor v of u look
-  // for marked neighbors w > v. Rows are ascending, so "higher" is a
-  // row suffix. The graph has no self loops or parallel edges, so the
-  // integer counts equal any other exact triangle count.
+  // for marked higher neighbors w of v. The graph has no self loops or
+  // parallel edges, so the integer counts equal any other exact triangle
+  // count.
   for (VertexId u = 0; u < n; ++u) {
-    const std::span<const VertexId> nu = world.Neighbors(u);
-    const auto higher_u = std::upper_bound(nu.begin(), nu.end(), u);
-    for (auto it = higher_u; it != nu.end(); ++it) mark[*it] = u;
-    for (auto it = higher_u; it != nu.end(); ++it) {
-      const VertexId v = *it;
-      const std::span<const VertexId> nv = world.Neighbors(v);
-      for (auto jt = std::upper_bound(nv.begin(), nv.end(), v);
-           jt != nv.end(); ++jt) {
-        if (mark[*jt] == u) {
+    const std::span<const VertexId> higher_u = world.HigherNeighbors(u);
+    for (VertexId v : higher_u) mark[v] = u;
+    for (VertexId v : higher_u) {
+      for (VertexId w : world.HigherNeighbors(v)) {
+        if (mark[w] == u) {
           ++triangles[u];
           ++triangles[v];
-          ++triangles[*jt];
+          ++triangles[w];
         }
       }
     }

@@ -22,19 +22,39 @@ struct PageRankOptions {
   double tolerance = 1e-10;  ///< L1 change per iteration to stop early.
 };
 
-/// Per-task scratch of PageRankOnWorld, reused across worlds.
+/// Per-task scratch of PageRankOnWorld, rebuilt for every world and
+/// reused across worlds. The S non-isolated vertices (rounded up to a
+/// multiple of 4) get slots 0..S-1 in descending degree, ties by id, four
+/// slots to a group; each group's four incoming-rank rows are interleaved
+/// in `terms` and padded to the group's longest row. Two extra slots: S
+/// holds the isolated vertices' next rank (the teleport base) and S + 1
+/// is the padding term, whose `contrib` is +0.0.
 struct PageRankScratch {
-  std::vector<std::uint32_t> degree;
-  std::vector<double> next;
-  std::vector<double> contrib;  ///< d * rank[u] / degree[u] per vertex.
-  /// Endpoints of the present edges, ascending edge id.
+  std::vector<std::uint32_t> degree;   ///< Per vertex; build scratch.
+  /// Endpoints of the present edges, ascending edge id; build scratch.
   std::vector<std::pair<VertexId, VertexId>> endpoints;
+  std::vector<std::uint32_t> first;    ///< Per degree; build scratch.
+  std::vector<std::size_t> cursor;     ///< Per slot; build scratch.
+  std::vector<std::uint32_t> slot;     ///< Per vertex; S if isolated.
+  std::vector<double> degree_or_one;   ///< Per vertex; 1 if isolated.
+  std::vector<VertexId> isolated;      ///< Degree-0 vertices, ascending.
+  std::vector<std::size_t> group_end;  ///< End of each group in `terms`.
+  /// Row k-th term of group g's lane at (group start) + 4k + lane: the
+  /// neighbours' slots in ascending edge id, then S + 1 up to the end.
+  std::vector<std::uint32_t> terms;
+  std::vector<double> sums;     ///< Next rank per slot; S + 2 entries.
+  std::vector<double> contrib;  ///< d * rank / degree per slot; S + 2.
 };
 
 /// PageRank vector (sums to 1) of one world, written to rank[0..|V|).
-/// Each iteration walks the present edges in ascending id, so every
-/// vertex's incoming rank is summed in a fixed order (the determinism
-/// contract, docs/architecture.md).
+/// Needs damping in [0, 1] (PageRankQuery::Validate checks it), so every
+/// term is >= +0. Each iteration sums every vertex's incoming rank in
+/// four independent accumulators, one per row of a 4-row group; a row
+/// lists its terms in ascending edge id, the order in which a push over
+/// the present edges would add them, and the +0.0 padding after them
+/// cannot change a sum >= +0. The L1 change and the dangling mass are
+/// summed in ascending vertex id. So every value is fixed bit for bit
+/// by the world (the determinism contract, docs/architecture.md).
 void PageRankOnWorld(const PossibleWorld& world,
                      const PageRankOptions& options, double* rank,
                      PageRankScratch* scratch);

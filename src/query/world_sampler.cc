@@ -57,7 +57,8 @@ void PossibleWorld::BuildAdjacency() const {
   // scatters each edge into both endpoints' rows in edge-id order; the
   // second transposes that (symmetric) adjacency by walking its rows in
   // vertex order, which leaves every row ascending -- the graph's own
-  // neighbor order.
+  // neighbor order. When the walk reaches v, row v holds exactly v's
+  // neighbors below v, so its cursor then is v's higher-neighbor split.
   offsets_.assign(n + 1, 0);
   for (EdgeId e : edges()) {
     ++offsets_[graph.edge(e).u + 1];
@@ -73,7 +74,9 @@ void PossibleWorld::BuildAdjacency() const {
     unsorted_[cursor_[ed.v]++] = ed.u;
   }
   cursor_.assign(offsets_.begin(), offsets_.end() - 1);
+  higher_.resize(n);
   for (VertexId v = 0; v < n; ++v) {
+    higher_[v] = cursor_[v];
     for (std::size_t i = offsets_[v]; i < offsets_[v + 1]; ++i) {
       neighbors_[cursor_[unsorted_[i]]++] = v;
     }

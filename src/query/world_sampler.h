@@ -73,6 +73,15 @@ class PossibleWorld {
             neighbors_.data() + offsets_[u + 1]};
   }
 
+  /// The suffix of Neighbors(u) above u, split off when the adjacency is
+  /// built (no search).
+  std::span<const VertexId> HigherNeighbors(VertexId u) const {
+    if (!adjacency_built_) BuildAdjacency();
+    UGS_DCHECK(u < graph_->num_vertices());
+    return {neighbors_.data() + higher_[u],
+            neighbors_.data() + offsets_[u + 1]};
+  }
+
  private:
   void BuildAdjacency() const;
 
@@ -83,6 +92,7 @@ class PossibleWorld {
   // Lazily built present-only CSR, plus its build scratch.
   mutable bool adjacency_built_ = false;
   mutable std::vector<std::size_t> offsets_;  // n + 1 entries.
+  mutable std::vector<std::size_t> higher_;   // Start of u's higher part.
   mutable std::vector<VertexId> neighbors_;
   mutable std::vector<VertexId> unsorted_;
   mutable std::vector<std::size_t> cursor_;

@@ -43,6 +43,11 @@ void ExpectConsistent(const PossibleWorld& world) {
     std::span<const VertexId> row = world.Neighbors(u);
     EXPECT_EQ(std::vector<VertexId>(row.begin(), row.end()), filtered)
         << "row " << u;
+    const auto above = std::upper_bound(filtered.begin(), filtered.end(), u);
+    std::span<const VertexId> higher = world.HigherNeighbors(u);
+    EXPECT_EQ(std::vector<VertexId>(higher.begin(), higher.end()),
+              std::vector<VertexId>(above, filtered.end()))
+        << "row " << u;
   }
 }
 
@@ -237,15 +242,27 @@ std::vector<int> NaiveDistances(const UncertainGraph& g,
 
 TEST(WorldKernelTest, PageRankMatchesNaiveBitForBit) {
   Rng rng(11);
-  PageRankOptions options;
-  options.max_iterations = 30;
-  for (const UncertainGraph& g : RandomGraphs()) {
-    PageRankScratch scratch;  // Reused across worlds, as in the engine.
-    for (int w = 0; w < 5; ++w) {
-      std::vector<char> present = RandomBitmap(g.num_edges(), 0.3, &rng);
-      std::vector<double> rank(g.num_vertices());
-      PageRankOnWorld(WorldOf(g, present), options, rank.data(), &scratch);
-      EXPECT_EQ(rank, NaivePageRank(g, present, options));
+  // 30 iterations run to the cap; 300 stop on the tolerance; damping 0
+  // and 1 are the ends of the valid range (at 1 the teleport base is +0
+  // whenever no vertex is isolated).
+  std::vector<PageRankOptions> option_sets(4);
+  option_sets[0].max_iterations = 30;
+  option_sets[1].max_iterations = 300;
+  option_sets[2].max_iterations = 30;
+  option_sets[2].damping = 0.0;
+  option_sets[3].max_iterations = 30;
+  option_sets[3].damping = 1.0;
+  for (const PageRankOptions& options : option_sets) {
+    for (const UncertainGraph& g : RandomGraphs()) {
+      PageRankScratch scratch;  // Reused across worlds, as in the engine.
+      for (double density : {0.1, 0.3, 1.0}) {
+        std::vector<char> present = RandomBitmap(g.num_edges(), density, &rng);
+        std::vector<double> rank(g.num_vertices());
+        PageRankOnWorld(WorldOf(g, present), options, rank.data(), &scratch);
+        EXPECT_EQ(rank, NaivePageRank(g, present, options))
+            << "damping " << options.damping << " iterations "
+            << options.max_iterations << " density " << density;
+      }
     }
   }
 }
