@@ -26,6 +26,7 @@ PossibleWorld::PossibleWorld(const UncertainGraph& graph)
     : graph_(&graph), present_(graph.num_edges(), 0) {}
 
 void PossibleWorld::Rebuild() {
+  if (bitmap_stale_) BuildBitmap();
   UGS_CHECK_EQ(present_.size(), graph_->num_edges());
   // Branch-free compaction: every id is written, only present ones
   // advance the cursor, so the scan never mispredicts on a random world.
@@ -43,11 +44,16 @@ void PossibleWorld::Rebuild() {
 void PossibleWorld::Adopt(std::span<const EdgeId> edges) {
   UGS_DCHECK(std::is_sorted(edges.begin(), edges.end()));
   UGS_DCHECK(edges.empty() || edges.back() < present_.size());
-  std::fill(present_.begin(), present_.end(), 0);
-  for (EdgeId e : edges) present_[e] = 1;
   edges_.assign(edges.begin(), edges.end());
   num_present_ = edges.size();
+  bitmap_stale_ = true;
   adjacency_built_ = false;
+}
+
+void PossibleWorld::BuildBitmap() const {
+  std::fill(present_.begin(), present_.end(), 0);
+  for (EdgeId e : edges()) present_[e] = 1;
+  bitmap_stale_ = false;
 }
 
 void PossibleWorld::BuildAdjacency() const {

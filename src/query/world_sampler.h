@@ -30,11 +30,14 @@ std::size_t CountPresent(const std::vector<char>& present);
 /// sampler), or write the bitmap through mutable_present() (the plain
 /// sampler, or stratified pivot conditioning) and then call Rebuild()
 /// before reading anything else. Both drop the adjacency so the next
-/// Neighbors() call rebuilds it. The view keeps a reference to the graph
-/// and reuses its buffers across rebuilds, so a per-task instance
-/// allocates only on its first world. Not thread-safe (the adjacency is
-/// built lazily inside const accessors): each engine task owns its own
-/// instance.
+/// Neighbors() call rebuilds it. Adopt() also leaves the bitmap stale:
+/// the query kernels read only edges() and the adjacency, so the bitmap
+/// is rewritten from the edge list only when present() or
+/// mutable_present() next asks for it. The view keeps a reference to the
+/// graph and reuses its buffers across rebuilds, so a per-task instance
+/// allocates only on its first world. Not thread-safe (the bitmap and
+/// the adjacency are built lazily inside const accessors): each engine
+/// task owns its own instance.
 class PossibleWorld {
  public:
   /// The empty world (no edge present) of `graph`, which must outlive
@@ -43,19 +46,27 @@ class PossibleWorld {
 
   const UncertainGraph& graph() const { return *graph_; }
 
-  /// Presence flags, parallel to graph().edges().
-  const std::vector<char>& present() const { return present_; }
-  std::vector<char>& mutable_present() { return present_; }
+  /// Presence flags, parallel to graph().edges(). The first call after
+  /// Adopt() writes them from the adopted list.
+  const std::vector<char>& present() const {
+    if (bitmap_stale_) BuildBitmap();
+    return present_;
+  }
+  std::vector<char>& mutable_present() {
+    if (bitmap_stale_) BuildBitmap();
+    return present_;
+  }
 
   /// Re-derives the edge list from the bitmap and invalidates the
   /// adjacency. Call after every write through mutable_present().
   void Rebuild();
 
   /// Installs `edges` (ascending ids, each < |E|) as the present edges:
-  /// copies the list, rewrites the whole bitmap from it (so no earlier
-  /// write through mutable_present() survives) and invalidates the
-  /// adjacency. Replaces the bitmap scan of Rebuild() for samplers that
-  /// produce sorted edge lists.
+  /// copies the list, marks the bitmap stale (its next read rewrites the
+  /// whole of it from the list, so no earlier write through
+  /// mutable_present() survives) and invalidates the adjacency. Replaces
+  /// the bitmap scan of Rebuild() for samplers that produce sorted edge
+  /// lists.
   void Adopt(std::span<const EdgeId> edges);
 
   /// Present edge ids, ascending.
@@ -83,10 +94,13 @@ class PossibleWorld {
   }
 
  private:
+  void BuildBitmap() const;
   void BuildAdjacency() const;
 
   const UncertainGraph* graph_;
-  std::vector<char> present_;
+  // Written from edges_ on first use after Adopt().
+  mutable std::vector<char> present_;
+  mutable bool bitmap_stale_ = false;
   std::vector<EdgeId> edges_;  // First num_present_ entries valid.
   std::size_t num_present_ = 0;
   // Lazily built present-only CSR, plus its build scratch.

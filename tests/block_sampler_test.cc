@@ -253,5 +253,28 @@ TEST(BlockSamplerTest, AdoptAfterBitmapEditLeavesNoStaleBits) {
   EXPECT_TRUE(world.edges().empty());
 }
 
+TEST(BlockSamplerTest, EditAfterAdoptStartsFromTheAdoptedEdges) {
+  // Adopt leaves the bitmap stale; the first mutable_present() writes it
+  // from the adopted list, so an edit followed by Rebuild() sees both.
+  UncertainGraph g = UncertainGraph::FromEdges(
+      5, {{0, 1, 0.5}, {1, 2, 0.5}, {2, 3, 0.5}, {3, 4, 0.5}, {0, 4, 0.5}});
+  PossibleWorld world(g);
+  world.mutable_present()[1] = 1;  // Dropped by the Adopt below.
+  const std::vector<EdgeId> adopted = {0, 2, 4};
+  world.Adopt(adopted);
+  world.mutable_present()[2] = 0;
+  world.mutable_present()[3] = 1;
+  world.Rebuild();
+  EXPECT_EQ(std::vector<EdgeId>(world.edges().begin(), world.edges().end()),
+            (std::vector<EdgeId>{0, 3, 4}));
+  EXPECT_EQ(world.Neighbors(3).size(), 1u);
+  // Rebuild() straight after Adopt() keeps the adopted list.
+  world.Adopt(adopted);
+  world.Rebuild();
+  EXPECT_EQ(std::vector<EdgeId>(world.edges().begin(), world.edges().end()),
+            adopted);
+  EXPECT_EQ(world.present(), (std::vector<char>{1, 0, 1, 0, 1}));
+}
+
 }  // namespace
 }  // namespace ugs
