@@ -11,11 +11,22 @@ namespace {
 
 double Clamp01(double x) { return std::max(0.0, std::min(1.0, x)); }
 
+/// Eq. (14)'s coefficients for the k >= 2 cut rules (zero otherwise).
+/// They depend only on |V| and k, so a run computes them once.
+CutRuleCoefficients CoefficientsFor(const SparseState& state,
+                                    const GdbOptions& options) {
+  if (options.rule.k_is_n || options.rule.k < 2) return {};
+  return ComputeCutRuleCoefficients(
+      static_cast<std::int64_t>(state.graph().num_vertices()),
+      options.rule.k);
+}
+
 /// The raw gradient-descent step for edge e under the given rule:
 /// the distance from the current probability to the unconstrained
 /// minimizer of the (convex) objective in that coordinate.
 double OptimalStep(const SparseState& state, EdgeId e,
-                   const GdbOptions& options) {
+                   const GdbOptions& options,
+                   const CutRuleCoefficients& coeffs) {
   const UncertainEdge& ed = state.graph().edge(e);
   const double delta_u = state.DeltaAbs(ed.u);
   const double delta_v = state.DeltaAbs(ed.v);
@@ -41,26 +52,15 @@ double OptimalStep(const SparseState& state, EdgeId e,
   const double self_mass = ed.p - state.Probability(e);
   const double delta_rest =
       state.TotalMass() - delta_u - delta_v + self_mass;
-  const CutRuleCoefficients coeffs = ComputeCutRuleCoefficients(
-      static_cast<std::int64_t>(state.graph().num_vertices()), k);
   return coeffs.c_degree * (delta_u + delta_v) + coeffs.c_rest * delta_rest;
 }
 
-}  // namespace
-
-bool EntropyRises(double proposed, double current) {
-  const double a = std::abs(proposed - 0.5);
-  const double b = std::abs(current - 0.5);
-  const double gap = a * a - b * b;
-  if (std::abs(gap) > 1e-12) return gap < 0.0;
-  return EdgeEntropyBits(proposed) > EdgeEntropyBits(current);
-}
-
-double UpdateEdgeProbability(SparseState* state, EdgeId e,
-                             const GdbOptions& options) {
+/// UpdateEdgeProbability with the rule's coefficients already computed.
+double UpdateEdge(SparseState* state, EdgeId e, const GdbOptions& options,
+                  const CutRuleCoefficients& coeffs) {
   UGS_DCHECK(state->InBackbone(e));
   const double current = state->Probability(e);
-  const double step = OptimalStep(*state, e, options);
+  const double step = OptimalStep(*state, e, options, coeffs);
   double proposed = current + step;
   if (proposed <= 0.0) {
     proposed = 0.0;  // Line 8: clamp; entropy at the boundary is 0.
@@ -75,6 +75,21 @@ double UpdateEdgeProbability(SparseState* state, EdgeId e,
   return proposed;
 }
 
+}  // namespace
+
+bool EntropyRises(double proposed, double current) {
+  const double a = std::abs(proposed - 0.5);
+  const double b = std::abs(current - 0.5);
+  const double gap = a * a - b * b;
+  if (std::abs(gap) > 1e-12) return gap < 0.0;
+  return EdgeEntropyBits(proposed) > EdgeEntropyBits(current);
+}
+
+double UpdateEdgeProbability(SparseState* state, EdgeId e,
+                             const GdbOptions& options) {
+  return UpdateEdge(state, e, options, CoefficientsFor(*state, options));
+}
+
 GdbStats RunGdb(SparseState* state, const GdbOptions& options) {
   UGS_CHECK(options.h >= 0.0 && options.h <= 1.0);
   UGS_CHECK(options.rule.k_is_n || options.rule.k >= 1);
@@ -83,11 +98,16 @@ GdbStats RunGdb(SparseState* state, const GdbOptions& options) {
   stats.initial_objective = state->ObjectiveD1(type);
   double previous = stats.initial_objective;
   const std::vector<EdgeId> backbone = state->BackboneEdges();
+  // Computed only if an update will use them (they need |V| >= 4).
+  const CutRuleCoefficients coeffs =
+      backbone.empty() || options.max_sweeps <= 0
+          ? CutRuleCoefficients{}
+          : CoefficientsFor(*state, options);
   for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
     double max_change = 0.0;
     for (EdgeId e : backbone) {
       double before = state->Probability(e);
-      double after = UpdateEdgeProbability(state, e, options);
+      double after = UpdateEdge(state, e, options, coeffs);
       max_change = std::max(max_change, std::abs(after - before));
     }
     ++stats.sweeps;
