@@ -40,8 +40,7 @@ bool ExactIsCheaperThanSampling(const UncertainGraph& graph,
 
 Result<Estimator> SelectEstimator(const UncertainGraph& graph,
                                   const QueryRequest& request,
-                                  const std::vector<Estimator>& supported,
-                                  const EstimatorPolicyOptions& options) {
+                                  const std::vector<Estimator>& supported) {
   const Estimator requested = request.estimator;
   if (requested != Estimator::kAuto) {
     if (!Supports(supported, requested)) {
@@ -67,11 +66,7 @@ Result<Estimator> SelectEstimator(const UncertainGraph& graph,
   }
   if (Supports(supported, Estimator::kSkipSampler) && graph.num_edges() > 0 &&
       request.num_samples >= kBlockSamplerMinSamples) {
-    const double mean_probability =
-        graph.ExpectedEdgeCount() / static_cast<double>(graph.num_edges());
-    if (mean_probability < options.skip_sampler_max_mean_probability) {
-      return Estimator::kSkipSampler;
-    }
+    return Estimator::kSkipSampler;
   }
   if (Supports(supported, Estimator::kSampled)) return Estimator::kSampled;
   return Status::Internal("query '" + request.query +

@@ -18,20 +18,6 @@ namespace ugs {
 /// samples, the block from 8. Requests below this draw the plain stream.
 inline constexpr int kBlockSamplerMinSamples = 5;
 
-/// Tunables of the estimator-selection policy. The defaults encode the
-/// paper's operating points; a serving layer can override per deployment.
-struct EstimatorPolicyOptions {
-  /// Auto picks kSkipSampler (the block sampler) when the graph's mean
-  /// edge probability is below this. The block sampler decides 16 worlds
-  /// per pass over the edges and hands each world over as a sorted edge
-  /// list; its cost per world grows with the present edges, so it wins
-  /// most on low-probability graphs (the paper's datasets average
-  /// p ~ 0.1-0.2). The threshold predates it: bench_micro's
-  /// BM_SampleRequest rungs measure it against plain sampling at mean
-  /// p ~ 0.16 and ~ 0.5.
-  double skip_sampler_max_mean_probability = 0.25;
-};
-
 /// Resolves the execution strategy for `request` among the query's
 /// `supported` estimators.
 ///
@@ -48,9 +34,11 @@ struct EstimatorPolicyOptions {
 ///      budget (2^|E| * max(1, |pairs|) <= num_samples -- the exact
 ///      oracles enumerate once per pair, one sampled world serves all
 ///      pairs): no extra cost, zero variance.
-///   3. kSkipSampler (the block sampler) when supported, the request
-///      has at least kBlockSamplerMinSamples samples and the graph's
-///      worlds are sparse enough (see EstimatorPolicyOptions).
+///   3. kSkipSampler (the block sampler) when supported and the request
+///      has at least kBlockSamplerMinSamples samples, whatever the
+///      graph's mean edge probability: bench_micro's BM_SampleRequest
+///      rungs put a block-sampled world at ~100 us against ~350 us plain
+///      at mean p ~0.16, and at ~220 against ~330 us at mean p ~0.5.
 ///   4. kSampled.
 /// kStratified is never auto-selected: its variance win depends on the
 /// entropy concentration of the pivot edges, which the policy cannot
@@ -58,8 +46,7 @@ struct EstimatorPolicyOptions {
 /// callers opt in per request.
 [[nodiscard]] Result<Estimator> SelectEstimator(
     const UncertainGraph& graph, const QueryRequest& request,
-    const std::vector<Estimator>& supported,
-    const EstimatorPolicyOptions& options = {});
+    const std::vector<Estimator>& supported);
 
 }  // namespace ugs
 

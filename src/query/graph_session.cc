@@ -6,6 +6,7 @@
 
 #include "graph/csr_format.h"
 #include "graph/graph_io.h"
+#include "query/estimator_policy.h"
 #include "util/timer.h"
 
 namespace ugs {
@@ -50,8 +51,8 @@ Result<QueryResult> GraphSession::Run(const QueryRequest& request) const {
   Result<std::unique_ptr<Query>> query = MakeQueryByName(request.query);
   if (!query.ok()) return query.status();
   UGS_RETURN_IF_ERROR((*query)->Validate(graph_, request));
-  Result<Estimator> estimator = SelectEstimator(
-      graph_, request, (*query)->SupportedEstimators(), options_.policy);
+  Result<Estimator> estimator =
+      SelectEstimator(graph_, request, (*query)->SupportedEstimators());
   if (!estimator.ok()) return estimator.status();
   const SampleEngine& engine =
       *estimator == Estimator::kSkipSampler ? skip_engine_ : engine_;

@@ -7,7 +7,6 @@
 
 #include "graph/graph_stats.h"
 #include "graph/uncertain_graph.h"
-#include "query/estimator_policy.h"
 #include "query/query.h"
 #include "query/sample_engine.h"
 #include "util/status.h"
@@ -20,8 +19,6 @@ struct GraphSessionOptions {
   /// engines, which run on one pool of engine.num_threads threads (<= 0 =
   /// hardware concurrency). Successor sessions (WithUpdates) reuse it.
   SampleEngineOptions engine;
-  /// Estimator auto-selection tunables.
-  EstimatorPolicyOptions policy;
   /// Requests RunBatch keeps in flight concurrently (request-level
   /// overlap). <= 1 runs the batch sequentially. In-flight requests run
   /// as a task group on the session's engine executor, and each one's

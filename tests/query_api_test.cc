@@ -195,21 +195,49 @@ TEST(EstimatorPolicyTest, HugePairCountsCannotWrapExactBudgetMath) {
   EXPECT_EQ(*choice, Estimator::kSampled);
 }
 
-TEST(EstimatorPolicyTest, AutoPicksSkipSamplerOnLowProbabilityGraphs) {
-  UncertainGraph low = testing_util::PathGraph(40, 0.1);
+TEST(EstimatorPolicyTest, AutoPicksTheBlockSamplerWhateverTheMeanP) {
+  // The block sampler beats plain sampling per world at mean p ~0.16 and
+  // ~0.5 alike, so the graph's probabilities do not enter the choice.
   QueryRequest request;
   request.query = "reliability";
   request.num_samples = 100;
   std::vector<Estimator> supported{Estimator::kSampled,
                                    Estimator::kSkipSampler};
-  Result<Estimator> choice = SelectEstimator(low, request, supported);
-  ASSERT_TRUE(choice.ok());
-  EXPECT_EQ(*choice, Estimator::kSkipSampler);
+  for (double p : {0.1, 0.5, 0.8}) {
+    Result<Estimator> choice =
+        SelectEstimator(testing_util::PathGraph(40, p), request, supported);
+    ASSERT_TRUE(choice.ok());
+    EXPECT_EQ(*choice, Estimator::kSkipSampler) << "p " << p;
+  }
+}
 
-  UncertainGraph high = testing_util::PathGraph(40, 0.8);
-  choice = SelectEstimator(high, request, supported);
-  ASSERT_TRUE(choice.ok());
-  EXPECT_EQ(*choice, Estimator::kSampled);
+TEST(EstimatorPolicyTest, AutoPicksTheBlockSamplerAtMeanPOneHalf) {
+  // p uniform on [0, 1): mean p ~0.5, the regime the dropped mean-p rule
+  // (p < 0.25) sent to the plain sampler.
+  std::vector<UncertainEdge> edges;
+  Rng rng(5);
+  for (VertexId u = 0; u < 60; ++u) {
+    for (VertexId v = u + 1; v < 60; v += 7) {
+      edges.push_back({u, v, rng.NextDouble()});
+    }
+  }
+  const UncertainGraph g = UncertainGraph::FromEdges(60, std::move(edges));
+  const double mean_p =
+      g.ExpectedEdgeCount() / static_cast<double>(g.num_edges());
+  ASSERT_GT(mean_p, 0.4);
+  ASSERT_LT(mean_p, 0.6);
+  GraphSession session(g);
+  QueryRequest request;
+  request.query = "pagerank";
+  request.num_samples = 16;
+  request.pagerank.max_iterations = 5;
+  Result<QueryResult> result = session.Run(request);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->estimator, Estimator::kSkipSampler);
+  request.num_samples = kBlockSamplerMinSamples - 1;
+  result = session.Run(request);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->estimator, Estimator::kSampled);
 }
 
 TEST(EstimatorPolicyTest, AutoKeepsSmallRequestsOffTheBlockSampler) {
