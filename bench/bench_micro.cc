@@ -7,12 +7,14 @@
 #include <benchmark/benchmark.h>
 
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "gen/datasets.h"
 #include "gen/generators.h"
 #include "query/clustering.h"
+#include "query/graph_session.h"
 #include "query/pagerank.h"
 #include "query/shortest_path.h"
 #include "query/sample_engine.h"
@@ -309,6 +311,52 @@ void BM_BfsWorld(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BfsWorld);
+
+/// One serve_miss request through a GraphSession on a 1-thread engine:
+/// 16 block-sampled worlds (kSkipSampler) of ServeMissGraph(), evaluated
+/// and reduced, with serve_miss's pair counts and PageRank cap. Each
+/// iteration is a fresh seed. No wire, cache or server: the rung is the
+/// query-layer floor of one request of `family`.
+void BM_ServeMissRequest(benchmark::State& state, const char* family) {
+  static const ugs::GraphSession* session = [] {
+    ugs::GraphSessionOptions options;
+    options.engine.num_threads = 1;
+    return new ugs::GraphSession(ServeMissGraph(), options);
+  }();
+  const std::string query = family;
+  const std::size_t n = ServeMissGraph().num_vertices();
+  const int num_pairs =
+      query == "reliability" ? 8 : (query == "shortest-path" ? 2 : 0);
+  ugs::Rng rng(7);
+  ugs::QueryRequest request;
+  request.query = query;
+  request.num_samples = 16;
+  request.estimator = ugs::Estimator::kSkipSampler;
+  request.pagerank.max_iterations = 20;
+  for (int i = 0; i < num_pairs; ++i) {
+    const auto s = static_cast<ugs::VertexId>(rng.NextIndex(n));
+    auto t = static_cast<ugs::VertexId>(rng.NextIndex(n - 1));
+    if (t >= s) ++t;
+    request.pairs.push_back({s, t});
+  }
+  for (auto _ : state) {
+    ++request.seed;
+    ugs::Result<ugs::QueryResult> result = session->Run(request);
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(result->means.data());
+  }
+}
+BENCHMARK_CAPTURE(BM_ServeMissRequest, reliability, "reliability")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ServeMissRequest, shortest-path, "shortest-path")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ServeMissRequest, pagerank, "pagerank")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ServeMissRequest, clustering, "clustering")
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
