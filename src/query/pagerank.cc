@@ -123,7 +123,7 @@ void PageRankOnWorld(const PossibleWorld& world,
         (1.0 - d) / static_cast<double>(n) +
         d * dangling / static_cast<double>(n);
 
-    // Four independent add chains per group instead of one per vertex.
+    // Four independent add chains per group, so their latencies overlap.
     std::size_t begin = 0;
     for (std::size_t g = 0; g < group_end.size(); ++g) {
       double a0 = base;

@@ -23,12 +23,12 @@ struct PageRankOptions {
 };
 
 /// Per-task scratch of PageRankOnWorld, rebuilt for every world and
-/// reused across worlds. The S non-isolated vertices (rounded up to a
-/// multiple of 4) get slots 0..S-1 in descending degree, ties by id, four
-/// slots to a group; each group's four incoming-rank rows are interleaved
-/// in `terms` and padded to the group's longest row. Two extra slots: S
-/// holds the isolated vertices' next rank (the teleport base) and S + 1
-/// is the padding term, whose `contrib` is +0.0.
+/// reused across worlds. The non-isolated vertices get slots in
+/// descending degree, ties by id, four slots to a group; S is their
+/// count rounded up to a multiple of 4. Each group's four incoming-rank
+/// rows are interleaved in `terms` and padded to the group's longest
+/// row. Two extra slots: S holds the isolated vertices' next rank (the
+/// teleport base) and S + 1 is the padding term, whose `contrib` is +0.0.
 struct PageRankScratch {
   std::vector<std::uint32_t> degree;   ///< Per vertex; build scratch.
   /// Endpoints of the present edges, ascending edge id; build scratch.

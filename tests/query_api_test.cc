@@ -197,7 +197,8 @@ TEST(EstimatorPolicyTest, HugePairCountsCannotWrapExactBudgetMath) {
 
 TEST(EstimatorPolicyTest, AutoPicksTheBlockSamplerWhateverTheMeanP) {
   // The block sampler beats plain sampling per world at mean p ~0.16 and
-  // ~0.5 alike, so the graph's probabilities do not enter the choice.
+  // ~0.5 alike, so the graph's probabilities do not enter the choice
+  // (a mean-p rule once kept graphs with mean p >= 0.25 off it).
   QueryRequest request;
   request.query = "reliability";
   request.num_samples = 100;
@@ -209,35 +210,6 @@ TEST(EstimatorPolicyTest, AutoPicksTheBlockSamplerWhateverTheMeanP) {
     ASSERT_TRUE(choice.ok());
     EXPECT_EQ(*choice, Estimator::kSkipSampler) << "p " << p;
   }
-}
-
-TEST(EstimatorPolicyTest, AutoPicksTheBlockSamplerAtMeanPOneHalf) {
-  // p uniform on [0, 1): mean p ~0.5, the regime the dropped mean-p rule
-  // (p < 0.25) sent to the plain sampler.
-  std::vector<UncertainEdge> edges;
-  Rng rng(5);
-  for (VertexId u = 0; u < 60; ++u) {
-    for (VertexId v = u + 1; v < 60; v += 7) {
-      edges.push_back({u, v, rng.NextDouble()});
-    }
-  }
-  const UncertainGraph g = UncertainGraph::FromEdges(60, std::move(edges));
-  const double mean_p =
-      g.ExpectedEdgeCount() / static_cast<double>(g.num_edges());
-  ASSERT_GT(mean_p, 0.4);
-  ASSERT_LT(mean_p, 0.6);
-  GraphSession session(g);
-  QueryRequest request;
-  request.query = "pagerank";
-  request.num_samples = 16;
-  request.pagerank.max_iterations = 5;
-  Result<QueryResult> result = session.Run(request);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->estimator, Estimator::kSkipSampler);
-  request.num_samples = kBlockSamplerMinSamples - 1;
-  result = session.Run(request);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->estimator, Estimator::kSampled);
 }
 
 TEST(EstimatorPolicyTest, AutoKeepsSmallRequestsOffTheBlockSampler) {
