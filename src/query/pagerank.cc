@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <utility>
 
 #include "util/check.h"
 
@@ -18,14 +17,11 @@ std::size_t BuildSlices(const PossibleWorld& world,
   const UncertainGraph& graph = world.graph();
   const std::size_t n = graph.num_vertices();
   std::vector<std::uint32_t>& degree = scratch->degree;
-  std::vector<std::pair<VertexId, VertexId>>& ends = scratch->endpoints;
   degree.assign(n, 0);
-  ends.clear();
   for (EdgeId e : world.edges()) {
     const UncertainEdge& ed = graph.edge(e);
     ++degree[ed.u];
     ++degree[ed.v];
-    ends.emplace_back(ed.u, ed.v);
   }
 
   // Counting sort by descending degree, ties by ascending id: first[k]
@@ -78,9 +74,10 @@ std::size_t BuildSlices(const PossibleWorld& world,
   }
   std::vector<std::uint32_t>& terms = scratch->terms;
   terms.assign(end, static_cast<std::uint32_t>(num_slots + 1));
-  for (const auto& [u, v] : ends) {
-    const std::uint32_t su = slot[u];
-    const std::uint32_t sv = slot[v];
+  for (EdgeId e : world.edges()) {
+    const UncertainEdge& ed = graph.edge(e);
+    const std::uint32_t su = slot[ed.u];
+    const std::uint32_t sv = slot[ed.v];
     terms[cursor[sv]] = su;
     cursor[sv] += kLanes;
     terms[cursor[su]] = sv;

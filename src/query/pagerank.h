@@ -31,8 +31,6 @@ struct PageRankOptions {
 /// teleport base) and S + 1 is the padding term, whose `contrib` is +0.0.
 struct PageRankScratch {
   std::vector<std::uint32_t> degree;   ///< Per vertex; build scratch.
-  /// Endpoints of the present edges, ascending edge id; build scratch.
-  std::vector<std::pair<VertexId, VertexId>> endpoints;
   std::vector<std::uint32_t> first;    ///< Per degree; build scratch.
   std::vector<std::size_t> cursor;     ///< Per slot; build scratch.
   std::vector<std::uint32_t> slot;     ///< Per vertex; S if isolated.
