@@ -88,7 +88,8 @@ const ugs::UncertainGraph& HalfProbabilityGraph() {
 /// the 16-lane pass + Adopt, a whole block even for 1 sample). Args:
 /// graph (0 = ServeMissGraph, 1 = HalfProbabilityGraph), block (0 =
 /// plain, 1 = block sampler), samples per request. Items = worlds. The
-/// 1-16 sample rungs place kAuto's kBlockSamplerMinSamples.
+/// 1-16 sample rungs place kAuto's kBlockSamplerMinSamples on both
+/// graphs.
 void BM_SampleRequest(benchmark::State& state) {
   const ugs::UncertainGraph& g =
       state.range(0) == 0 ? ServeMissGraph() : HalfProbabilityGraph();
@@ -107,9 +108,8 @@ void BM_SampleRequest(benchmark::State& state) {
 }
 BENCHMARK(BM_SampleRequest)
     ->ArgNames({"graph", "block", "samples"})
-    ->ArgsProduct({{0}, {0, 1}, {1, 2, 4, 8, 16, 1000}})
-    ->Args({1, 0, 1000})
-    ->Args({1, 1, 1000})
+    ->ArgsProduct({{0}, {0, 1}, {1, 2, 4, 5, 8, 16, 1000}})
+    ->ArgsProduct({{1}, {0, 1}, {4, 5, 8, 12, 16, 1000}})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_BackboneBgi(benchmark::State& state) {

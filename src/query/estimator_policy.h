@@ -9,14 +9,18 @@
 namespace ugs {
 
 /// Auto picks the block sampler (kSkipSampler) only for requests of at
-/// least this many samples. The block sampler decides a whole block of
-/// 16 worlds per pass whatever the request needs, so a small request
-/// pays for worlds it throws away. bench_micro's BM_SampleRequest rungs
-/// on the serve_miss-shaped graph (one pinned CPU of a shared 4-vCPU
-/// VM) put a block at ~1.2-1.5 ms and a plain world at ~0.25-0.32 ms,
-/// a break-even near 4.7 worlds: plain wins at 1, 2 and (narrowly) 4
-/// samples, the block from 8. Requests below this draw the plain stream.
-inline constexpr int kBlockSamplerMinSamples = 5;
+/// least this many samples: one whole block. The block sampler decides
+/// 16 worlds per pass whatever the request needs, so a smaller request
+/// pays for worlds it throws away, and a block costs more the more
+/// edges are present. bench_micro's BM_SampleRequest rungs (one pinned
+/// CPU of a shared 4-vCPU VM, medians, plain world vs first block):
+/// on the serve_miss-shaped graph (mean p ~0.16) ~0.3 ms vs ~1.3-1.6 ms,
+/// so the block wins from 5 samples; with the same edges at mean p ~0.5
+/// ~0.3 ms vs ~3.6-4.3 ms, so plain wins up to 8 samples, the two are
+/// even at 12 and the block wins at 16. 16 is the smallest count at
+/// which the block wins on both; requests below it draw the plain
+/// stream.
+inline constexpr int kBlockSamplerMinSamples = 16;
 
 /// Resolves the execution strategy for `request` among the query's
 /// `supported` estimators.
@@ -38,7 +42,8 @@ inline constexpr int kBlockSamplerMinSamples = 5;
 ///      has at least kBlockSamplerMinSamples samples, whatever the
 ///      graph's mean edge probability: bench_micro's BM_SampleRequest
 ///      rungs put a block-sampled world at ~100 us against ~350 us plain
-///      at mean p ~0.16, and at ~220 against ~330 us at mean p ~0.5.
+///      at mean p ~0.16, and at ~210 against ~350 us at mean p ~0.5
+///      (1000 samples).
 ///   4. kSampled.
 /// kStratified is never auto-selected: its variance win depends on the
 /// entropy concentration of the pivot edges, which the policy cannot

@@ -196,9 +196,10 @@ TEST(EstimatorPolicyTest, HugePairCountsCannotWrapExactBudgetMath) {
 }
 
 TEST(EstimatorPolicyTest, AutoPicksTheBlockSamplerWhateverTheMeanP) {
-  // The block sampler beats plain sampling per world at mean p ~0.16 and
-  // ~0.5 alike, so the graph's probabilities do not enter the choice
-  // (a mean-p rule once kept graphs with mean p >= 0.25 off it).
+  // Once a request fills a block, the block sampler beats plain sampling
+  // at mean p ~0.16 and ~0.5 alike, so the graph's probabilities do not
+  // enter the choice (a mean-p rule once kept graphs with mean p >= 0.25
+  // off it).
   QueryRequest request;
   request.query = "reliability";
   request.num_samples = 100;
@@ -213,22 +214,25 @@ TEST(EstimatorPolicyTest, AutoPicksTheBlockSamplerWhateverTheMeanP) {
 }
 
 TEST(EstimatorPolicyTest, AutoKeepsSmallRequestsOffTheBlockSampler) {
-  // A block decides 16 worlds whatever the request needs: a 1-sample
-  // request draws the plain stream, a 16-sample one a whole block.
-  UncertainGraph low = testing_util::PathGraph(40, 0.1);
+  // A block decides 16 worlds whatever the request needs: requests
+  // smaller than a block draw the plain stream, at any mean p.
   QueryRequest request;
   request.query = "reliability";
   std::vector<Estimator> supported{Estimator::kSampled,
                                    Estimator::kSkipSampler};
-  auto choice_at = [&](int samples) {
-    request.num_samples = samples;
-    Result<Estimator> choice = SelectEstimator(low, request, supported);
-    return choice.ok() ? *choice : Estimator::kAuto;
-  };
-  EXPECT_EQ(choice_at(1), Estimator::kSampled);
-  EXPECT_EQ(choice_at(kBlockSamplerMinSamples - 1), Estimator::kSampled);
-  EXPECT_EQ(choice_at(kBlockSamplerMinSamples), Estimator::kSkipSampler);
-  EXPECT_EQ(choice_at(16), Estimator::kSkipSampler);
+  for (double p : {0.1, 0.5}) {
+    UncertainGraph graph = testing_util::PathGraph(40, p);
+    auto choice_at = [&](int samples) {
+      request.num_samples = samples;
+      Result<Estimator> choice = SelectEstimator(graph, request, supported);
+      return choice.ok() ? *choice : Estimator::kAuto;
+    };
+    EXPECT_EQ(choice_at(1), Estimator::kSampled) << "p " << p;
+    EXPECT_EQ(choice_at(8), Estimator::kSampled) << "p " << p;
+    EXPECT_EQ(choice_at(15), Estimator::kSampled) << "p " << p;
+    EXPECT_EQ(choice_at(16), Estimator::kSkipSampler) << "p " << p;
+    EXPECT_EQ(choice_at(17), Estimator::kSkipSampler) << "p " << p;
+  }
 }
 
 TEST(EstimatorPolicyTest, AutoNeverPicksStratified) {
