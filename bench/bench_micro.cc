@@ -261,19 +261,17 @@ ugs::PossibleWorld SampledServeMissWorld() {
 }
 
 void BM_PossibleWorldBuild(benchmark::State& state) {
-  // Arg 0: bitmap -> present edge list; arg 1: plus the present-only CSR.
+  // Bitmap -> present edge list.
   ugs::PossibleWorld world = SampledServeMissWorld();
-  const bool adjacency = state.range(0) != 0;
   for (auto _ : state) {
     world.Rebuild();
     benchmark::DoNotOptimize(world.edges().data());
-    if (adjacency) benchmark::DoNotOptimize(world.Neighbors(0).data());
     benchmark::ClobberMemory();
   }
   const auto edges = static_cast<std::int64_t>(ServeMissGraph().num_edges());
   state.SetItemsProcessed(state.iterations() * edges);
 }
-BENCHMARK(BM_PossibleWorldBuild)->Arg(0)->Arg(1);
+BENCHMARK(BM_PossibleWorldBuild)->Arg(0);
 
 void BM_PageRankWorld(benchmark::State& state) {
   const ugs::PossibleWorld world = SampledServeMissWorld();
@@ -290,6 +288,7 @@ void BM_PageRankWorld(benchmark::State& state) {
 BENCHMARK(BM_PageRankWorld);
 
 void BM_ClusteringWorld(benchmark::State& state) {
+  // Includes the kernel's oriented-row build.
   const ugs::PossibleWorld world = SampledServeMissWorld();
   std::vector<double> cc(ServeMissGraph().num_vertices());
   ugs::ClusteringScratch scratch;
@@ -301,16 +300,40 @@ void BM_ClusteringWorld(benchmark::State& state) {
 }
 BENCHMARK(BM_ClusteringWorld);
 
-void BM_BfsWorld(benchmark::State& state) {
-  const ugs::PossibleWorld world = SampledServeMissWorld();
-  ugs::BfsScratch bfs;
+/// `count` random pairs of distinct vertices of ServeMissGraph(), the
+/// same for every caller.
+std::vector<ugs::VertexPair> ServeMissPairs(int count) {
+  const std::size_t n = ServeMissGraph().num_vertices();
+  ugs::Rng rng(7);
+  std::vector<ugs::VertexPair> pairs;
+  for (int i = 0; i < count; ++i) {
+    const auto s = static_cast<ugs::VertexId>(rng.NextIndex(n));
+    auto t = static_cast<ugs::VertexId>(rng.NextIndex(n - 1));
+    if (t >= s) ++t;
+    pairs.push_back({s, t});
+  }
+  return pairs;
+}
+
+void BM_ShortestPathWorld(benchmark::State& state) {
+  // serve_miss's 2 pairs on a freshly adopted world, as the block
+  // sampler hands it over: the first search rewrites the bitmap.
+  const ugs::PossibleWorld sampled = SampledServeMissWorld();
+  const std::vector<ugs::EdgeId> edges(sampled.edges().begin(),
+                                       sampled.edges().end());
+  const std::vector<ugs::VertexPair> pairs = ServeMissPairs(2);
+  ugs::PossibleWorld world(ServeMissGraph());
+  ugs::PairSearchScratch scratch;
   for (auto _ : state) {
-    ugs::BfsOnWorld(world, 0, &bfs);
-    benchmark::DoNotOptimize(bfs.dist.data());
+    world.Adopt(edges);
+    for (const ugs::VertexPair& pair : pairs) {
+      benchmark::DoNotOptimize(
+          ugs::ShortestDistanceOnWorld(world, pair.s, pair.t, &scratch));
+    }
     benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_BfsWorld);
+BENCHMARK(BM_ShortestPathWorld);
 
 /// One serve_miss request through a GraphSession on a 1-thread engine:
 /// 16 block-sampled worlds (kSkipSampler) of ServeMissGraph(), evaluated
@@ -324,21 +347,14 @@ void BM_ServeMissRequest(benchmark::State& state, const char* family) {
     return new ugs::GraphSession(ServeMissGraph(), options);
   }();
   const std::string query = family;
-  const std::size_t n = ServeMissGraph().num_vertices();
   const int num_pairs =
       query == "reliability" ? 8 : (query == "shortest-path" ? 2 : 0);
-  ugs::Rng rng(7);
   ugs::QueryRequest request;
   request.query = query;
   request.num_samples = 16;
   request.estimator = ugs::Estimator::kSkipSampler;
   request.pagerank.max_iterations = 20;
-  for (int i = 0; i < num_pairs; ++i) {
-    const auto s = static_cast<ugs::VertexId>(rng.NextIndex(n));
-    auto t = static_cast<ugs::VertexId>(rng.NextIndex(n - 1));
-    if (t >= s) ++t;
-    request.pairs.push_back({s, t});
-  }
+  request.pairs = ServeMissPairs(num_pairs);
   for (auto _ : state) {
     ++request.seed;
     ugs::Result<ugs::QueryResult> result = session->Run(request);

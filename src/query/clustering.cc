@@ -1,6 +1,8 @@
 #include "query/clustering.h"
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
 #include <span>
 
 #include "util/check.h"
@@ -9,7 +11,38 @@ namespace ugs {
 
 void LocalClusteringOnWorld(const PossibleWorld& world, double* cc,
                             ClusteringScratch* scratch) {
-  const std::size_t n = world.graph().num_vertices();
+  const UncertainGraph& graph = world.graph();
+  const std::size_t n = graph.num_vertices();
+  const std::span<const EdgeId> edges = world.edges();
+  std::vector<std::uint32_t>& degree = scratch->degree;
+  std::vector<std::size_t>& offsets = scratch->offsets;
+  std::vector<VertexId>& higher = scratch->higher;
+  degree.assign(n, 0);
+  offsets.assign(n + 1, 0);
+
+  // Orient every edge from its lower endpoint to its higher one (edges
+  // are stored as given, so u > v occurs). Pass 1 counts both degrees and
+  // each row's length; after the prefix sum offsets[u] is the end of row
+  // u. Pass 2 walks the edges from the highest id down and fills each
+  // row from its end, which leaves every row in ascending edge id and
+  // offsets[u] at the start of row u.
+  for (EdgeId e : edges) {
+    const UncertainEdge& ed = graph.edge(e);
+    ++degree[ed.u];
+    ++degree[ed.v];
+    ++offsets[std::min(ed.u, ed.v)];
+  }
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  higher.resize(offsets[n]);
+  for (auto it = edges.rbegin(); it != edges.rend(); ++it) {
+    const UncertainEdge& ed = graph.edge(*it);
+    higher[--offsets[std::min(ed.u, ed.v)]] = std::max(ed.u, ed.v);
+  }
+  const auto row = [&](VertexId u) {
+    return std::span<const VertexId>(higher.data() + offsets[u],
+                                     higher.data() + offsets[u + 1]);
+  };
+
   constexpr VertexId kUnmarked = static_cast<VertexId>(-1);
   std::vector<VertexId>& mark = scratch->mark;
   std::vector<std::size_t>& triangles = scratch->triangles;
@@ -22,10 +55,10 @@ void LocalClusteringOnWorld(const PossibleWorld& world, double* cc,
   // parallel edges, so the integer counts equal any other exact triangle
   // count.
   for (VertexId u = 0; u < n; ++u) {
-    const std::span<const VertexId> higher_u = world.HigherNeighbors(u);
+    const std::span<const VertexId> higher_u = row(u);
     for (VertexId v : higher_u) mark[v] = u;
     for (VertexId v : higher_u) {
-      for (VertexId w : world.HigherNeighbors(v)) {
+      for (VertexId w : row(v)) {
         if (mark[w] == u) {
           ++triangles[u];
           ++triangles[v];
@@ -36,7 +69,7 @@ void LocalClusteringOnWorld(const PossibleWorld& world, double* cc,
   }
 
   for (VertexId v = 0; v < n; ++v) {
-    const std::size_t deg = world.Neighbors(v).size();
+    const std::size_t deg = degree[v];
     if (deg < 2) {
       cc[v] = 0.0;
       continue;

@@ -1,6 +1,7 @@
 #ifndef UGS_QUERY_CLUSTERING_H_
 #define UGS_QUERY_CLUSTERING_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/uncertain_graph.h"
@@ -14,14 +15,19 @@ namespace ugs {
 
 /// Per-task scratch of LocalClusteringOnWorld, reused across worlds.
 struct ClusteringScratch {
+  std::vector<std::uint32_t> degree;  ///< Present-edge degree per vertex.
+  /// Oriented rows: row u = higher[offsets[u], offsets[u + 1]) holds
+  /// u's present neighbours above u.
+  std::vector<std::size_t> offsets;
+  std::vector<VertexId> higher;
   std::vector<VertexId> mark;
   std::vector<std::size_t> triangles;
 };
 
 /// Local clustering coefficient of every vertex in one world, written to
 /// cc[0..|V|): cc(v) = 2 * triangles(v) / (deg(v) * (deg(v)-1)); 0 when
-/// deg(v) < 2. Triangles are counted with a marker array over the
-/// world's present-only adjacency.
+/// deg(v) < 2. Builds each vertex's higher neighbours from the world's
+/// edge list into `scratch`, then counts triangles with a marker array.
 void LocalClusteringOnWorld(const PossibleWorld& world, double* cc,
                             ClusteringScratch* scratch);
 

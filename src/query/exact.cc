@@ -155,12 +155,13 @@ double ExactExpectedDistance(const UncertainGraph& graph, VertexId s,
   ParallelWorldReduce(
       graph, 2,
       [s, t]() -> ChunkVisitor {
-        auto bfs = std::make_shared<BfsScratch>();
-        return [bfs, s, t](const PossibleWorld& world, double prob, double* a) {
-          BfsOnWorld(world, s, bfs.get());
-          if (bfs->dist[t] != kUnreachable) {
+        auto scratch = std::make_shared<PairSearchScratch>();
+        return [scratch, s, t](const PossibleWorld& world, double prob,
+                               double* a) {
+          const int d = ShortestDistanceOnWorld(world, s, t, scratch.get());
+          if (d != kUnreachable) {
             a[0] += prob;
-            a[1] += prob * static_cast<double>(bfs->dist[t]);
+            a[1] += prob * static_cast<double>(d);
           }
         };
       },

@@ -40,7 +40,7 @@ double ExactConnectivityProbability(const UncertainGraph& graph,
 double ExactReliability(const UncertainGraph& graph, VertexId s, VertexId t,
                         ThreadPool& pool);
 
-/// Expected BFS distance from s to t conditioned on connectivity
+/// Expected ShortestDistanceOnWorld(s, t) conditioned on connectivity
 /// (the paper's SP semantics). If connectivity_probability is non-null it
 /// receives Pr[s ~ t]. Returns 0 when the pair is never connected.
 double ExactExpectedDistance(const UncertainGraph& graph, VertexId s,

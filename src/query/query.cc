@@ -116,10 +116,9 @@ WorldQueryFactory ReachabilityFactory(const UncertainGraph& graph, VertexId s,
 /// stratified conditioned-distance ratio estimator.
 WorldQueryFactory DistanceFactory(VertexId s, VertexId t, bool distance) {
   return [s, t, distance]() -> WorldQuery {
-    auto bfs = std::make_shared<BfsScratch>();
-    return [bfs, s, t, distance](const PossibleWorld& world) {
-      BfsOnWorld(world, s, bfs.get());
-      int d = bfs->dist[t];
+    auto scratch = std::make_shared<PairSearchScratch>();
+    return [scratch, s, t, distance](const PossibleWorld& world) {
+      const int d = ShortestDistanceOnWorld(world, s, t, scratch.get());
       if (d == kUnreachable) return 0.0;
       return distance ? static_cast<double>(d) : 1.0;
     };

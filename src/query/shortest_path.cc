@@ -1,34 +1,59 @@
 #include "query/shortest_path.h"
 
-#include <algorithm>
+#include <cstdlib>
 #include <memory>
-#include <unordered_map>
 
 #include "util/check.h"
 
 namespace ugs {
 
-void BfsOnWorld(const PossibleWorld& world, VertexId source, BfsScratch* bfs) {
-  const std::size_t n = world.graph().num_vertices();
-  UGS_CHECK(source < n);
-  bfs->dist.assign(n, kUnreachable);
-  bfs->queue.resize(n);
-  int* d = bfs->dist.data();
-  VertexId* q = bfs->queue.data();
-  d[source] = 0;
-  q[0] = source;
-  std::size_t head = 0;
-  std::size_t tail = 1;
-  while (head < tail) {
-    const VertexId u = q[head++];
-    const int next = d[u] + 1;
-    for (VertexId w : world.Neighbors(u)) {
-      if (d[w] == kUnreachable) {
-        d[w] = next;
-        q[tail++] = w;
+int ShortestDistanceOnWorld(const PossibleWorld& world, VertexId s, VertexId t,
+                            PairSearchScratch* scratch) {
+  const UncertainGraph& graph = world.graph();
+  const std::size_t n = graph.num_vertices();
+  UGS_CHECK(s < n && t < n);
+  if (s == t) return 0;
+  const std::vector<char>& present = world.present();
+  std::vector<int>& label = scratch->label;
+  std::vector<VertexId>* queue = scratch->queue;
+  label.resize(n, 0);
+  label[s] = 1;
+  label[t] = -1;
+  queue[0].assign(1, s);
+  queue[1].assign(1, t);
+  std::size_t begin[2] = {0, 0};  // Start of each side's frontier.
+  int depth[2] = {0, 0};          // Depth of each side's frontier.
+  int best = kUnreachable;
+  // Once a level meets the other side, every shorter path would have met
+  // it in an earlier level, so the minimum over this level is the
+  // distance.
+  while (best == kUnreachable) {
+    const int side =
+        queue[0].size() - begin[0] <= queue[1].size() - begin[1] ? 0 : 1;
+    const std::size_t end = queue[side].size();
+    if (begin[side] == end) break;  // No path: one side ran out.
+    const int reached = side == 0 ? depth[0] + 2 : -(depth[1] + 2);
+    for (std::size_t i = begin[side]; i < end; ++i) {
+      for (const AdjacencyEntry& a : graph.Neighbors(queue[side][i])) {
+        if (!present[a.edge]) continue;
+        const int other = label[a.neighbor];
+        if (other == 0) {
+          label[a.neighbor] = reached;
+          queue[side].push_back(a.neighbor);
+        } else if ((other < 0) == (side == 0)) {
+          // The other side reached it at depth |other| - 1.
+          const int d = depth[side] + std::abs(other);
+          if (best == kUnreachable || d < best) best = d;
+        }
       }
     }
+    begin[side] = end;
+    ++depth[side];
   }
+  for (const std::vector<VertexId>& reset : scratch->queue) {
+    for (VertexId v : reset) label[v] = 0;
+  }
+  return best;
 }
 
 std::vector<VertexPair> SampleDistinctPairs(std::size_t num_vertices,
@@ -51,28 +76,18 @@ McSamples McShortestPath(const UncertainGraph& graph,
                          const std::vector<VertexPair>& pairs,
                          int num_samples, Rng* rng,
                          const SampleEngine& engine) {
-  // Group pair indices by source so one BFS serves all of them; built
-  // once and shared read-only by every worker.
-  auto by_source = std::make_shared<
-      std::unordered_map<VertexId, std::vector<std::size_t>>>();
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    (*by_source)[pairs[i].s].push_back(i);
-  }
-
   return engine.Run(
       graph, pairs.size(), num_samples, rng, /*track_valid=*/true,
-      [&pairs, by_source]() -> SampleEngine::WorldEval {
-        auto scratch = std::make_shared<BfsScratch>();
-        return [&pairs, by_source, scratch](PossibleWorld& world, double* row,
-                                            char* valid) {
-          for (const auto& [source, indices] : *by_source) {
-            BfsOnWorld(world, source, scratch.get());
-            for (std::size_t i : indices) {
-              int d = scratch->dist[pairs[i].t];
-              if (d != kUnreachable) {
-                row[i] = static_cast<double>(d);
-                valid[i] = 1;
-              }
+      [&pairs]() -> SampleEngine::WorldEval {
+        auto scratch = std::make_shared<PairSearchScratch>();
+        return [&pairs, scratch](PossibleWorld& world, double* row,
+                                 char* valid) {
+          for (std::size_t i = 0; i < pairs.size(); ++i) {
+            const int d = ShortestDistanceOnWorld(world, pairs[i].s,
+                                                  pairs[i].t, scratch.get());
+            if (d != kUnreachable) {
+              row[i] = static_cast<double>(d);
+              valid[i] = 1;
             }
           }
         };

@@ -21,17 +21,26 @@ struct VertexPair {
   VertexId t = 0;
 };
 
-/// Per-task scratch of BfsOnWorld, reused across sources and worlds.
-struct BfsScratch {
-  std::vector<int> dist;  ///< Hop distances from the last source.
-  std::vector<VertexId> queue;
+/// Per-task scratch of ShortestDistanceOnWorld, reused across pairs and
+/// worlds. Between searches every label is 0.
+struct PairSearchScratch {
+  /// Per vertex: d + 1 when the search from s reached it at depth d,
+  /// -(d + 1) when the search from t did, 0 when neither did.
+  std::vector<int> label;
+  /// Each side's reached vertices in BFS order: its levels, and the list
+  /// of labels to reset once the search ends.
+  std::vector<VertexId> queue[2];
 };
 
-/// BFS hop distances from `source` over the world's present-only
-/// adjacency, into bfs->dist (|V| entries; kUnreachable where not
-/// reached). Worlds are unweighted (paper assumption), so BFS is the
-/// shortest-path computation.
-void BfsOnWorld(const PossibleWorld& world, VertexId source, BfsScratch* bfs);
+/// Hop distance from s to t in the world (0 when s == t), or kUnreachable.
+/// Worlds are unweighted (paper assumption), so BFS is the shortest-path
+/// computation. The search is level-synchronous and bidirectional over
+/// the graph's own rows, testing each entry against world.present(): it
+/// expands the side with the smaller frontier by one whole level, takes
+/// the minimum over every meeting in that level, and stops as unreachable
+/// once either frontier is empty. It resets only the labels it set.
+int ShortestDistanceOnWorld(const PossibleWorld& world, VertexId s, VertexId t,
+                            PairSearchScratch* scratch);
 
 /// Draws `count` distinct ordered pairs (s != t) uniformly.
 std::vector<VertexPair> SampleDistinctPairs(std::size_t num_vertices,
@@ -39,9 +48,9 @@ std::vector<VertexPair> SampleDistinctPairs(std::size_t num_vertices,
 
 /// Monte-Carlo shortest-path distance (query (ii) of Section 6.3):
 /// unit = pair; a sample is valid only when the pair is connected in that
-/// world ("excluding the ones that disconnect them"). Pairs sharing a
-/// source share one BFS per world. Worlds are dispatched through `engine`
-/// (deterministic at any thread count).
+/// world ("excluding the ones that disconnect them"). Each pair is one
+/// ShortestDistanceOnWorld search per world. Worlds are dispatched
+/// through `engine` (deterministic at any thread count).
 McSamples McShortestPath(const UncertainGraph& graph,
                          const std::vector<VertexPair>& pairs,
                          int num_samples, Rng* rng,

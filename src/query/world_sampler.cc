@@ -38,7 +38,6 @@ void PossibleWorld::Rebuild() {
     k += present_[e] != 0;
   }
   num_present_ = k;
-  adjacency_built_ = false;
 }
 
 void PossibleWorld::Adopt(std::span<const EdgeId> edges) {
@@ -47,47 +46,12 @@ void PossibleWorld::Adopt(std::span<const EdgeId> edges) {
   edges_.assign(edges.begin(), edges.end());
   num_present_ = edges.size();
   bitmap_stale_ = true;
-  adjacency_built_ = false;
 }
 
 void PossibleWorld::BuildBitmap() const {
   std::fill(present_.begin(), present_.end(), 0);
   for (EdgeId e : edges()) present_[e] = 1;
   bitmap_stale_ = false;
-}
-
-void PossibleWorld::BuildAdjacency() const {
-  const UncertainGraph& graph = *graph_;
-  const std::size_t n = graph.num_vertices();
-  // Two counting-sort passes over the present edges only. The first
-  // scatters each edge into both endpoints' rows in edge-id order; the
-  // second transposes that (symmetric) adjacency by walking its rows in
-  // vertex order, which leaves every row ascending -- the graph's own
-  // neighbor order. When the walk reaches v, row v holds exactly v's
-  // neighbors below v, so its cursor then is v's higher-neighbor split.
-  offsets_.assign(n + 1, 0);
-  for (EdgeId e : edges()) {
-    ++offsets_[graph.edge(e).u + 1];
-    ++offsets_[graph.edge(e).v + 1];
-  }
-  for (std::size_t u = 0; u < n; ++u) offsets_[u + 1] += offsets_[u];
-  unsorted_.resize(offsets_[n]);
-  neighbors_.resize(offsets_[n]);
-  cursor_.assign(offsets_.begin(), offsets_.end() - 1);
-  for (EdgeId e : edges()) {
-    const UncertainEdge& ed = graph.edge(e);
-    unsorted_[cursor_[ed.u]++] = ed.v;
-    unsorted_[cursor_[ed.v]++] = ed.u;
-  }
-  cursor_.assign(offsets_.begin(), offsets_.end() - 1);
-  higher_.resize(n);
-  for (VertexId v = 0; v < n; ++v) {
-    higher_[v] = cursor_[v];
-    for (std::size_t i = offsets_[v]; i < offsets_[v + 1]; ++i) {
-      neighbors_[cursor_[unsorted_[i]]++] = v;
-    }
-  }
-  adjacency_built_ = true;
 }
 
 double McSamples::UnitMean(std::size_t unit) const {

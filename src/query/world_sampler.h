@@ -20,24 +20,24 @@ void SampleWorld(const UncertainGraph& graph, Rng* rng,
 std::size_t CountPresent(const std::vector<char>& present);
 
 /// One deterministic world of an uncertain graph, in the compact form the
-/// query kernels consume: the presence bitmap, the present edge ids in
-/// ascending id order, and -- built on first use -- a present-only CSR
-/// adjacency. Sampled worlds keep only a fraction of |E| (mean p is
-/// ~0.1-0.2 on the paper's datasets), so kernels that walk this view skip
-/// the absent edges instead of testing a flag per edge or per CSR entry.
+/// query kernels consume: the presence bitmap and the present edge ids in
+/// ascending id order. Sampled worlds keep only a fraction of |E| (mean p
+/// is ~0.1-0.2 on the paper's datasets), so kernels that walk the edge
+/// list skip the absent edges instead of testing a flag per edge; kernels
+/// that need rows build them in their own scratch (PageRank's slices,
+/// clustering's oriented rows) or walk the graph's rows against the
+/// bitmap (pair distances).
 ///
 /// Lifecycle: either install a sorted edge list with Adopt() (the block
 /// sampler), or write the bitmap through mutable_present() (the plain
 /// sampler, or stratified pivot conditioning) and then call Rebuild()
-/// before reading anything else. Both drop the adjacency so the next
-/// Neighbors() call rebuilds it. Adopt() also leaves the bitmap stale:
-/// the query kernels read only edges() and the adjacency, so the bitmap
-/// is rewritten from the edge list only when present() or
-/// mutable_present() next asks for it. The view keeps a reference to the
-/// graph and reuses its buffers across rebuilds, so a per-task instance
-/// allocates only on its first world. Not thread-safe (the bitmap and
-/// the adjacency are built lazily inside const accessors): each engine
-/// task owns its own instance.
+/// before reading anything else. The bitmap is the only lazy member:
+/// Adopt() leaves it stale, and it is rewritten from the edge list, once
+/// per world, when present() or mutable_present() next asks for it. The
+/// view keeps a reference to the graph and reuses its buffers across
+/// rebuilds, so a per-task instance allocates only on its first world.
+/// Not thread-safe (the bitmap is written inside a const accessor): each
+/// engine task owns its own instance.
 class PossibleWorld {
  public:
   /// The empty world (no edge present) of `graph`, which must outlive
@@ -57,16 +57,15 @@ class PossibleWorld {
     return present_;
   }
 
-  /// Re-derives the edge list from the bitmap and invalidates the
-  /// adjacency. Call after every write through mutable_present().
+  /// Re-derives the edge list from the bitmap. Call after every write
+  /// through mutable_present().
   void Rebuild();
 
   /// Installs `edges` (ascending ids, each < |E|) as the present edges:
-  /// copies the list, marks the bitmap stale (its next read rewrites the
-  /// whole of it from the list, so no earlier write through
-  /// mutable_present() survives) and invalidates the adjacency. Replaces
-  /// the bitmap scan of Rebuild() for samplers that produce sorted edge
-  /// lists.
+  /// copies the list and marks the bitmap stale (its next read rewrites
+  /// the whole of it from the list, so no earlier write through
+  /// mutable_present() survives). Replaces the bitmap scan of Rebuild()
+  /// for samplers that produce sorted edge lists.
   void Adopt(std::span<const EdgeId> edges);
 
   /// Present edge ids, ascending.
@@ -74,28 +73,8 @@ class PossibleWorld {
     return {edges_.data(), num_present_};
   }
 
-  /// Present neighbors of u, in the graph's neighbor order (ascending
-  /// id). The first call after Rebuild() builds the adjacency, in time
-  /// linear in |V| plus the number of present edges.
-  std::span<const VertexId> Neighbors(VertexId u) const {
-    if (!adjacency_built_) BuildAdjacency();
-    UGS_DCHECK(u < graph_->num_vertices());
-    return {neighbors_.data() + offsets_[u],
-            neighbors_.data() + offsets_[u + 1]};
-  }
-
-  /// The suffix of Neighbors(u) above u, split off when the adjacency is
-  /// built (no search).
-  std::span<const VertexId> HigherNeighbors(VertexId u) const {
-    if (!adjacency_built_) BuildAdjacency();
-    UGS_DCHECK(u < graph_->num_vertices());
-    return {neighbors_.data() + higher_[u],
-            neighbors_.data() + offsets_[u + 1]};
-  }
-
  private:
   void BuildBitmap() const;
-  void BuildAdjacency() const;
 
   const UncertainGraph* graph_;
   // Written from edges_ on first use after Adopt().
@@ -103,13 +82,6 @@ class PossibleWorld {
   mutable bool bitmap_stale_ = false;
   std::vector<EdgeId> edges_;  // First num_present_ entries valid.
   std::size_t num_present_ = 0;
-  // Lazily built present-only CSR, plus its build scratch.
-  mutable bool adjacency_built_ = false;
-  mutable std::vector<std::size_t> offsets_;  // n + 1 entries.
-  mutable std::vector<std::size_t> higher_;   // Start of u's higher part.
-  mutable std::vector<VertexId> neighbors_;
-  mutable std::vector<VertexId> unsorted_;
-  mutable std::vector<std::size_t> cursor_;
 };
 
 /// A matrix of per-unit query results across Monte-Carlo samples, where a

@@ -12,9 +12,11 @@
 #include <gtest/gtest.h>
 
 #include "gen/generators.h"
+#include "query/clustering.h"
 #include "query/exact.h"
 #include "query/reliability.h"
 #include "query/sample_engine.h"
+#include "query/shortest_path.h"
 #include "query/world_sampler.h"
 #include "util/thread_pool.h"
 
@@ -227,53 +229,84 @@ TEST(BlockSamplerTest, WorldDependsOnlyOnSeedAndIndex) {
   }
 }
 
+/// A 5-cycle 0-1-2-3-4 plus the chord (2, 0), stored larger endpoint
+/// first, which closes the triangle 0-1-2 (edges 0, 1, 5).
+UncertainGraph CycleWithChord() {
+  return UncertainGraph::FromEdges(5, {{0, 1, 0.5},
+                                       {1, 2, 0.5},
+                                       {2, 3, 0.5},
+                                       {3, 4, 0.5},
+                                       {0, 4, 0.5},
+                                       {2, 0, 0.5}});
+}
+
+std::vector<double> Clustering(const PossibleWorld& world) {
+  std::vector<double> cc(world.graph().num_vertices());
+  ClusteringScratch scratch;
+  LocalClusteringOnWorld(world, cc.data(), &scratch);
+  return cc;
+}
+
 TEST(BlockSamplerTest, AdoptAfterBitmapEditLeavesNoStaleBits) {
-  UncertainGraph g = UncertainGraph::FromEdges(
-      5, {{0, 1, 0.5}, {1, 2, 0.5}, {2, 3, 0.5}, {3, 4, 0.5}, {0, 4, 0.5}});
+  UncertainGraph g = CycleWithChord();
   PossibleWorld world(g);
+  PairSearchScratch pair;
   const std::vector<EdgeId> first = {0, 2};
   world.Adopt(first);
-  EXPECT_EQ(world.present(), (std::vector<char>{1, 0, 1, 0, 0}));
-  EXPECT_EQ(world.Neighbors(1).size(), 1u);
+  EXPECT_EQ(ShortestDistanceOnWorld(world, 0, 1, &pair), 1);
+  EXPECT_EQ(ShortestDistanceOnWorld(world, 1, 2, &pair), kUnreachable);
+  EXPECT_EQ(world.present(), (std::vector<char>{1, 0, 1, 0, 0, 0}));
   // An evaluator's edit, e.g. pivot conditioning: set edges outside the
   // adopted list, clear one inside it, without calling Rebuild().
   world.mutable_present()[3] = 1;
   world.mutable_present()[4] = 1;
   world.mutable_present()[0] = 0;
-  const std::vector<EdgeId> second = {0, 1};
+  const std::vector<EdgeId> second = {0, 1, 5};
   world.Adopt(second);
-  EXPECT_EQ(world.present(), (std::vector<char>{1, 1, 0, 0, 0}));
+  // The kernels read the world before anything else does. On the edited
+  // bitmap {2, 3, 4}, 1 would be isolated and 0-4-3 a path.
+  EXPECT_EQ(ShortestDistanceOnWorld(world, 1, 2, &pair), 1);
+  EXPECT_EQ(ShortestDistanceOnWorld(world, 0, 3, &pair), kUnreachable);
+  // The triangle's rows come from the new list, not the first.
+  EXPECT_EQ(Clustering(world), (std::vector<double>{1, 1, 1, 0, 0}));
+  EXPECT_EQ(world.present(), (std::vector<char>{1, 1, 0, 0, 0, 1}));
   EXPECT_EQ(std::vector<EdgeId>(world.edges().begin(), world.edges().end()),
             second);
-  // The adjacency was rebuilt for the new list, not kept from the first.
-  EXPECT_EQ(world.Neighbors(1).size(), 2u);
-  EXPECT_EQ(world.Neighbors(3).size(), 0u);
   world.Adopt({});
-  EXPECT_EQ(world.present(), (std::vector<char>(5, 0)));
+  EXPECT_EQ(ShortestDistanceOnWorld(world, 1, 2, &pair), kUnreachable);
+  EXPECT_EQ(Clustering(world), std::vector<double>(5, 0.0));
+  EXPECT_EQ(world.present(), (std::vector<char>(6, 0)));
   EXPECT_TRUE(world.edges().empty());
 }
 
 TEST(BlockSamplerTest, EditAfterAdoptStartsFromTheAdoptedEdges) {
   // Adopt leaves the bitmap stale; the first mutable_present() writes it
   // from the adopted list, so an edit followed by Rebuild() sees both.
-  UncertainGraph g = UncertainGraph::FromEdges(
-      5, {{0, 1, 0.5}, {1, 2, 0.5}, {2, 3, 0.5}, {3, 4, 0.5}, {0, 4, 0.5}});
+  UncertainGraph g = CycleWithChord();
   PossibleWorld world(g);
-  world.mutable_present()[1] = 1;  // Dropped by the Adopt below.
+  PairSearchScratch pair;
+  world.mutable_present()[3] = 1;  // Dropped by the Adopt below.
   const std::vector<EdgeId> adopted = {0, 2, 4};
   world.Adopt(adopted);
   world.mutable_present()[2] = 0;
-  world.mutable_present()[3] = 1;
+  world.mutable_present()[1] = 1;
+  world.mutable_present()[5] = 1;
   world.Rebuild();
   EXPECT_EQ(std::vector<EdgeId>(world.edges().begin(), world.edges().end()),
-            (std::vector<EdgeId>{0, 3, 4}));
-  EXPECT_EQ(world.Neighbors(3).size(), 1u);
+            (std::vector<EdgeId>{0, 1, 4, 5}));
+  // Edge 3 did not survive the Adopt; edges 0 and 4 came from it.
+  EXPECT_EQ(ShortestDistanceOnWorld(world, 0, 3, &pair), kUnreachable);
+  EXPECT_EQ(ShortestDistanceOnWorld(world, 1, 4, &pair), 2);
+  EXPECT_EQ(Clustering(world), (std::vector<double>{1.0 / 3.0, 1, 1, 0, 0}));
   // Rebuild() straight after Adopt() keeps the adopted list.
   world.Adopt(adopted);
   world.Rebuild();
   EXPECT_EQ(std::vector<EdgeId>(world.edges().begin(), world.edges().end()),
             adopted);
-  EXPECT_EQ(world.present(), (std::vector<char>{1, 0, 1, 0, 1}));
+  EXPECT_EQ(world.present(), (std::vector<char>{1, 0, 1, 0, 1, 0}));
+  EXPECT_EQ(ShortestDistanceOnWorld(world, 1, 4, &pair), 2);
+  EXPECT_EQ(ShortestDistanceOnWorld(world, 2, 3, &pair), 1);
+  EXPECT_EQ(ShortestDistanceOnWorld(world, 1, 2, &pair), kUnreachable);
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
 // The PossibleWorld view and the kernels that consume it. View
-// invariants are checked against the bitmap and the graph's own CSR;
-// every kernel is checked against a naive reference written here that
-// reads only the bitmap.
+// invariants are checked against the bitmap; every kernel is checked
+// against a naive reference written here that reads only the bitmap.
 
 #include <algorithm>
 #include <cmath>
-#include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -35,26 +34,21 @@ void ExpectConsistent(const PossibleWorld& world) {
   }
   EXPECT_EQ(std::vector<EdgeId>(world.edges().begin(), world.edges().end()),
             set_bits);
-  for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    std::vector<VertexId> filtered;
-    for (const AdjacencyEntry& a : g.Neighbors(u)) {
-      if (present[a.edge]) filtered.push_back(a.neighbor);
-    }
-    std::span<const VertexId> row = world.Neighbors(u);
-    EXPECT_EQ(std::vector<VertexId>(row.begin(), row.end()), filtered)
-        << "row " << u;
-    const auto above = std::upper_bound(filtered.begin(), filtered.end(), u);
-    std::span<const VertexId> higher = world.HigherNeighbors(u);
-    EXPECT_EQ(std::vector<VertexId>(higher.begin(), higher.end()),
-              std::vector<VertexId>(above, filtered.end()))
-        << "row " << u;
-  }
 }
 
 std::vector<char> RandomBitmap(std::size_t m, double density, Rng* rng) {
   std::vector<char> present(m);
   for (char& c : present) c = rng->Bernoulli(density) ? 1 : 0;
   return present;
+}
+
+/// `g` with every edge listed as (larger, smaller) endpoint.
+UncertainGraph LargerEndpointFirst(const UncertainGraph& g) {
+  std::vector<UncertainEdge> edges(g.edges().begin(), g.edges().end());
+  for (UncertainEdge& e : edges) {
+    if (e.u < e.v) std::swap(e.u, e.v);
+  }
+  return UncertainGraph::FromEdges(g.num_vertices(), std::move(edges));
 }
 
 /// Small random graphs; the sparse ones leave isolated vertices.
@@ -74,7 +68,6 @@ TEST(PossibleWorldTest, FreshViewIsTheEmptyWorld) {
   UncertainGraph g = testing_util::CompleteK4(0.5);
   PossibleWorld world(g);
   EXPECT_TRUE(world.edges().empty());
-  for (VertexId u = 0; u < 4; ++u) EXPECT_TRUE(world.Neighbors(u).empty());
   ExpectConsistent(world);
 }
 
@@ -85,7 +78,6 @@ TEST(PossibleWorldTest, EmptyAndFullWorlds) {
   ExpectConsistent(empty);
   PossibleWorld full = WorldOf(g, std::vector<char>(g.num_edges(), 1));
   EXPECT_EQ(full.edges().size(), g.num_edges());
-  for (VertexId u = 0; u < 4; ++u) EXPECT_EQ(full.Neighbors(u).size(), 3u);
   ExpectConsistent(full);
 }
 
@@ -98,22 +90,33 @@ TEST(PossibleWorldTest, ZeroEdgeGraph) {
   PageRankScratch pr;
   PageRankOnWorld(world, {}, rank.data(), &pr);
   for (double r : rank) EXPECT_DOUBLE_EQ(r, 1.0 / 3.0);
-  BfsScratch bfs;
-  BfsOnWorld(world, 1, &bfs);
-  EXPECT_EQ(bfs.dist, (std::vector<int>{kUnreachable, 0, kUnreachable}));
+  PairSearchScratch pair;
+  EXPECT_EQ(ShortestDistanceOnWorld(world, 1, 0, &pair), kUnreachable);
+  EXPECT_EQ(ShortestDistanceOnWorld(world, 1, 1, &pair), 0);
+  EXPECT_EQ(ShortestDistanceOnWorld(world, 1, 2, &pair), kUnreachable);
+  std::vector<double> cc(3, -1.0);
+  ClusteringScratch clustering;
+  LocalClusteringOnWorld(world, cc.data(), &clustering);
+  EXPECT_EQ(cc, std::vector<double>(3, 0.0));
   UnionFind uf(3);
   ConnectOnWorld(world, &uf);
   EXPECT_EQ(uf.num_components(), 3u);
 }
 
-TEST(PossibleWorldTest, IsolatedVerticesHaveEmptyRows) {
+TEST(PossibleWorldTest, IsolatedVerticesReachNothing) {
   // Vertices 2 and 5 touch no edge at all.
   UncertainGraph g = UncertainGraph::FromEdges(
       6, {{0, 1, 0.5}, {1, 3, 0.5}, {3, 4, 0.5}, {0, 4, 0.5}});
   PossibleWorld world = WorldOf(g, {1, 0, 1, 1});
-  EXPECT_TRUE(world.Neighbors(2).empty());
-  EXPECT_TRUE(world.Neighbors(5).empty());
   ExpectConsistent(world);
+  PairSearchScratch pair;
+  for (VertexId v = 0; v < 6; ++v) {
+    if (v == 2 || v == 5) continue;
+    EXPECT_EQ(ShortestDistanceOnWorld(world, 2, v, &pair), kUnreachable);
+    EXPECT_EQ(ShortestDistanceOnWorld(world, v, 5, &pair), kUnreachable);
+  }
+  EXPECT_EQ(ShortestDistanceOnWorld(world, 2, 5, &pair), kUnreachable);
+  EXPECT_EQ(ShortestDistanceOnWorld(world, 1, 3, &pair), 3);  // 1-0-4-3.
 }
 
 TEST(PossibleWorldTest, RandomWorldsMatchBitmap) {
@@ -127,7 +130,7 @@ TEST(PossibleWorldTest, RandomWorldsMatchBitmap) {
 
 TEST(PossibleWorldTest, RebuildAfterInPlaceChange) {
   // The stratified pivot case: the bitmap is rewritten in place after
-  // the view (adjacency included) was already read.
+  // the view was already read.
   Rng rng(6);
   for (const UncertainGraph& g : RandomGraphs()) {
     PossibleWorld world = WorldOf(g, RandomBitmap(g.num_edges(), 0.4, &rng));
@@ -269,30 +272,44 @@ TEST(WorldKernelTest, PageRankMatchesNaiveBitForBit) {
 
 TEST(WorldKernelTest, ClusteringMatchesNaive) {
   Rng rng(12);
-  for (const UncertainGraph& g : RandomGraphs()) {
-    ClusteringScratch scratch;
-    for (double density : {0.2, 0.6, 1.0}) {
+  std::vector<UncertainGraph> graphs = RandomGraphs();
+  // Every edge stored as (larger, smaller), so the kernel's oriented rows
+  // cannot rely on stored u < v.
+  graphs.push_back(LargerEndpointFirst(graphs.back()));
+  for (const UncertainGraph& g : graphs) {
+    ClusteringScratch scratch;  // Reused across worlds, as in the engine.
+    for (double density : {0.0, 0.2, 0.6, 1.0}) {
       std::vector<char> present = RandomBitmap(g.num_edges(), density, &rng);
       std::vector<double> cc(g.num_vertices());
       LocalClusteringOnWorld(WorldOf(g, present), cc.data(), &scratch);
-      EXPECT_EQ(cc, NaiveClustering(g, present));
+      EXPECT_EQ(cc, NaiveClustering(g, present)) << "density " << density;
     }
   }
 }
 
 TEST(WorldKernelTest, BfsMatchesNaive) {
+  // ShortestDistanceOnWorld on every ordered pair, s == t included.
   Rng rng(13);
+  std::size_t adjacent = 0;
+  std::size_t disconnected = 0;
   for (const UncertainGraph& g : RandomGraphs()) {
-    BfsScratch bfs;
-    for (double density : {0.2, 0.6}) {
+    PairSearchScratch scratch;  // Reused across pairs and worlds.
+    for (double density : {0.0, 0.2, 0.6, 1.0}) {
       std::vector<char> present = RandomBitmap(g.num_edges(), density, &rng);
       PossibleWorld world = WorldOf(g, present);
-      for (VertexId s = 0; s < g.num_vertices(); s += 3) {
-        BfsOnWorld(world, s, &bfs);
-        EXPECT_EQ(bfs.dist, NaiveDistances(g, present, s));
+      for (VertexId s = 0; s < g.num_vertices(); ++s) {
+        const std::vector<int> want = NaiveDistances(g, present, s);
+        for (VertexId t = 0; t < g.num_vertices(); ++t) {
+          EXPECT_EQ(ShortestDistanceOnWorld(world, s, t, &scratch), want[t])
+              << "density " << density << " pair " << s << "-" << t;
+          adjacent += want[t] == 1;
+          disconnected += want[t] == kUnreachable;
+        }
       }
     }
   }
+  EXPECT_GT(adjacent, 0u);
+  EXPECT_GT(disconnected, 0u);
 }
 
 TEST(WorldKernelTest, ConnectMatchesNaiveReachability) {

@@ -7,28 +7,30 @@
 namespace ugs {
 namespace {
 
-std::vector<int> Bfs(const UncertainGraph& g, const std::vector<char>& present,
-                     VertexId source) {
-  BfsScratch bfs;
-  BfsOnWorld(testing_util::WorldOf(g, present), source, &bfs);
-  return bfs.dist;
+int Distance(const UncertainGraph& g, const std::vector<char>& present,
+             VertexId s, VertexId t) {
+  PairSearchScratch scratch;
+  return ShortestDistanceOnWorld(testing_util::WorldOf(g, present), s, t,
+                                 &scratch);
 }
 
 TEST(BfsTest, PathGraphDistances) {
   UncertainGraph g = testing_util::PathGraph(6, 0.5);
   std::vector<char> present(g.num_edges(), 1);
-  std::vector<int> dist = Bfs(g, present, 0);
-  for (int v = 0; v < 6; ++v) EXPECT_EQ(dist[v], v);
+  for (VertexId v = 0; v < 6; ++v) {
+    EXPECT_EQ(Distance(g, present, 0, v), static_cast<int>(v));
+    EXPECT_EQ(Distance(g, present, v, 0), static_cast<int>(v));
+  }
 }
 
 TEST(BfsTest, AbsentEdgeBreaksPath) {
   UncertainGraph g = testing_util::PathGraph(6, 0.5);
   std::vector<char> present(g.num_edges(), 1);
   present[2] = 0;  // Break between vertices 2 and 3.
-  std::vector<int> dist = Bfs(g, present, 0);
-  EXPECT_EQ(dist[2], 2);
-  EXPECT_EQ(dist[3], kUnreachable);
-  EXPECT_EQ(dist[5], kUnreachable);
+  EXPECT_EQ(Distance(g, present, 0, 2), 2);
+  EXPECT_EQ(Distance(g, present, 0, 3), kUnreachable);
+  EXPECT_EQ(Distance(g, present, 0, 5), kUnreachable);
+  EXPECT_EQ(Distance(g, present, 5, 0), kUnreachable);
 }
 
 TEST(BfsTest, ShortcutPreferred) {
@@ -37,19 +39,16 @@ TEST(BfsTest, ShortcutPreferred) {
   UncertainGraph g = UncertainGraph::FromEdges(
       4, {{0, 1, 0.5}, {1, 2, 0.5}, {2, 3, 0.5}, {0, 3, 0.5}, {0, 2, 0.5}});
   std::vector<char> present(g.num_edges(), 1);
-  std::vector<int> dist = Bfs(g, present, 0);
-  EXPECT_EQ(dist[2], 1);
+  EXPECT_EQ(Distance(g, present, 0, 2), 1);
   present[4] = 0;  // Remove the chord.
-  dist = Bfs(g, present, 0);
-  EXPECT_EQ(dist[2], 2);
+  EXPECT_EQ(Distance(g, present, 0, 2), 2);
 }
 
 TEST(BfsTest, SourceDistanceZero) {
   UncertainGraph g = testing_util::CompleteK4(0.5);
   std::vector<char> present(g.num_edges(), 0);
-  std::vector<int> dist = Bfs(g, present, 2);
-  EXPECT_EQ(dist[2], 0);
-  EXPECT_EQ(dist[0], kUnreachable);
+  EXPECT_EQ(Distance(g, present, 2, 2), 0);
+  EXPECT_EQ(Distance(g, present, 2, 0), kUnreachable);
 }
 
 TEST(SamplePairsTest, DistinctEndpointsInRange) {
@@ -96,17 +95,19 @@ TEST(McShortestPathTest, DisconnectedSamplesMarkedInvalid) {
 }
 
 TEST(McShortestPathTest, SharedSourceGrouping) {
-  // Multiple pairs sharing a source must produce consistent results.
+  // Pairs sharing a source, a repeated pair and an s == t pair each get
+  // their own, consistent result.
   UncertainGraph g = testing_util::PathGraph(6, 1.0);
   Rng rng(4);
-  std::vector<VertexPair> pairs{{0, 1}, {0, 3}, {0, 5}, {2, 4}};
+  std::vector<VertexPair> pairs{{0, 1}, {0, 3}, {0, 5}, {2, 4}, {0, 3}, {4, 4}};
   const SampleEngine engine;
   McSamples s = McShortestPath(g, pairs, 5, &rng, engine);
+  const double want[] = {1.0, 3.0, 5.0, 2.0, 3.0, 0.0};
   for (std::size_t sample = 0; sample < s.num_samples; ++sample) {
-    EXPECT_DOUBLE_EQ(s.At(sample, 0), 1.0);
-    EXPECT_DOUBLE_EQ(s.At(sample, 1), 3.0);
-    EXPECT_DOUBLE_EQ(s.At(sample, 2), 5.0);
-    EXPECT_DOUBLE_EQ(s.At(sample, 3), 2.0);
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      EXPECT_TRUE(s.IsValid(sample, i)) << "pair " << i;
+      EXPECT_DOUBLE_EQ(s.At(sample, i), want[i]) << "pair " << i;
+    }
   }
 }
 
