@@ -1,0 +1,62 @@
+#!/usr/bin/env bash
+# End-to-end smoke of ugs_sparsify: generates a small Twitter-like graph
+# with ugs_generate, sparsifies it with EMD, GDB and LP-t, and checks
+# that each run exits 0 and writes exactly round(alpha |E|) edges. Then
+# checks that an entropy parameter outside [0, 1] (--h=2, --h=nan) is
+# refused with exit 1 and an "error:" line, not a crash on a signal.
+#
+# Usage: scripts/sparsify_smoke.sh [build_dir]
+set -euo pipefail
+
+BUILD_DIR="${1:-build}"
+for bin in ugs_generate ugs_sparsify; do
+  if [[ ! -x "${BUILD_DIR}/${bin}" ]]; then
+    echo "missing ${BUILD_DIR}/${bin}; build the tools first" >&2
+    exit 1
+  fi
+done
+
+WORK="$(mktemp -d)"
+trap 'rm -rf "${WORK}"' EXIT
+
+fail() {
+  echo "FAIL: $*" >&2
+  exit 1
+}
+
+ALPHA=0.16
+"${BUILD_DIR}/ugs_generate" --dataset=twitter --scale=0.1 --seed=5 \
+  --out="${WORK}/g.txt" >/dev/null
+INPUT_EDGES="$(awk '/^# edges:/ {print $3; exit}' "${WORK}/g.txt")"
+[[ -n "${INPUT_EDGES}" ]] || fail "no '# edges:' header in the input"
+TARGET="$(awk -v a="${ALPHA}" -v m="${INPUT_EDGES}" \
+  'BEGIN {printf "%d", a * m + 0.5}')"
+
+for method in EMD GDB LP-t; do
+  out="${WORK}/s-${method}.txt"
+  "${BUILD_DIR}/ugs_sparsify" --in="${WORK}/g.txt" --out="${out}" \
+    --alpha="${ALPHA}" --method="${method}" >"${WORK}/log-${method}.txt" ||
+    fail "${method} exited $?: $(cat "${WORK}/log-${method}.txt")"
+  header="$(awk '/^# edges:/ {print $3; exit}' "${out}")"
+  lines="$(grep -vc '^#' "${out}")"
+  [[ "${header}" == "${TARGET}" && "${lines}" == "${TARGET}" ]] ||
+    fail "${method} wrote ${lines} edges (header ${header}), want ${TARGET}"
+  echo "ok: ${method} wrote ${TARGET} of ${INPUT_EDGES} edges"
+done
+
+for bad in "EMD 2" "GDB nan"; do
+  read -r method h <<<"${bad}"
+  status=0
+  "${BUILD_DIR}/ugs_sparsify" --in="${WORK}/g.txt" --out="${WORK}/bad.txt" \
+    --alpha="${ALPHA}" --method="${method}" --h="${h}" \
+    >/dev/null 2>"${WORK}/err.txt" || status=$?
+  [[ "${status}" == 1 ]] ||
+    fail "--method=${method} --h=${h} exited ${status}, want 1"
+  grep -q '^error: ' "${WORK}/err.txt" ||
+    fail "--method=${method} --h=${h} printed no 'error:' line"
+  [[ ! -e "${WORK}/bad.txt" ]] ||
+    fail "--method=${method} --h=${h} wrote an output file"
+  echo "ok: --method=${method} --h=${h} refused"
+done
+
+echo "sparsify smoke passed"

@@ -6,6 +6,7 @@
 
 #include "util/check.h"
 #include "util/indexed_heap.h"
+#include "util/timer.h"
 
 namespace ugs {
 namespace {
@@ -148,8 +149,10 @@ EmdStats RunEmd(SparseState* state, const EmdOptions& options) {
   const UncertainGraph& graph = state->graph();
   IndexedMaxHeap heap(graph.num_vertices());
 
+  Timer phase;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     // ---- E-phase (Algorithm 3 lines 7-20) ----
+    phase.Reset();
     heap.Clear();
     for (VertexId u = 0; u < graph.num_vertices(); ++u) {
       heap.Push(u, std::abs(state->Delta(u, type)));
@@ -179,9 +182,12 @@ EmdStats RunEmd(SparseState* state, const EmdOptions& options) {
       heap.Update(bd.v, std::abs(state->Delta(bd.v, type)));
       if (best_edge != e) ++stats.swaps;
     }
+    stats.e_phase_seconds += phase.ElapsedSeconds();
 
     // ---- M-phase (line 21): GDB on the restructured backbone ----
+    phase.Reset();
     stats.sweeps += RunGdb(state, m_phase).sweeps;
+    stats.m_phase_seconds += phase.ElapsedSeconds();
 
     ++stats.iterations;
     double objective = state->ObjectiveD1(type);

@@ -1,5 +1,6 @@
 #include "sparsify/sparsifier.h"
 
+#include <string>
 #include <utility>
 
 #include "sparsify/lp_assign.h"
@@ -79,6 +80,8 @@ class EmdSparsifier final : public Sparsifier {
     out.iterations = stats.iterations;
     out.sweeps = stats.sweeps;
     out.swaps = stats.swaps;
+    out.e_phase_seconds = stats.e_phase_seconds;
+    out.m_phase_seconds = stats.m_phase_seconds;
     out.converged = stats.converged;
     out.final_objective = stats.final_objective;
     return out;
@@ -203,6 +206,11 @@ std::unique_ptr<Sparsifier> MakeSpannerSparsifier(
 
 Result<std::unique_ptr<Sparsifier>> MakeSparsifierByName(
     const std::string& name, double h, ThreadPool* pool) {
+  // The negated test also rejects NaN.
+  if (!(h >= 0.0 && h <= 1.0)) {
+    return Status::InvalidArgument("h must be in [0, 1], got " +
+                                   std::to_string(h));
+  }
   // Representative aliases of Section 6.1.
   if (name == "GDB") return MakeSparsifierByName("GDBA", h);
   if (name == "EMD") return MakeSparsifierByName("EMDR-t", h);

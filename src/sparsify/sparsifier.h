@@ -30,6 +30,9 @@ struct SparsifyOutput {
   int iterations = 0;       ///< EMD's E+M rounds (0 for GDB).
   int sweeps = 0;           ///< GDB sweeps (EMD: over all its M-phases).
   std::size_t swaps = 0;    ///< EMD's E-phase edge replacements.
+  /// EMD's E-phase and M-phase wall time (0 for the other methods).
+  double e_phase_seconds = 0.0;
+  double m_phase_seconds = 0.0;
   /// The run stopped on its tolerance, not on its iteration/sweep cap.
   bool converged = false;
   /// Final D1 of the method's own discrepancy type (absolute or
@@ -90,7 +93,8 @@ std::unique_ptr<Sparsifier> MakeSpannerSparsifier(
 ///   "GDB" (= GDBA) and "EMD" (= EMDR-t), the representative variants of
 ///   Section 6.1.
 /// Suffix "-t" selects the Algorithm-1 spanning backbone; absence selects
-/// the random (Monte-Carlo) backbone. Returns NotFound for unknown names.
+/// the random (Monte-Carlo) backbone. Returns NotFound for unknown names
+/// and InvalidArgument when `h` is NaN or outside [0, 1].
 /// `h` is the entropy parameter used by GDB/EMD variants. `pool` is read
 /// by NI only (see MakeNiSparsifier); null calibrates serially, with the
 /// same result.

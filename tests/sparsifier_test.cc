@@ -1,5 +1,6 @@
 #include "sparsify/sparsifier.h"
 
+#include <limits>
 #include <set>
 #include <string>
 #include <tuple>
@@ -104,6 +105,30 @@ TEST(SparsifierRegistryTest, UnknownNameRejected) {
   EXPECT_FALSE(MakeSparsifierByName("GDBA-k0").ok());
 }
 
+// h outside [0, 1] (NaN included) is refused when the sparsifier is
+// built, before any backbone: RunGdb and RunEmd abort on it.
+TEST(SparsifierRegistryTest, EntropyParameterOutsideUnitIntervalRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::string name : {"GDB", "EMD", "GDBR-t", "EMDA", "LP-t"}) {
+    for (double h : {2.0, -0.1, nan}) {
+      auto method = MakeSparsifierByName(name, h);
+      ASSERT_FALSE(method.ok()) << name << " h=" << h;
+      EXPECT_EQ(method.status().code(), StatusCode::kInvalidArgument)
+          << name << " h=" << h;
+    }
+  }
+  for (const std::string name : {"GDB", "EMD"}) {
+    for (double h : {0.0, 1.0}) {
+      auto method = MakeSparsifierByName(name, h);
+      ASSERT_TRUE(method.ok()) << name << " h=" << h;
+      Rng rng(3);
+      Result<SparsifyOutput> out = (*method)->Sparsify(TestGraph(), 0.16, &rng);
+      ASSERT_TRUE(out.ok()) << name << " h=" << h;
+      EXPECT_EQ(out->graph.num_edges(), TargetEdgeCount(TestGraph(), 0.16));
+    }
+  }
+}
+
 TEST(SparsifierRegistryTest, GeneralKName) {
   auto m = MakeSparsifierByName("GDBA-k5");
   ASSERT_TRUE(m.ok());
@@ -198,6 +223,61 @@ TEST(SparsifierCostTest, EmdrTReportsTheCountsItRuns) {
   EXPECT_EQ(head_stats.iterations + tail_stats.iterations, stats.iterations);
   EXPECT_EQ(head_stats.sweeps + tail_stats.sweeps, stats.sweeps);
   EXPECT_EQ(head_stats.swaps + tail_stats.swaps, stats.swaps);
+}
+
+// The paper's Table 2: on the sparsify_eval regime at small scale, every
+// EMD variant ends with a D1 no higher than the GDB of its discrepancy
+// type on the same backbone. Replayed one round at a time, the same run
+// shows each M-phase stopping on its tolerance, below the sweep cap.
+TEST(SparsifierQualityTest, EmdBeatsGdbWithEveryMPhaseBelowTheCap) {
+  const UncertainGraph g = MakeTwitterLike(0.1, 43);
+  const double alpha = 0.16;
+  struct Pair {
+    std::string emd;
+    std::string gdb;
+    DiscrepancyType type;
+    BackboneKind backbone;
+  };
+  const Pair pairs[] = {
+      {"EMDA", "GDBA", DiscrepancyType::kAbsolute, BackboneKind::kRandom},
+      {"EMDR", "GDBR", DiscrepancyType::kRelative, BackboneKind::kRandom},
+      {"EMDA-t", "GDBA-t", DiscrepancyType::kAbsolute, BackboneKind::kSpanning},
+      {"EMDR-t", "GDBR-t", DiscrepancyType::kRelative, BackboneKind::kSpanning},
+  };
+  for (const Pair& pair : pairs) {
+    for (std::uint64_t seed : {7u, 20261018u}) {
+      const std::string label = pair.emd + " seed " + std::to_string(seed);
+      auto emd = MakeSparsifierByName(pair.emd);
+      auto gdb = MakeSparsifierByName(pair.gdb);
+      ASSERT_TRUE(emd.ok() && gdb.ok()) << label;
+      Rng emd_rng(seed);
+      Rng gdb_rng(seed);
+      Result<SparsifyOutput> emd_out = (*emd)->Sparsify(g, alpha, &emd_rng);
+      Result<SparsifyOutput> gdb_out = (*gdb)->Sparsify(g, alpha, &gdb_rng);
+      ASSERT_TRUE(emd_out.ok() && gdb_out.ok()) << label;
+      EXPECT_LE(emd_out->final_objective, gdb_out->final_objective) << label;
+
+      Rng backbone_rng(seed);
+      BackboneOptions backbone_options;
+      backbone_options.kind = pair.backbone;
+      auto backbone = BuildBackbone(g, alpha, backbone_options, &backbone_rng);
+      ASSERT_TRUE(backbone.ok()) << label;
+      EmdOptions round;
+      round.discrepancy = pair.type;
+      round.max_iterations = 1;
+      SparseState state(g, backbone.value());
+      int sweeps = 0;
+      for (int r = 0; r < emd_out->iterations; ++r) {
+        const EmdStats stats = RunEmd(&state, round);
+        EXPECT_LT(stats.sweeps, round.m_phase.max_sweeps)
+            << label << " round " << r;
+        sweeps += stats.sweeps;
+      }
+      EXPECT_EQ(sweeps, emd_out->sweeps) << label;
+      EXPECT_EQ(state.ObjectiveD1(pair.type), emd_out->final_objective)
+          << label;
+    }
+  }
 }
 
 TEST(SparsifierCostTest, GdbReportsItsSweeps) {

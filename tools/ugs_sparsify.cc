@@ -105,9 +105,15 @@ int main(int argc, char** argv) {
               ugs::DegreeDiscrepancyMae(*graph, result->graph),
               ugs::RelativeEntropy(*graph, result->graph));
   if (result->sweeps > 0) {  // GDB and EMD; LP, NI and SS do no sweeps.
-    std::printf("iterations=%d sweeps=%d swaps=%zu converged=%s D1=%.6g\n",
+    std::printf("iterations=%d sweeps=%d swaps=%zu converged=%s D1=%.6g",
                 result->iterations, result->sweeps, result->swaps,
                 result->converged ? "yes" : "no", result->final_objective);
+    if (result->iterations > 0) {  // EMD: where its time went.
+      std::printf(" e-phase=%.1fms m-phase=%.1fms",
+                  result->e_phase_seconds * 1e3,
+                  result->m_phase_seconds * 1e3);
+    }
+    std::printf("\n");
   }
   std::printf("wrote %s\n", out.c_str());
   return 0;
