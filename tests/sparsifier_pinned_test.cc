@@ -5,7 +5,10 @@
 // (entropy guard, inlined k = 1 step and E-phase scan); any change to an
 // update rule's arithmetic, its evaluation order, a tie rule, the
 // backbone or an RNG stream shows up here as a hash mismatch, even when
-// every quality test still passes.
+// every quality test still passes. The twitter-like EMD rows were
+// re-recorded once, when EMD's M-phases got their 1e-2 stopping rule;
+// the erdos-renyi EMD runs already stopped every M-phase after one
+// sweep, so their bytes did not change.
 
 #include <cstdint>
 #include <memory>
@@ -92,14 +95,14 @@ const PinnedCase kCases[] = {
     {"twitter-like", "GDBAn", 20261018, 0xe0529ba16330f7bd},
     {"twitter-like", "GDBA-t", 7, 0xab86cecefc76806a},
     {"twitter-like", "GDBA-t", 20261018, 0xf7f3a0ff2d9a05f8},
-    {"twitter-like", "EMDA", 7, 0x56c8aec418bebe34},
-    {"twitter-like", "EMDA", 20261018, 0x272e9f3dcd2c8321},
-    {"twitter-like", "EMDR", 7, 0x62f63e6d56976867},
-    {"twitter-like", "EMDR", 20261018, 0x7dbac75e4bc39690},
-    {"twitter-like", "EMDA-t", 7, 0x22ad40a74f0016d7},
-    {"twitter-like", "EMDA-t", 20261018, 0x198082e89ba06876},
-    {"twitter-like", "EMDR-t", 7, 0x7e2e7c60944a8e2d},
-    {"twitter-like", "EMDR-t", 20261018, 0x156ebe65a1d95ac7},
+    {"twitter-like", "EMDA", 7, 0x9e1f5b29ffc281a},
+    {"twitter-like", "EMDA", 20261018, 0x67006c4239884eaa},
+    {"twitter-like", "EMDR", 7, 0x4f7e73f43a710b7e},
+    {"twitter-like", "EMDR", 20261018, 0xcb11af02a7c59cb1},
+    {"twitter-like", "EMDA-t", 7, 0xb7adcbbd608781a7},
+    {"twitter-like", "EMDA-t", 20261018, 0xa579e43f21d2b97f},
+    {"twitter-like", "EMDR-t", 7, 0x82d26c5cc79e4b1d},
+    {"twitter-like", "EMDR-t", 20261018, 0xe1e4bd705d547e30},
     {"twitter-like", "LP", 7, 0x10c7180a80e23bac},
     {"twitter-like", "LP", 20261018, 0x26976743e25b1170},
     {"twitter-like", "LP-t", 7, 0xb3d55a27f1ab940e},
