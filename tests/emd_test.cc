@@ -116,8 +116,9 @@ TEST(EmdTest, ImprovesObjective) {
 }
 
 TEST(EmdTest, AtLeastAsGoodAsGdbOnSameBackbone) {
-  // EMD runs GDB as its M-phase, so with identical settings its final D1
-  // cannot exceed plain GDB's (it may swap its way lower).
+  // EMD runs GDB as its M-phase (stopped at the looser 1e-2 tolerance)
+  // and swaps its way lower, so its final D1 does not exceed plain
+  // GDB's.
   Rng rng(9);
   UncertainGraph g = GenerateErdosRenyi(
       120, 700, ProbabilityDistribution::Uniform(0.05, 0.4), &rng);
