@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the hot operations behind the
 // paper's experiments: possible-world sampling, GDB sweeps, EMD E-phase,
-// backbone construction, heap operations, the LP max-flow, and the query
-// kernels. Not part of the paper's evaluation; used to track the
-// library's own performance.
+// backbone construction, heap operations, the LP max-flow, the query
+// kernels, and edge-update batches. Not part of the paper's evaluation;
+// used to track the library's own performance.
 
 #include <benchmark/benchmark.h>
 
@@ -111,6 +111,44 @@ BENCHMARK(BM_SampleRequest)
     ->ArgsProduct({{0}, {0, 1}, {1, 2, 4, 5, 8, 16, 1000}})
     ->ArgsProduct({{1}, {0, 1}, {4, 5, 8, 12, 16, 1000}})
     ->Unit(benchmark::kMicrosecond);
+
+/// UncertainGraph::ApplyUpdates alone, on a fresh copy of the graph each
+/// iteration (the copy is not timed). Arg 0: one reweight on
+/// MakeTwitterLike(0.25), 12.1k edges, the size of a routed_mixed graph.
+/// Arg k > 0: k distinct deletes, evenly spaced in edge id, on
+/// ServeMissGraph (49.7k edges).
+void BM_ApplyUpdates(benchmark::State& state) {
+  static const ugs::UncertainGraph* routed_mixed_graph =
+      new ugs::UncertainGraph(ugs::MakeTwitterLike(0.25));
+  const std::size_t deletes = static_cast<std::size_t>(state.range(0));
+  const ugs::UncertainGraph& g =
+      deletes == 0 ? *routed_mixed_graph : ServeMissGraph();
+  std::vector<ugs::EdgeUpdate> batch;
+  if (deletes == 0) {
+    const ugs::UncertainEdge& e = g.edge(0);
+    batch.push_back({ugs::EdgeUpdateOp::kReweight, e.u, e.v, 0.5});
+  }
+  for (std::size_t i = 0; i < deletes; ++i) {
+    const ugs::UncertainEdge& e =
+        g.edge(static_cast<ugs::EdgeId>(i * g.num_edges() / deletes));
+    batch.push_back({ugs::EdgeUpdateOp::kDelete, e.u, e.v, 0.0});
+  }
+  ugs::UncertainGraph copy;
+  for (auto _ : state) {
+    state.PauseTiming();
+    copy = g;
+    state.ResumeTiming();
+    if (!copy.ApplyUpdates(batch).ok()) state.SkipWithError("rejected");
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(batch.size()));
+}
+BENCHMARK(BM_ApplyUpdates)
+    ->Arg(0)
+    ->Arg(250)
+    ->Arg(1000)
+    ->Arg(4000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_BackboneBgi(benchmark::State& state) {
   const ugs::UncertainGraph& g =

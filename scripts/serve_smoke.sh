@@ -58,7 +58,7 @@ mkdir -p "${WORK}/graphs"
 
 # --max-sessions=1 forces an eviction every time the query loop below
 # switches graphs -- the smoke exercises the LRU path, not just the cache.
-# Extra flags (backend selection, result-cache budgets) ride along from
+# Extra flags (result-cache budgets, --no-telemetry) ride along from
 # the command line.
 "${BUILD_DIR}/ugs_serve" --dir="${WORK}/graphs" --port=0 --workers=2 \
   --max-sessions=1 --port-file="${WORK}/port" ${EXTRA_FLAGS[@]+"${EXTRA_FLAGS[@]}"} \

@@ -3,7 +3,10 @@
 # with ugs_generate, sparsifies it with EMD, GDB and LP-t, and checks
 # that each run exits 0 and writes exactly round(alpha |E|) edges. Then
 # checks that an entropy parameter outside [0, 1] (--h=2, --h=nan) is
-# refused with exit 1 and an "error:" line, not a crash on a signal.
+# refused with exit 1 and an "error:" line, not a crash on a signal, and
+# that an alpha outside (0, 1) (--alpha=1, --alpha=nan) is refused at
+# flag parsing with exit 2 and an "error:" line. No refused run may
+# write an output file.
 #
 # Usage: scripts/sparsify_smoke.sh [build_dir]
 set -euo pipefail
@@ -57,6 +60,18 @@ for bad in "EMD 2" "GDB nan"; do
   [[ ! -e "${WORK}/bad.txt" ]] ||
     fail "--method=${method} --h=${h} wrote an output file"
   echo "ok: --method=${method} --h=${h} refused"
+done
+
+for alpha in 1 nan; do
+  status=0
+  "${BUILD_DIR}/ugs_sparsify" --in="${WORK}/g.txt" --out="${WORK}/bad.txt" \
+    --alpha="${alpha}" --method=GDB >/dev/null 2>"${WORK}/err.txt" ||
+    status=$?
+  [[ "${status}" == 2 ]] || fail "--alpha=${alpha} exited ${status}, want 2"
+  grep -q '^error: ' "${WORK}/err.txt" ||
+    fail "--alpha=${alpha} printed no 'error:' line"
+  [[ ! -e "${WORK}/bad.txt" ]] || fail "--alpha=${alpha} wrote an output file"
+  echo "ok: --alpha=${alpha} refused"
 done
 
 echo "sparsify smoke passed"

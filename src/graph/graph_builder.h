@@ -10,8 +10,9 @@
 namespace ugs {
 
 /// Validating builder for UncertainGraph: rejects self loops, duplicate
-/// edges, out-of-range endpoints and probabilities outside (0, 1] with a
-/// Status instead of aborting. Intended for graph construction from
+/// edges, out-of-range endpoints and probabilities outside [0, 1] with a
+/// Status instead of aborting (p = 0 is accepted: sparsified graphs carry
+/// it). Intended for graph construction from
 /// untrusted input (files, user code); generators use
 /// UncertainGraph::FromEdges directly.
 class GraphBuilder {

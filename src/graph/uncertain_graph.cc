@@ -110,77 +110,74 @@ Status UncertainGraph::ApplyUpdates(std::span<const EdgeUpdate> updates) {
   const std::size_t n = num_vertices();
   // Stage the mutated edge list (materializing a view's edges if this
   // graph is mmap-backed) so a failing update leaves *this untouched.
+  // A delete only flags its entry, so staged index e < num_edges() stays
+  // edge id e of *this until the commit compacts once.
   std::vector<UncertainEdge> staged(edges_.begin(), edges_.end());
-  // (min,max) endpoint -> staged index, kept consistent across deletes.
-  auto key = [](VertexId a, VertexId b) {
-    if (a > b) std::swap(a, b);
-    return (static_cast<std::uint64_t>(a) << 32) | b;
-  };
-  std::unordered_map<std::uint64_t, std::size_t> index;
-  index.reserve(staged.size());
-  for (std::size_t i = 0; i < staged.size(); ++i) {
-    index[key(staged[i].u, staged[i].v)] = i;
-  }
+  std::vector<char> deleted(staged.size(), 0);
+  // (min,max) endpoint -> staged index of each pair this batch inserted;
+  // its size is the batch's, not |E|'s. Older pairs resolve by FindEdge.
+  std::unordered_map<std::uint64_t, EdgeId> inserted;
   auto fail = [](std::size_t at, const std::string& why) {
     return Status::InvalidArgument("update[" + std::to_string(at) + "]: " +
                                    why);
   };
+  auto edge_name = [](const EdgeUpdate& u) {
+    return "(" + std::to_string(u.u) + "," + std::to_string(u.v) + ")";
+  };
   for (std::size_t at = 0; at < updates.size(); ++at) {
     const EdgeUpdate& u = updates[at];
-    const std::string edge_name = "(" + std::to_string(u.u) + "," +
-                                  std::to_string(u.v) + ")";
     if (u.u >= n || u.v >= n) {
-      return fail(at, "endpoint of " + edge_name + " out of range for " +
+      return fail(at, "endpoint of " + edge_name(u) + " out of range for " +
                           std::to_string(n) + " vertices");
     }
-    if (u.u == u.v) return fail(at, "self loop " + edge_name);
-    const std::uint64_t k = key(u.u, u.v);
-    auto it = index.find(k);
+    if (u.u == u.v) return fail(at, "self loop " + edge_name(u));
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(std::min(u.u, u.v)) << 32) |
+        std::max(u.u, u.v);
+    auto it = inserted.find(key);
+    EdgeId e = it != inserted.end() ? it->second : FindEdge(u.u, u.v);
+    if (e != kInvalidEdge && deleted[e]) e = kInvalidEdge;
     switch (u.op) {
       case EdgeUpdateOp::kInsert:
-        if (it != index.end()) {
-          return fail(at, "edge " + edge_name + " already exists");
+        if (e != kInvalidEdge) {
+          return fail(at, "edge " + edge_name(u) + " already exists");
         }
         if (!(u.p > 0.0 && u.p <= 1.0)) {
           return fail(at, "probability must be in (0, 1]");
         }
-        index[k] = staged.size();
+        inserted[key] = static_cast<EdgeId>(staged.size());
         staged.push_back({u.u, u.v, u.p});
+        deleted.push_back(0);
         break;
-      case EdgeUpdateOp::kDelete: {
-        if (it == index.end()) {
-          return fail(at, "edge " + edge_name + " does not exist");
+      case EdgeUpdateOp::kDelete:
+        if (e == kInvalidEdge) {
+          return fail(at, "edge " + edge_name(u) + " does not exist");
         }
-        const std::size_t victim = it->second;
-        staged.erase(staged.begin() +
-                     static_cast<std::ptrdiff_t>(victim));
-        index.erase(it);
-        // Every edge past the victim shifted down one id.
-        for (auto& entry : index) {
-          if (entry.second > victim) --entry.second;
-        }
+        deleted[e] = 1;
         break;
-      }
       case EdgeUpdateOp::kReweight:
-        if (it == index.end()) {
-          return fail(at, "edge " + edge_name + " does not exist");
+        if (e == kInvalidEdge) {
+          return fail(at, "edge " + edge_name(u) + " does not exist");
         }
         if (!(u.p > 0.0 && u.p <= 1.0)) {
           return fail(at, "probability must be in (0, 1]");
         }
-        staged[it->second].p = u.p;
+        staged[e].p = u.p;
         break;
       default:
         return fail(at, "unknown op " +
                             std::to_string(static_cast<int>(u.op)));
     }
   }
-  // Commit: identical to FromEdges(n, staged), so the mutated graph is
-  // bit-identical to a fresh load of the equivalent edge list.
-  owned_edges_ = std::move(staged);
-  owned_degree_offsets_.assign(n + 1, 0);
-  BuildAdjacency();
-  AdoptOwned();
+  // Commit: compact the survivors in order (deletes close the gap,
+  // inserts follow in batch order), then rebuild exactly as a fresh load
+  // of the equivalent edge list does.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < staged.size(); ++i) {
+    if (!deleted[i]) staged[kept++] = staged[i];
+  }
+  staged.resize(kept);
+  *this = FromEdges(n, std::move(staged));
   return Status::OK();
 }
 

@@ -94,8 +94,9 @@ class UncertainGraph {
   UncertainGraph& operator=(const UncertainGraph& other);
 
   /// Builds a graph from an edge list. Aborts on invalid input (self loop,
-  /// duplicate edge, p outside (0,1], endpoint >= num_vertices); use
-  /// GraphBuilder for a Status-returning path.
+  /// duplicate edge, p outside [0, 1], endpoint >= num_vertices); use
+  /// GraphBuilder for a Status-returning path. p = 0 is accepted because
+  /// sparsified graphs carry it (see the class comment).
   static UncertainGraph FromEdges(std::size_t num_vertices,
                                   std::vector<UncertainEdge> edges);
 
@@ -174,7 +175,8 @@ class UncertainGraph {
   /// bit-identical to FromEdges(num_vertices(), equivalent_edge_list) --
   /// the version-equivalence contract (docs/dynamic-graphs.md).
   /// Mutating a view (mmap-backed .ugsc) first materializes it into
-  /// owned storage; the vertex count never changes.
+  /// owned storage; the vertex count never changes. Costs
+  /// O(|E| + b log d) for b updates, plus the FromEdges rebuild.
   [[nodiscard]] Status ApplyUpdates(std::span<const EdgeUpdate> updates);
 
   /// Total entropy H(G) = sum_e H(p_e) in bits (paper footnote 2; validated

@@ -286,7 +286,7 @@ ReplyFrame Router::HandleFrame(FrameType type, const std::string& payload,
     if (traced) trace->query = "stats";
     if (payload.empty()) {
       return {FrameType::kStatsReply,
-              std::make_shared<const std::string>(AggregatedStatsJson())};
+              std::make_shared<const std::string>(StatsJson())};
     }
     if (payload == kMetricsStatsVerb) {
       // The router answers the Prometheus sub-verb itself: its metrics
@@ -598,7 +598,7 @@ RouterStats Router::stats() const {
   return stats;
 }
 
-std::string Router::AggregatedStatsJson() const {
+std::string Router::StatsJson() const {
   RouterStats router = stats();
   std::size_t healthy = 0;
   for (const std::unique_ptr<ShardLink>& shard : shards_) {
@@ -647,7 +647,5 @@ std::string Router::AggregatedStatsJson() const {
   out += "],\"telemetry\":" + telemetry_.Json() + "}";
   return out;
 }
-
-std::string Router::StatsJson() const { return AggregatedStatsJson(); }
 
 }  // namespace ugs

@@ -240,9 +240,6 @@ class Router {
   /// routing counters) next to the request telemetry.
   void BuildMetrics();
 
-  /// Aggregated stats (empty stats verb).
-  std::string AggregatedStatsJson() const;
-
   // --- Health monitor. ---
 
   void MonitorLoop();

@@ -7,17 +7,6 @@
 
 namespace ugs {
 
-Status ValidateServerBackend(const std::string& name) {
-  if (name == "epoll") return Status::OK();
-  if (name == "blocking") {
-    return Status::NotFound(
-        "server: the blocking backend was removed (deprecated one release "
-        "earlier); use --backend=epoll");
-  }
-  return Status::NotFound("server: unknown backend '" + name +
-                          "' (expected epoll)");
-}
-
 SessionRegistryOptions Server::MakeRegistryOptions() const {
   SessionRegistryOptions registry = options_.registry;
   if (options_.telemetry.enabled) {

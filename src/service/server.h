@@ -14,14 +14,6 @@
 
 namespace ugs {
 
-/// Validates a --backend name. The only backend is the epoll reactor:
-/// one reactor thread multiplexes every connection (nonblocking sockets,
-/// epoll), decoding frames incrementally and dispatching requests to a
-/// pool of num_workers query threads. OK for "epoll"; typed NotFound
-/// otherwise, with a pointed message for "blocking" (the legacy
-/// accept-loop backend, removed one release after its deprecation).
-[[nodiscard]] Status ValidateServerBackend(const std::string& name);
-
 /// Configuration of a Server.
 struct ServerOptions {
   /// Bind address (IPv4 dotted-quad literal; "0.0.0.0" for all
@@ -97,8 +89,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, and spawns the backend's threads; returns once the
-  /// socket is accepting. IOError when the address cannot be bound.
+  /// Binds, listens, and spawns the reactor and dispatch threads;
+  /// returns once the socket is accepting. IOError when the address cannot be bound.
   [[nodiscard]] Status Start();
 
   /// The bound port (after Start); useful with port = 0.

@@ -1,6 +1,10 @@
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <optional>
 #include <random>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +28,23 @@ namespace {
 
 using testing_util::CompleteK4;
 using testing_util::PathGraph;
+
+template <typename T>
+bool SameBytes(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+}
+
+/// True when the two graphs' edges, offsets, rows and expected degrees
+/// are byte-identical.
+bool SameGraphBytes(const UncertainGraph& a, const UncertainGraph& b) {
+  const CsrArrays x = a.csr_arrays();
+  const CsrArrays y = b.csr_arrays();
+  return SameBytes(x.edges, y.edges) &&
+         SameBytes(x.degree_offsets, y.degree_offsets) &&
+         SameBytes(x.adjacency, y.adjacency) &&
+         SameBytes(x.expected_degrees, y.expected_degrees);
+}
 
 // --- ApplyUpdates semantics. ---
 
@@ -110,7 +131,7 @@ TEST(ApplyUpdatesTest, EveryInvalidUpdateFailsTypedAndAtomically) {
       {"endpoint out of range", {EdgeUpdateOp::kInsert, 0, 4, 0.5}},
       {"p zero", {EdgeUpdateOp::kInsert, 0, 1, 0.0}},
       {"p over one", {EdgeUpdateOp::kInsert, 0, 1, 1.5}},
-      {"delete missing", {EdgeUpdateOp::kDelete, 0, 0, 0.0}},
+      {"delete self loop", {EdgeUpdateOp::kDelete, 0, 0, 0.0}},
       {"reweight missing edge", {EdgeUpdateOp::kReweight, 9, 1, 0.5}},
       {"reweight bad p", {EdgeUpdateOp::kReweight, 0, 1, -0.5}},
   };
@@ -127,6 +148,42 @@ TEST(ApplyUpdatesTest, EveryInvalidUpdateFailsTypedAndAtomically) {
     EXPECT_EQ(graph.probability(graph.FindEdge(0, 1)), 0.5)
         << test_case.label << ": failed batch mutated the graph";
     EXPECT_EQ(graph.num_edges(), pristine.num_edges()) << test_case.label;
+  }
+}
+
+TEST(ApplyUpdatesTest, DeletingAnAbsentPairFailsTypedAndAtomically) {
+  const UncertainGraph pristine = PathGraph(4, 0.5);  // 0-1-2-3.
+  const struct {
+    const char* label;
+    std::vector<EdgeUpdate> batch;
+    const char* names;  // The failing index, as the message names it.
+  } cases[] = {
+      {"delete absent pair",
+       {{EdgeUpdateOp::kReweight, 0, 1, 0.75},
+        {EdgeUpdateOp::kDelete, 3, 0, 0.0}},
+       "update[1]"},
+      {"delete one pair twice",
+       {{EdgeUpdateOp::kReweight, 0, 1, 0.75},
+        {EdgeUpdateOp::kDelete, 1, 2, 0.0},
+        {EdgeUpdateOp::kDelete, 2, 1, 0.0}},
+       "update[2]"},
+      {"delete an inserted pair twice",
+       {{EdgeUpdateOp::kInsert, 0, 3, 0.25},
+        {EdgeUpdateOp::kDelete, 0, 3, 0.0},
+        {EdgeUpdateOp::kDelete, 3, 0, 0.0}},
+       "update[2]"},
+  };
+  for (const auto& test_case : cases) {
+    UncertainGraph graph = pristine;
+    Status failed = graph.ApplyUpdates(test_case.batch);
+    ASSERT_FALSE(failed.ok()) << test_case.label;
+    EXPECT_EQ(failed.code(), StatusCode::kInvalidArgument) << test_case.label;
+    EXPECT_NE(failed.message().find(test_case.names), std::string::npos)
+        << test_case.label << ": " << failed.message();
+    EXPECT_NE(failed.message().find("does not exist"), std::string::npos)
+        << test_case.label << ": " << failed.message();
+    EXPECT_TRUE(SameGraphBytes(graph, pristine))
+        << test_case.label << ": failed batch mutated the graph";
   }
 }
 
@@ -216,6 +273,161 @@ void ApplyToModel(const EdgeUpdate& update,
       }
       FAIL() << "model reweight missed";
   }
+}
+
+bool ModelHas(const std::vector<UncertainEdge>& edges, VertexId u,
+              VertexId v) {
+  for (const UncertainEdge& e : edges) {
+    if ((e.u == u && e.v == v) || (e.u == v && e.v == u)) return true;
+  }
+  return false;
+}
+
+/// Every pair of distinct vertices below n that `edges` lacks.
+std::vector<std::pair<VertexId, VertexId>> AbsentPairs(
+    const std::vector<UncertainEdge>& edges, VertexId n) {
+  std::vector<std::pair<VertexId, VertexId>> absent;
+  for (VertexId u = 0; u < n; ++u) {
+    for (VertexId v = u + 1; v < n; ++v) {
+      if (!ModelHas(edges, u, v)) absent.emplace_back(u, v);
+    }
+  }
+  return absent;
+}
+
+TEST(ApplyUpdatesPropertyTest, RandomMixedBatchesMatchTheNaiveModel) {
+  // Chains random batches of up to 64 updates on one small graph and
+  // checks each against the documented sequential semantics replayed on
+  // a plain edge vector (ApplyToModel) plus FromEdges, byte for byte.
+  // The draws force the cases a resolve-and-compact pass can get wrong:
+  // a pair inserted then deleted in one batch, a deleted pair reinserted,
+  // reweights of pairs the batch inserted, and, in a quarter of the
+  // batches, one invalid update mid-batch, which must fail naming its
+  // index and leave the graph byte-identical.
+  constexpr VertexId kVertices = 8;
+  constexpr int kBatches = 400;
+  constexpr std::size_t kMaxBatch = 64;
+  std::mt19937_64 rng(20261019);
+  const auto draw = [&rng](std::size_t bound) {
+    return static_cast<std::size_t>(rng() % bound);
+  };
+  const auto random_p = [&rng] {
+    return std::uniform_real_distribution<double>(0.05, 1.0)(rng);
+  };
+  std::vector<UncertainEdge> model;
+  for (VertexId u = 0; u < kVertices; ++u) {
+    for (VertexId v = u + 1; v < kVertices; ++v) {
+      if (draw(2) == 0) model.push_back({u, v, random_p()});
+    }
+  }
+  UncertainGraph graph = UncertainGraph::FromEdges(kVertices, model);
+
+  // An update that is invalid against `staged`, chosen among every
+  // check ApplyUpdates makes.
+  const auto invalid = [&](const std::vector<UncertainEdge>& staged) {
+    const auto absent = AbsentPairs(staged, kVertices);
+    const double bad_ps[] = {0.0, -0.5, 1.5, std::nan("")};
+    for (;;) {
+      const std::size_t kind = draw(7);
+      if (kind == 0) {
+        return EdgeUpdate{EdgeUpdateOp::kInsert, 3, 3, 0.5};
+      }
+      if (kind == 1) {
+        return EdgeUpdate{EdgeUpdateOp::kDelete, 1,
+                          static_cast<VertexId>(kVertices + draw(3)), 0.0};
+      }
+      if (kind == 2) {
+        return EdgeUpdate{static_cast<EdgeUpdateOp>(9), 0, 1, 0.5};
+      }
+      if (kind <= 4 && !staged.empty()) {
+        const UncertainEdge& e = staged[draw(staged.size())];
+        return kind == 3
+                   ? EdgeUpdate{EdgeUpdateOp::kInsert, e.v, e.u, 0.5}
+                   : EdgeUpdate{EdgeUpdateOp::kReweight, e.u, e.v,
+                                bad_ps[draw(4)]};
+      }
+      if (kind >= 5 && !absent.empty()) {
+        const auto [u, v] = absent[draw(absent.size())];
+        return kind == 5 ? EdgeUpdate{EdgeUpdateOp::kDelete, v, u, 0.0}
+                         : EdgeUpdate{EdgeUpdateOp::kReweight, u, v, 0.5};
+      }
+    }
+  };
+
+  int inserted_then_deleted = 0, deleted_then_reinserted = 0;
+  int inserted_then_reweighted = 0, failed_batches = 0;
+  for (int batch_index = 0; batch_index < kBatches; ++batch_index) {
+    std::vector<UncertainEdge> staged = model;
+    std::vector<EdgeUpdate> batch;
+    const std::size_t size = 1 + draw(kMaxBatch);
+    const std::size_t bad_at = draw(4) == 0 ? draw(size) : size;
+    std::optional<EdgeUpdate> follow;  // Pushed at the next valid slot.
+    int follows[3] = {0, 0, 0};
+    while (batch.size() < size) {
+      if (batch.size() == bad_at) {
+        batch.push_back(invalid(staged));
+        continue;
+      }
+      EdgeUpdate update;
+      const auto absent = AbsentPairs(staged, kVertices);
+      const std::size_t kind = draw(3);
+      if (follow) {
+        update = *follow;
+        follow.reset();
+      } else if ((kind == 0 || staged.empty()) && !absent.empty()) {
+        const auto [u, v] = absent[draw(absent.size())];
+        update = {EdgeUpdateOp::kInsert, u, v, random_p()};
+        const std::size_t next = draw(3);
+        if (next < 2) {
+          follow = EdgeUpdate{
+              next == 0 ? EdgeUpdateOp::kDelete : EdgeUpdateOp::kReweight,
+              v, u, random_p()};
+          ++follows[next];
+        }
+      } else {
+        const UncertainEdge e = staged[draw(staged.size())];
+        if (kind == 1) {
+          update = {EdgeUpdateOp::kDelete, e.u, e.v, 0.0};
+          if (draw(2) == 0) {
+            follow = EdgeUpdate{EdgeUpdateOp::kInsert, e.v, e.u, random_p()};
+            ++follows[2];
+          }
+        } else {
+          update = {EdgeUpdateOp::kReweight, e.v, e.u, random_p()};
+        }
+      }
+      batch.push_back(update);
+      ApplyToModel(update, &staged);
+    }
+
+    const UncertainGraph before = graph;
+    const Status status = graph.ApplyUpdates(batch);
+    if (bad_at < size) {
+      ++failed_batches;
+      ASSERT_FALSE(status.ok()) << "batch " << batch_index;
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+      const std::string names = "update[" + std::to_string(bad_at) + "]";
+      EXPECT_NE(status.message().find(names), std::string::npos)
+          << "batch " << batch_index << ": " << status.message();
+      ASSERT_TRUE(SameGraphBytes(graph, before))
+          << "batch " << batch_index << ": failed batch mutated the graph";
+      continue;
+    }
+    ASSERT_TRUE(status.ok()) << "batch " << batch_index << ": "
+                             << status.ToString();
+    model = std::move(staged);
+    ASSERT_TRUE(SameGraphBytes(
+        graph, UncertainGraph::FromEdges(kVertices, model)))
+        << "batch " << batch_index;
+    inserted_then_deleted += follows[0];
+    inserted_then_reweighted += follows[1];
+    deleted_then_reinserted += follows[2];
+  }
+  // The draws reached every case the test is for.
+  EXPECT_GT(inserted_then_deleted, 0);
+  EXPECT_GT(inserted_then_reweighted, 0);
+  EXPECT_GT(deleted_then_reinserted, 0);
+  EXPECT_GT(failed_batches, 0);
 }
 
 TEST(VersionEquivalenceTest, RandomMutationSequenceMatchesFreshLoad) {

@@ -328,16 +328,6 @@ TEST_P(ServiceBackendTest, OverlapMatrixIsBitIdenticalAtEveryWidth) {
   }
 }
 
-TEST_F(ServiceTest, BackendFlagValidatesEpollOnly) {
-  EXPECT_TRUE(ValidateServerBackend("epoll").ok());
-  Status blocking = ValidateServerBackend("blocking");
-  EXPECT_EQ(blocking.code(), StatusCode::kNotFound);
-  EXPECT_NE(blocking.message().find("removed"), std::string::npos)
-      << blocking.ToString();
-  EXPECT_EQ(ValidateServerBackend("reactor2").code(),
-            StatusCode::kNotFound);
-}
-
 TEST_P(ServiceBackendTest, RequestErrorsAreTypedAndConnectionSurvives) {
   std::unique_ptr<Server> server = StartServer(1);
   Client client = ConnectTo(*server);

@@ -3,7 +3,7 @@
 // multi-graph session registry (service/session_registry.h).
 //
 //   ugs_serve --dir=<graph dir> [--host=127.0.0.1] [--port=7471]
-//             [--backend=epoll] [--workers=4] [--max-sessions=8]
+//             [--workers=4] [--max-sessions=8]
 //             [--max-bytes=0] [--cache-entries=0] [--cache-bytes=0]
 //             [--cache-max-entry-bytes=0] [--engine-threads=0]
 //             [--port-file=<path>]
@@ -14,9 +14,7 @@
 // pipelined requests are answered in order). Each resident graph's
 // session owns one --engine-threads pool, shared by that graph's later
 // versions, so engine workers stay within
-// max-sessions x (engine-threads - 1). --backend accepts only
-// "epoll"; the legacy blocking backend was removed one release after
-// its deprecation, and unknown values are a typed CLI error.
+// max-sessions x (engine-threads - 1).
 // --cache-entries/--cache-bytes enable the exact result cache
 // (responses are pure functions of (graph id, request), so hits replay
 // byte-identical payloads). Responses are bit-identical to
@@ -44,7 +42,6 @@ void Usage() {
       "usage: ugs_serve --dir=<graph dir>\n"
       "  --host=<a>          bind address             (default 127.0.0.1)\n"
       "  --port=<p>          TCP port; 0 = ephemeral  (default 7471)\n"
-      "  --backend=<b>       epoll (the only backend) (default epoll)\n"
       "  --workers=<n>       query threads            (default 4)\n"
       "  --max-sessions=<n>  resident graph budget; 0 = unlimited\n"
       "                      (default 8, LRU eviction past it)\n"
@@ -78,7 +75,7 @@ void HandleSignal(int) { g_shutdown = 1; }
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string dir, host = "127.0.0.1", port_file, backend = "epoll";
+  std::string dir, host = "127.0.0.1", port_file;
   std::int64_t port = 7471, workers = 4, max_sessions = 8, max_bytes = 0;
   std::int64_t cache_entries = 0, cache_bytes = 0, cache_max_entry_bytes = 0;
   std::int64_t engine_threads = 0, slow_query_ms = 0;
@@ -97,8 +94,6 @@ int main(int argc, char** argv) {
       max_sessions = ugs::ParseInt64OrExit("--max-sessions", arg + 15);
     } else if (std::strncmp(arg, "--max-bytes=", 12) == 0) {
       max_bytes = ugs::ParseInt64OrExit("--max-bytes", arg + 12);
-    } else if (std::strncmp(arg, "--backend=", 10) == 0) {
-      backend = arg + 10;
     } else if (std::strncmp(arg, "--cache-entries=", 16) == 0) {
       cache_entries = ugs::ParseInt64OrExit("--cache-entries", arg + 16);
     } else if (std::strncmp(arg, "--cache-max-entry-bytes=", 24) == 0) {
@@ -126,8 +121,6 @@ int main(int argc, char** argv) {
       slow_query_ms < 0) {
     Die("budgets, thread counts, and --slow-query-ms must be >= 0");
   }
-  ugs::Status backend_ok = ugs::ValidateServerBackend(backend);
-  if (!backend_ok.ok()) Die(backend_ok.message());
 
   ugs::ServerOptions options;
   options.host = host;
@@ -148,10 +141,10 @@ int main(int argc, char** argv) {
   ugs::Server server(options);
   ugs::Status started = server.Start();
   if (!started.ok()) Die(started.ToString());
-  std::printf("ugs_serve: listening on %s:%d (dir=%s backend=%s "
-              "workers=%lld max-sessions=%lld max-bytes=%lld "
-              "cache-entries=%lld cache-bytes=%lld)\n",
-              host.c_str(), server.port(), dir.c_str(), backend.c_str(),
+  std::printf("ugs_serve: listening on %s:%d (dir=%s workers=%lld "
+              "max-sessions=%lld max-bytes=%lld cache-entries=%lld "
+              "cache-bytes=%lld)\n",
+              host.c_str(), server.port(), dir.c_str(),
               static_cast<long long>(workers),
               static_cast<long long>(max_sessions),
               static_cast<long long>(max_bytes),

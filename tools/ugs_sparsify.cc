@@ -27,7 +27,7 @@ void Usage() {
                "usage: ugs_sparsify --in=<path> --out=<path> --alpha=<a>\n"
                "                    [--method=EMD] [--h=0.05] [--seed=1]\n"
                "                    [--threads=0]  (env UGS_THREADS)\n"
-               "  alpha: target edge ratio |E'| / |E|, in (0, 1]\n");
+               "  alpha: target edge ratio |E'| / |E|, in (0, 1)\n");
   std::exit(2);
 }
 
@@ -67,8 +67,8 @@ int main(int argc, char** argv) {
     }
   }
   if (in.empty() || out.empty()) Usage();
-  if (alpha <= 0.0 || alpha > 1.0) {
-    Die("--alpha must be in (0, 1], got " + std::to_string(alpha));
+  if (!(alpha > 0.0 && alpha < 1.0)) {  // Also refuses NaN.
+    Die("--alpha must be in (0, 1), got " + std::to_string(alpha));
   }
   if (threads < 0) Die("--threads must be >= 0");
   ugs::ThreadPool pool(static_cast<int>(threads));
