@@ -213,9 +213,24 @@ const SparsifyEvalInput& SparsifyEval() {
   return *input;
 }
 
+/// EMDR-t's spanning backbone (Algorithm 1) on the sparsify_eval graph
+/// at alpha = 0.16: the forests, the connectivity check and the
+/// Monte-Carlo fill.
+void BM_BuildBackbone(benchmark::State& state) {
+  const SparsifyEvalInput& in = SparsifyEval();
+  const ugs::BackboneOptions spanning{};
+  for (auto _ : state) {
+    ugs::Rng rng(1);
+    auto backbone = ugs::BuildBackbone(in.graph, 0.16, spanning, &rng);
+    benchmark::DoNotOptimize(backbone);
+  }
+}
+BENCHMARK(BM_BuildBackbone)->Unit(benchmark::kMillisecond);
+
 /// A whole EMDR-t run (E-phases and GDB M-phases) on the sparsify_eval
-/// input; counters report its rounds, sweeps and swaps, and the wall time
-/// of its E- and M-phases in ms per run.
+/// input; counters report its rounds, sweeps, swaps, E-phase candidates
+/// scored and skipped by the gain bound, and the wall time of its E- and
+/// M-phases in ms per run.
 void BM_EmdRun(benchmark::State& state) {
   const SparsifyEvalInput& in = SparsifyEval();
   ugs::EmdOptions emd;
@@ -233,6 +248,8 @@ void BM_EmdRun(benchmark::State& state) {
   state.counters["iterations"] = stats.iterations;
   state.counters["sweeps"] = stats.sweeps;
   state.counters["swaps"] = static_cast<double>(stats.swaps);
+  state.counters["scored"] = static_cast<double>(stats.candidates_scored);
+  state.counters["skipped"] = static_cast<double>(stats.candidates_skipped);
   const double runs = static_cast<double>(state.iterations());
   state.counters["e_phase_ms"] = e_phase_seconds * 1e3 / runs;
   state.counters["m_phase_ms"] = m_phase_seconds * 1e3 / runs;

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # End-to-end smoke of ugs_sparsify: generates a small Twitter-like graph
-# with ugs_generate, sparsifies it with EMD, GDB and LP-t, and checks
-# that each run exits 0 and writes exactly round(alpha |E|) edges. Then
-# checks that an entropy parameter outside [0, 1] (--h=2, --h=nan) is
-# refused with exit 1 and an "error:" line, not a crash on a signal, and
-# that an alpha outside (0, 1) (--alpha=1, --alpha=nan) is refused at
-# flag parsing with exit 2 and an "error:" line. No refused run may
-# write an output file.
+# with ugs_generate, sparsifies it with EMD, EMDA (absolute discrepancy),
+# GDB and LP-t, and checks that each run exits 0 and writes exactly
+# round(alpha |E|) edges. Then checks that an entropy parameter outside
+# [0, 1] (--h=2, --h=nan) and a spanning backbone below |V| - 1 edges
+# (--alpha=0.02 on the connected input: 91 < 199) are refused with exit
+# 1 and an "error:" line, not a crash on a signal, and that an alpha
+# outside (0, 1) (--alpha=1, --alpha=nan) is refused at flag parsing
+# with exit 2 and an "error:" line. No refused run may write an output
+# file.
 #
 # Usage: scripts/sparsify_smoke.sh [build_dir]
 set -euo pipefail
@@ -35,7 +37,7 @@ INPUT_EDGES="$(awk '/^# edges:/ {print $3; exit}' "${WORK}/g.txt")"
 TARGET="$(awk -v a="${ALPHA}" -v m="${INPUT_EDGES}" \
   'BEGIN {printf "%d", a * m + 0.5}')"
 
-for method in EMD GDB LP-t; do
+for method in EMD EMDA GDB LP-t; do
   out="${WORK}/s-${method}.txt"
   "${BUILD_DIR}/ugs_sparsify" --in="${WORK}/g.txt" --out="${out}" \
     --alpha="${ALPHA}" --method="${method}" >"${WORK}/log-${method}.txt" ||
@@ -47,19 +49,17 @@ for method in EMD GDB LP-t; do
   echo "ok: ${method} wrote ${TARGET} of ${INPUT_EDGES} edges"
 done
 
-for bad in "EMD 2" "GDB nan"; do
-  read -r method h <<<"${bad}"
+for bad in "EMD ${ALPHA} 2" "GDB ${ALPHA} nan" "LP-t 0.02 0.05"; do
+  read -r method alpha h <<<"${bad}"
+  flags="--method=${method} --alpha=${alpha} --h=${h}"
   status=0
   "${BUILD_DIR}/ugs_sparsify" --in="${WORK}/g.txt" --out="${WORK}/bad.txt" \
-    --alpha="${ALPHA}" --method="${method}" --h="${h}" \
-    >/dev/null 2>"${WORK}/err.txt" || status=$?
-  [[ "${status}" == 1 ]] ||
-    fail "--method=${method} --h=${h} exited ${status}, want 1"
+    ${flags} >/dev/null 2>"${WORK}/err.txt" || status=$?
+  [[ "${status}" == 1 ]] || fail "${flags} exited ${status}, want 1"
   grep -q '^error: ' "${WORK}/err.txt" ||
-    fail "--method=${method} --h=${h} printed no 'error:' line"
-  [[ ! -e "${WORK}/bad.txt" ]] ||
-    fail "--method=${method} --h=${h} wrote an output file"
-  echo "ok: --method=${method} --h=${h} refused"
+    fail "${flags} printed no 'error:' line"
+  [[ ! -e "${WORK}/bad.txt" ]] || fail "${flags} wrote an output file"
+  echo "ok: ${flags} refused"
 done
 
 for alpha in 1 nan; do

@@ -107,10 +107,17 @@ void UncertainGraph::BuildAdjacency() {
 }
 
 Status UncertainGraph::ApplyUpdates(std::span<const EdgeUpdate> updates) {
+  Result<UncertainGraph> next = WithUpdates(updates);
+  if (!next.ok()) return next.status();
+  *this = std::move(next).value();
+  return Status::OK();
+}
+
+Result<UncertainGraph> UncertainGraph::WithUpdates(
+    std::span<const EdgeUpdate> updates) const {
   const std::size_t n = num_vertices();
-  // Stage the mutated edge list (materializing a view's edges if this
-  // graph is mmap-backed) so a failing update leaves *this untouched.
-  // A delete only flags its entry, so staged index e < num_edges() stays
+  // Stage the mutated edge list (copying a view's edges if this graph is
+  // mmap-backed); *this is never touched. A delete only flags its entry, so staged index e < num_edges() stays
   // edge id e of *this until the commit compacts once.
   std::vector<UncertainEdge> staged(edges_.begin(), edges_.end());
   std::vector<char> deleted(staged.size(), 0);
@@ -177,8 +184,7 @@ Status UncertainGraph::ApplyUpdates(std::span<const EdgeUpdate> updates) {
     if (!deleted[i]) staged[kept++] = staged[i];
   }
   staged.resize(kept);
-  *this = FromEdges(n, std::move(staged));
-  return Status::OK();
+  return FromEdges(n, std::move(staged));
 }
 
 EdgeId UncertainGraph::FindEdge(VertexId u, VertexId v) const {

@@ -167,16 +167,21 @@ class UncertainGraph {
   /// Edge id joining u and v, or kInvalidEdge. O(log deg) binary search.
   EdgeId FindEdge(VertexId u, VertexId v) const;
 
-  /// Applies a batch of edge mutations atomically: either every update
-  /// applies (in order) and the CSR is rebuilt, or the graph is left
-  /// untouched and the error names the failing update's index. Inserts
-  /// append to the edge list; deletes close the gap (later edges shift
-  /// down one id); reweights are positional. The mutated graph is
+  /// The graph after a batch of edge mutations, built fresh: either
+  /// every update applies (in order) and the result is returned, or the
+  /// error names the failing update's index. *this is never modified.
+  /// Inserts append to the edge list; deletes close the gap (later edges
+  /// shift down one id); reweights are positional. The result is
   /// bit-identical to FromEdges(num_vertices(), equivalent_edge_list) --
-  /// the version-equivalence contract (docs/dynamic-graphs.md).
-  /// Mutating a view (mmap-backed .ugsc) first materializes it into
-  /// owned storage; the vertex count never changes. Costs
-  /// O(|E| + b log d) for b updates, plus the FromEdges rebuild.
+  /// the version-equivalence contract (docs/dynamic-graphs.md) -- and
+  /// owns its storage even when *this is a view (mmap-backed .ugsc); the
+  /// vertex count never changes. Costs O(|E| + b log d) for b updates,
+  /// plus the FromEdges rebuild.
+  [[nodiscard]] Result<UncertainGraph> WithUpdates(
+      std::span<const EdgeUpdate> updates) const;
+
+  /// WithUpdates in place, atomically: on error the graph is left
+  /// untouched.
   [[nodiscard]] Status ApplyUpdates(std::span<const EdgeUpdate> updates);
 
   /// Total entropy H(G) = sum_e H(p_e) in bits (paper footnote 2; validated

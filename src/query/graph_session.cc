@@ -69,12 +69,12 @@ Result<QueryResult> GraphSession::Run(const QueryRequest& request) const {
 
 Result<std::unique_ptr<GraphSession>> GraphSession::WithUpdates(
     std::span<const EdgeUpdate> updates, std::uint64_t new_version) const {
-  UncertainGraph mutated = graph_;  // Deep copy (materializes views).
-  UGS_RETURN_IF_ERROR(mutated.ApplyUpdates(updates));
+  Result<UncertainGraph> mutated = graph_.WithUpdates(updates);
+  if (!mutated.ok()) return mutated.status();
   GraphSessionOptions options = options_;
   options.graph_version = new_version;
-  return std::unique_ptr<GraphSession>(
-      new GraphSession(std::move(mutated), options, engine_.shared_pool()));
+  return std::unique_ptr<GraphSession>(new GraphSession(
+      std::move(mutated).value(), options, engine_.shared_pool()));
 }
 
 std::vector<Result<QueryResult>> GraphSession::RunBatch(

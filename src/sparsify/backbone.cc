@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <string>
 
 #include "util/check.h"
@@ -10,15 +12,75 @@
 namespace ugs {
 namespace {
 
-/// Removes the ids in `remove` (must be sorted) from `pool` (must be
-/// sorted); both stay sorted.
-void SortedDifference(std::vector<EdgeId>* pool,
-                      const std::vector<EdgeId>& remove) {
-  std::vector<EdgeId> out;
-  out.reserve(pool->size() - remove.size());
-  std::set_difference(pool->begin(), pool->end(), remove.begin(),
-                      remove.end(), std::back_inserter(out));
-  *pool = std::move(out);
+/// Edge ids in Kruskal order: probability descending, ties in the order
+/// of the ids given -- the order a stable sort by descending probability
+/// gives. Kruskal usually spans within a prefix of the edges, so the
+/// order is built lazily: a chunk at a time, each twice the last, by
+/// nth_element and a sort of the chunk.
+class KruskalOrder {
+ public:
+  KruskalOrder(const UncertainGraph& graph, std::span<const EdgeId> ids)
+      : keys_(ids.size()) {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      keys_[i] = {graph.edge(ids[i]).p, static_cast<std::uint32_t>(i), ids[i]};
+    }
+  }
+
+  std::size_t size() const { return keys_.size(); }
+
+  /// The i-th edge id in Kruskal order.
+  EdgeId operator[](std::size_t i) {
+    if (i >= sorted_) SortThrough(i);
+    return keys_[i].id;
+  }
+
+ private:
+  struct Key {
+    double p;
+    std::uint32_t rank;  // position in the ids given: the tie order.
+    EdgeId id;
+  };
+
+  static bool Heavier(const Key& a, const Key& b) {
+    return a.p > b.p || (a.p == b.p && a.rank < b.rank);
+  }
+
+  void SortThrough(std::size_t i) {
+    const std::size_t end =
+        std::min(keys_.size(), std::max({i + 1, 2 * sorted_, kFirstChunk}));
+    const auto first = keys_.begin() + static_cast<std::ptrdiff_t>(sorted_);
+    const auto last = keys_.begin() + static_cast<std::ptrdiff_t>(end);
+    if (last != keys_.end()) std::nth_element(first, last, keys_.end(), Heavier);
+    std::sort(first, last, Heavier);
+    sorted_ = end;
+  }
+
+  static constexpr std::size_t kFirstChunk = 1024;
+  std::vector<Key> keys_;
+  std::size_t sorted_ = 0;  // keys_[0, sorted_) is in final order.
+};
+
+/// Kruskal's loop: peels one maximum spanning forest off `order`,
+/// skipping the edges flagged in `taken` (if given), into `forest` in the
+/// order it takes them. Stops once the forest spans. Returns false, with
+/// `forest` holding limit + 1 edges, as soon as it would exceed `limit`
+/// edges.
+bool PeelForest(const UncertainGraph& graph, KruskalOrder* order,
+                const std::vector<char>* taken, std::size_t limit,
+                std::vector<EdgeId>* forest) {
+  const std::size_t spanning = graph.num_vertices() - 1;
+  UnionFind uf(graph.num_vertices());
+  forest->clear();
+  for (std::size_t i = 0; i < order->size(); ++i) {
+    const EdgeId e = (*order)[i];
+    if (taken != nullptr && (*taken)[e]) continue;
+    const UncertainEdge& ed = graph.edge(e);
+    if (!uf.Union(ed.u, ed.v)) continue;
+    forest->push_back(e);
+    if (forest->size() > limit) return false;
+    if (forest->size() == spanning) break;
+  }
+  return true;
 }
 
 /// Fills `picked` up to `target` ids by repeatedly drawing a uniform edge
@@ -58,16 +120,9 @@ std::size_t TargetEdgeCount(const UncertainGraph& graph, double alpha) {
 
 std::vector<EdgeId> MaximumSpanningForest(
     const UncertainGraph& graph, const std::vector<EdgeId>& available) {
-  std::vector<EdgeId> sorted = available;
-  std::stable_sort(sorted.begin(), sorted.end(), [&](EdgeId a, EdgeId b) {
-    return graph.edge(a).p > graph.edge(b).p;
-  });
-  UnionFind uf(graph.num_vertices());
   std::vector<EdgeId> forest;
-  for (EdgeId e : sorted) {
-    const UncertainEdge& ed = graph.edge(e);
-    if (uf.Union(ed.u, ed.v)) forest.push_back(e);
-  }
+  KruskalOrder order(graph, available);
+  PeelForest(graph, &order, nullptr, available.size(), &forest);
   std::sort(forest.begin(), forest.end());
   return forest;
 }
@@ -90,47 +145,57 @@ Result<std::vector<EdgeId>> BuildBackbone(const UncertainGraph& graph,
 
   std::vector<EdgeId> picked;
   picked.reserve(target);
-  std::vector<EdgeId> pool(m);
-  for (EdgeId e = 0; e < m; ++e) pool[e] = e;
+  std::vector<char> taken(m, 0);
 
   if (options.kind == BackboneKind::kSpanning) {
-    if (graph.IsStructurallyConnected() && target < n - 1) {
+    // Peel maximum spanning forests off one Kruskal order of all edges
+    // until the spanning budget alpha' |E| is exhausted or
+    // max_spanning_forests forests were taken.
+    std::vector<EdgeId> all(m);
+    for (EdgeId e = 0; e < m; ++e) all[e] = e;
+    KruskalOrder order(graph, all);
+    std::vector<EdgeId> forest;
+    // The first forest spans iff the graph is connected.
+    PeelForest(graph, &order, nullptr, m, &forest);
+    if (forest.size() == n - 1 && target < n - 1) {
       return Status::InvalidArgument(
           "alpha |E| = " + std::to_string(target) + " < |V| - 1 = " +
           std::to_string(n - 1) +
           "; a connectivity-preserving backbone is impossible "
           "(paper footnote 7)");
     }
-    // Peel maximum spanning forests until the spanning budget alpha' |E|
-    // is exhausted or max_spanning_forests forests were taken.
     const std::size_t spanning_budget = static_cast<std::size_t>(
         options.spanning_fraction * static_cast<double>(target));
-    int forests = 0;
-    while (forests < options.max_spanning_forests) {
-      // The first forest is always taken in full (connectivity); later
-      // forests must fit in the spanning budget.
-      std::vector<EdgeId> forest = MaximumSpanningForest(graph, pool);
-      if (forest.empty()) break;
-      bool first = (forests == 0);
-      if (!first && picked.size() + forest.size() > spanning_budget) break;
-      if (first && forest.size() > target) {
-        // Cannot even fit a spanning forest; take a prefix (highest
-        // probability edges first) -- only possible for disconnected
-        // inputs, which were not filtered above.
-        std::stable_sort(forest.begin(), forest.end(),
-                         [&](EdgeId a, EdgeId b) {
-                           return graph.edge(a).p > graph.edge(b).p;
-                         });
-        forest.resize(target);
-        std::sort(forest.begin(), forest.end());
-      }
+    auto take = [&] {
+      for (EdgeId e : forest) taken[e] = 1;
       picked.insert(picked.end(), forest.begin(), forest.end());
-      SortedDifference(&pool, forest);
-      ++forests;
-      if (picked.size() >= spanning_budget || picked.size() >= target) break;
+    };
+    if (options.max_spanning_forests > 0) {
+      // The first forest is always taken (connectivity). It exceeds the
+      // target only for a disconnected input, which keeps its heaviest
+      // edges: the Kruskal-order prefix.
+      if (forest.size() > target) forest.resize(target);
+      take();
+      // Later forests must fit in the spanning budget.
+      for (int forests = 1; forests < options.max_spanning_forests &&
+                            picked.size() < spanning_budget &&
+                            picked.size() < target;
+           ++forests) {
+        if (!PeelForest(graph, &order, &taken,
+                        spanning_budget - picked.size(), &forest) ||
+            forest.empty()) {
+          break;
+        }
+        take();
+      }
     }
   }
 
+  std::vector<EdgeId> pool;
+  pool.reserve(m - picked.size());
+  for (EdgeId e = 0; e < m; ++e) {
+    if (!taken[e]) pool.push_back(e);
+  }
   MonteCarloFill(graph, target, &pool, &picked, rng);
   UGS_CHECK_EQ(picked.size(), target);
   std::sort(picked.begin(), picked.end());

@@ -43,7 +43,9 @@ std::size_t TargetEdgeCount(const UncertainGraph& graph, double alpha);
     Rng* rng);
 
 /// One maximum spanning forest of the subgraph `available` (edge ids),
-/// using probabilities as weights (Kruskal). Returns forest edge ids.
+/// using probabilities as weights (Kruskal; of equal probabilities, the
+/// edge earlier in `available` is tried first). Returns forest edge ids,
+/// sorted.
 std::vector<EdgeId> MaximumSpanningForest(const UncertainGraph& graph,
                                           const std::vector<EdgeId>& available);
 

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
+#include <span>
+#include <vector>
 
 #include "util/check.h"
 #include "util/indexed_heap.h"
@@ -71,29 +72,69 @@ Candidate ScoreCandidate(const SparseState& state, EdgeId e) {
   return {p, GainAt<kType>(du0, dv0, pi_u, pi_v, p)};
 }
 
+/// s(u) = 1 / pi(u)^2 for every vertex: the weight of u's term of D1 in
+/// units of its absolute discrepancy (1 for absolute, 0 where a relative
+/// weight is 0). pi is the original expected degree, so s never changes
+/// during a run.
+std::vector<double> TermWeights(const UncertainGraph& graph,
+                                DiscrepancyType type) {
+  std::vector<double> s(graph.num_vertices(), 1.0);
+  if (type == DiscrepancyType::kRelative) {
+    for (VertexId u = 0; u < graph.num_vertices(); ++u) {
+      const double pi = graph.ExpectedDegree(u);
+      s[u] = pi > 0.0 ? 1.0 / (pi * pi) : 0.0;
+    }
+  }
+  return s;
+}
+
+/// The E-phase bound's rounding slack, per unit of K; emd.h
+/// (EPhaseBestCandidate) derives it.
+constexpr double kBoundSlack = 1e-12;
+
 /// Lines 14-17 of Algorithm 3: the best candidate among the E \ E_b edges
 /// at `top`, plus the just-removed edge `e` itself. The first strictly
 /// greater gain wins, so ties keep the incumbent e.
 ///
-/// The scan scores each candidate as ScoreCandidate does, bit for bit,
-/// with `top`'s terms loaded once: Eq. (8)'s step is symmetric in its
-/// endpoints (IEEE + and * commute), and Gain takes the endpoints in
-/// edge order.
+/// A candidate whose gain bound (emd.h, EPhaseBestCandidate) proves it
+/// cannot beat the best gain so far is skipped; every other one is
+/// scored as ScoreCandidate does, bit for bit, with `top`'s terms loaded
+/// once: Eq. (8)'s step is symmetric in its endpoints (IEEE + and *
+/// commute), and Gain takes the endpoints in edge order.
 template <DiscrepancyType kType>
-std::pair<EdgeId, double> BestCandidate(const SparseState& state, VertexId top,
-                                        EdgeId e) {
+EPhaseChoice BestCandidate(const SparseState& state,
+                           std::span<const double> s, VertexId top, EdgeId e,
+                           EPhaseCounts* counts) {
   const UncertainGraph& graph = state.graph();
-  EdgeId best_edge = e;
   const Candidate incumbent = ScoreCandidate<kType>(state, e);
-  double best_p = incumbent.p;
+  EPhaseChoice best{e, incumbent.p};
   double best_gain = incumbent.gain;
   const double d_top = state.DeltaAbs(top);
   const double pi_top = DegreeStepWeight(graph, top, kType);
   const double t_top0 = TypedDelta<kType>(d_top, pi_top);
+  const double s_top = s[top];
+  const double a_top = d_top * s_top;
+  const double k_top = (std::abs(d_top) + 1.0) * (std::abs(d_top) + 1.0) *
+                       s_top;
+  std::size_t scored = 0;
+  std::size_t examined = 0;
   for (const AdjacencyEntry& a : graph.Neighbors(top)) {
     const EdgeId er = a.edge;
-    if (state.InBackbone(er) || er == e) continue;
     const double d_other = state.DeltaAbs(a.neighbor);
+    const double s_other = s[a.neighbor];
+    const double bound_a = a_top + d_other * s_other;
+    const double slack =
+        kBoundSlack * (k_top + (std::abs(d_other) + 1.0) *
+                                   (std::abs(d_other) + 1.0) * s_other);
+    // One branch per edge: the bound is evaluated for backbone edges too
+    // (it has no side effects), and only candidates it cannot rule out
+    // are scored.
+    const bool candidate = !state.InBackbone(er) & (er != e);
+    examined += candidate;
+    const bool bounded =
+        bound_a * bound_a < (best_gain - slack) * (s_top + s_other);
+    if (!candidate | bounded) continue;
+    ++scored;
     const double pi_other = DegreeStepWeight(graph, a.neighbor, kType);
     const double p = ClampedStep(d_top, d_other, pi_top, pi_other);
     const double t_topw = TypedDelta<kType>(d_top - p, pi_top);
@@ -104,11 +145,22 @@ std::pair<EdgeId, double> BestCandidate(const SparseState& state, VertexId top,
                             : Gain(t_other0, t_otherw, t_top0, t_topw);
     if (gain > best_gain) {
       best_gain = gain;
-      best_edge = er;
-      best_p = p;
+      best = {er, p};
     }
   }
-  return {best_edge, best_p};
+  counts->scored += scored;
+  counts->skipped += examined - scored;
+  return best;
+}
+
+EPhaseChoice BestCandidate(const SparseState& state, std::span<const double> s,
+                           VertexId top, EdgeId e, DiscrepancyType type,
+                           EPhaseCounts* counts) {
+  return type == DiscrepancyType::kAbsolute
+             ? BestCandidate<DiscrepancyType::kAbsolute>(state, s, top, e,
+                                                         counts)
+             : BestCandidate<DiscrepancyType::kRelative>(state, s, top, e,
+                                                         counts);
 }
 
 }  // namespace
@@ -134,6 +186,15 @@ double InsertionGain(const SparseState& state, EdgeId e, double w,
              : GainAt<DiscrepancyType::kRelative>(du0, dv0, pi_u, pi_v, w);
 }
 
+EPhaseChoice EPhaseBestCandidate(const SparseState& state, VertexId top,
+                                 EdgeId removed, DiscrepancyType type,
+                                 EPhaseCounts* counts) {
+  UGS_DCHECK(!state.InBackbone(removed));
+  EPhaseCounts unused;
+  return BestCandidate(state, TermWeights(state.graph(), type), top, removed,
+                       type, counts != nullptr ? counts : &unused);
+}
+
 EmdStats RunEmd(SparseState* state, const EmdOptions& options) {
   UGS_CHECK(options.h >= 0.0 && options.h <= 1.0);
   EmdStats stats;
@@ -147,7 +208,9 @@ EmdStats RunEmd(SparseState* state, const EmdOptions& options) {
   m_phase.h = options.h;
 
   const UncertainGraph& graph = state->graph();
+  const std::vector<double> s = TermWeights(graph, type);
   IndexedMaxHeap heap(graph.num_vertices());
+  EPhaseCounts counts;
 
   Timer phase;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
@@ -170,17 +233,14 @@ EmdStats RunEmd(SparseState* state, const EmdOptions& options) {
       const VertexId top = heap.Top();
 
       // Lines 14-17: the best candidate at `top`, or e itself.
-      const auto [best_edge, best_p] =
-          type == DiscrepancyType::kAbsolute
-              ? BestCandidate<DiscrepancyType::kAbsolute>(*state, top, e)
-              : BestCandidate<DiscrepancyType::kRelative>(*state, top, e);
+      const EPhaseChoice best = BestCandidate(*state, s, top, e, type, &counts);
 
       // Lines 19-20: insert the winner, refresh heap entries.
-      state->AddEdge(best_edge, best_p);
-      const UncertainEdge& bd = graph.edge(best_edge);
+      state->AddEdge(best.edge, best.p);
+      const UncertainEdge& bd = graph.edge(best.edge);
       heap.Update(bd.u, std::abs(state->Delta(bd.u, type)));
       heap.Update(bd.v, std::abs(state->Delta(bd.v, type)));
-      if (best_edge != e) ++stats.swaps;
+      if (best.edge != e) ++stats.swaps;
     }
     stats.e_phase_seconds += phase.ElapsedSeconds();
 
@@ -199,6 +259,8 @@ EmdStats RunEmd(SparseState* state, const EmdOptions& options) {
       break;
     }
   }
+  stats.candidates_scored = counts.scored;
+  stats.candidates_skipped = counts.skipped;
   stats.final_objective = previous;
   return stats;
 }

@@ -27,7 +27,9 @@ namespace ugs {
 struct EmdOptions {
   DiscrepancyType discrepancy = DiscrepancyType::kAbsolute;
   double h = 0.05;          ///< entropy parameter forwarded to Eq. (9)/GDB.
-  double tolerance = 1e-7;  ///< tau on relative improvement of D1.
+  /// tau: the outer loop stops once a round changes D1 by at most
+  /// tau * max(1, |D1|) -- relative when |D1| >= 1, absolute below.
+  double tolerance = 1e-7;
   int max_iterations = 15;  ///< E+M rounds.
   /// GDB settings for the M-phase (rule fixed to Degrees(); discrepancy
   /// and h overwritten).
@@ -38,6 +40,10 @@ struct EmdStats {
   int iterations = 0;
   int sweeps = 0;           ///< GDB sweeps, summed over the M-phases.
   std::size_t swaps = 0;    ///< backbone edges replaced by a different edge.
+  /// E-phase candidates (non-backbone edges at the most-discrepant
+  /// vertex) scored in full, and those the gain bound skipped.
+  std::size_t candidates_scored = 0;
+  std::size_t candidates_skipped = 0;
   /// Wall time of the E-phases and of the M-phases, each summed.
   double e_phase_seconds = 0.0;
   double m_phase_seconds = 0.0;
@@ -64,6 +70,60 @@ double InsertionGain(const SparseState& state, EdgeId e, double w,
 /// rationale). Does not modify state.
 double CandidateProbability(const SparseState& state, EdgeId e,
                             DiscrepancyType type);
+
+/// One E-phase choice: the edge to (re)insert and its probability.
+struct EPhaseChoice {
+  EdgeId edge;
+  double p;
+};
+
+/// Candidates an E-phase scan scored in full and skipped by its bound.
+struct EPhaseCounts {
+  std::size_t scored = 0;
+  std::size_t skipped = 0;
+};
+
+/// Lines 14-17 of Algorithm 3, as RunEmd's E-phase runs them. With
+/// `removed` just pulled out of the backbone and `top` the vertex to
+/// repair, returns the winner among `removed` and the non-backbone edges
+/// at `top`, scanned in adjacency order: the first strictly greater
+/// InsertionGain at CandidateProbability wins, so ties keep `removed`.
+/// `counts`, if given, accumulates the scan's counts. Exposed for
+/// white-box tests.
+///
+/// The scan skips a candidate it can prove unable to win. With d the
+/// absolute discrepancy and s(x) = 1 / pi(x)^2 (relative; 0 where
+/// pi = 0) or 1 (absolute), inserting candidate (t, o) at p gains
+///   f(p) = (2 d_t p - p^2) s_t + (2 d_o p - p^2) s_o = 2 A p - B p^2,
+///   A = d_t s_t + d_o s_o,  B = s_t + s_o,
+/// which is concave in p with maximum A^2 / B: a bound for every p, the
+/// clamped Eq. (9) step included. A candidate is skipped when, in
+/// floating point,
+///   A^2 < (g - 1e-12 K) B,  K = sum_x (|d_x| + 1)^2 s_x,
+/// with g the best computed gain so far. Then its computed gain is below
+/// g, so scoring it could not have changed the winner. Cauchy-Schwarz
+/// gives A^2 <= L^2 <= K B with L = |d_t| s_t + |d_o| s_o, so A^2 / B <=
+/// K. The margins, to first order in u = 2^-53 (with or without fused
+/// multiply-adds):
+///   - The computed gain: each of its four squared typed discrepancies is
+///     off by at most 5u of itself (a subtraction, a division, a square),
+///     Gain's three additions by 3u of their sum, and that sum is at most
+///     2K since p is in [0, 1]. So it is at most A^2 / B + 16u K.
+///   - The computed A: s is off by 2u, each product and the sum by u, so
+///     A is off by 4u L, and A^2 by 8u L^2 <= 8u K B.
+///   - If g > 2K the candidate's gain, at most K (1 + 16u), is below g
+///     anyway. Otherwise rounding A^2 and (g - slack) B costs at most
+///     8u g B <= 16u K B, and the computed slack is short of 1e-12 K by
+///     at most 9u of it.
+/// So the test implies A^2 / B < g - 1e-12 K + 24u K, and the computed
+/// gain is below g - (1e-12 - 40u) K <= g: the slack is over 200 times
+/// the 40u K it must cover. Where g <= slack, or B = 0 (then A = 0), the
+/// right side is not positive and nothing is skipped; NaN or infinite
+/// terms compare false and are scored. pi <= |V| keeps s >= |V|^-2, far
+/// above the subnormal range.
+EPhaseChoice EPhaseBestCandidate(const SparseState& state, VertexId top,
+                                 EdgeId removed, DiscrepancyType type,
+                                 EPhaseCounts* counts = nullptr);
 
 }  // namespace ugs
 

@@ -112,9 +112,10 @@ GdbStats RunGdb(SparseState* state, const GdbOptions& options) {
     }
     ++stats.sweeps;
     double objective = state->ObjectiveD1(type);
-    // Terminate when the sweep improved D1 by less than tau (relative) or
-    // moved no probability measurably (covers the k >= 2 rules whose true
-    // objective D_k is not tracked).
+    // Terminate when the sweep changed D1 by at most tau * max(1, |D1|)
+    // (relative above D1 = 1, absolute below) or moved no probability
+    // measurably (covers the k >= 2 rules whose true objective D_k is not
+    // tracked).
     bool converged =
         std::abs(previous - objective) <=
             options.tolerance * std::max(1.0, std::abs(previous)) ||

@@ -28,8 +28,9 @@ struct GdbOptions {
   /// when the full step would increase the edge's entropy (Section 4.2;
   /// Figure 5 tunes it, 0.05 is the paper's balanced default).
   double h = 0.05;
-  /// Convergence threshold tau on the relative improvement of the
-  /// objective D1 between sweeps.
+  /// Convergence threshold tau: a run stops once a sweep changes D1 by
+  /// at most tau * max(1, |D1|) -- relative when |D1| >= 1, absolute
+  /// below.
   double tolerance = 1e-7;
   int max_sweeps = 60;
 };

@@ -80,6 +80,8 @@ class EmdSparsifier final : public Sparsifier {
     out.iterations = stats.iterations;
     out.sweeps = stats.sweeps;
     out.swaps = stats.swaps;
+    out.candidates_scored = stats.candidates_scored;
+    out.candidates_skipped = stats.candidates_skipped;
     out.e_phase_seconds = stats.e_phase_seconds;
     out.m_phase_seconds = stats.m_phase_seconds;
     out.converged = stats.converged;

@@ -30,6 +30,10 @@ struct SparsifyOutput {
   int iterations = 0;       ///< EMD's E+M rounds (0 for GDB).
   int sweeps = 0;           ///< GDB sweeps (EMD: over all its M-phases).
   std::size_t swaps = 0;    ///< EMD's E-phase edge replacements.
+  /// EMD's E-phase candidates scored in full and skipped by the gain
+  /// bound (EmdStats; 0 for the other methods).
+  std::size_t candidates_scored = 0;
+  std::size_t candidates_skipped = 0;
   /// EMD's E-phase and M-phase wall time (0 for the other methods).
   double e_phase_seconds = 0.0;
   double m_phase_seconds = 0.0;

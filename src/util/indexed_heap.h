@@ -19,11 +19,10 @@ namespace ugs {
 class IndexedMaxHeap {
  public:
   /// Creates an empty heap over keys [0, n).
-  explicit IndexedMaxHeap(std::size_t n)
-      : pos_(n, kAbsent), keys_(), priorities_() {}
+  explicit IndexedMaxHeap(std::size_t n) : pos_(n, kAbsent) {}
 
-  std::size_t size() const { return keys_.size(); }
-  bool empty() const { return keys_.empty(); }
+  std::size_t size() const { return entries_.size(); }
+  bool empty() const { return entries_.empty(); }
 
   /// True iff key currently has an entry.
   bool Contains(std::uint32_t key) const {
@@ -34,10 +33,8 @@ class IndexedMaxHeap {
   /// Inserts key with the given priority. Key must not be present.
   void Push(std::uint32_t key, double priority) {
     UGS_DCHECK(!Contains(key));
-    pos_[key] = keys_.size();
-    keys_.push_back(key);
-    priorities_.push_back(priority);
-    SiftUp(keys_.size() - 1);
+    entries_.emplace_back();
+    SiftUp(entries_.size() - 1, {priority, key});
   }
 
   /// Inserts or updates a key's priority.
@@ -46,32 +43,31 @@ class IndexedMaxHeap {
       Push(key, priority);
       return;
     }
-    std::size_t i = pos_[key];
-    double old = priorities_[i];
-    priorities_[i] = priority;
+    const std::size_t i = pos_[key];
+    const double old = entries_[i].priority;
     if (priority > old) {
-      SiftUp(i);
+      SiftUp(i, {priority, key});
     } else if (priority < old) {
-      SiftDown(i);
+      SiftDown(i, {priority, key});
     }
   }
 
   /// Returns the key with maximum priority without removing it.
   std::uint32_t Top() const {
     UGS_CHECK(!empty());
-    return keys_[0];
+    return entries_[0].key;
   }
 
   /// Priority of the max entry.
   double TopPriority() const {
     UGS_CHECK(!empty());
-    return priorities_[0];
+    return entries_[0].priority;
   }
 
   /// Priority currently stored for key (must be present).
   double PriorityOf(std::uint32_t key) const {
     UGS_DCHECK(Contains(key));
-    return priorities_[pos_[key]];
+    return entries_[pos_[key]].priority;
   }
 
   /// Removes and returns the key with maximum priority.
@@ -84,72 +80,74 @@ class IndexedMaxHeap {
   /// Removes key (must be present).
   void Remove(std::uint32_t key) {
     UGS_DCHECK(Contains(key));
-    std::size_t i = pos_[key];
-    std::size_t last = keys_.size() - 1;
-    if (i != last) {
-      MoveEntry(last, i);
-      pos_[key] = kAbsent;
-      keys_.pop_back();
-      priorities_.pop_back();
-      // The moved element may need to go either direction.
-      SiftUp(i);
-      SiftDown(i);
+    const std::size_t i = pos_[key];
+    const Entry last = entries_.back();
+    entries_.pop_back();
+    pos_[key] = kAbsent;
+    if (i == entries_.size()) return;
+    // The last entry refills the hole at i, moving whichever way its
+    // priority calls for.
+    if (i > 0 && entries_[(i - 1) / 2].priority < last.priority) {
+      SiftUp(i, last);
     } else {
-      pos_[key] = kAbsent;
-      keys_.pop_back();
-      priorities_.pop_back();
+      SiftDown(i, last);
     }
   }
 
   /// Drops all entries (key universe unchanged).
   void Clear() {
-    for (std::uint32_t k : keys_) pos_[k] = kAbsent;
-    keys_.clear();
-    priorities_.clear();
+    for (const Entry& entry : entries_) pos_[entry.key] = kAbsent;
+    entries_.clear();
   }
 
  private:
   static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
 
-  void MoveEntry(std::size_t from, std::size_t to) {
-    keys_[to] = keys_[from];
-    priorities_[to] = priorities_[from];
-    pos_[keys_[to]] = to;
+  struct Entry {
+    double priority;
+    std::uint32_t key;
+  };
+
+  void Place(std::size_t i, const Entry& entry) {
+    entries_[i] = entry;
+    pos_[entry.key] = i;
   }
 
-  void Swap(std::size_t a, std::size_t b) {
-    std::swap(keys_[a], keys_[b]);
-    std::swap(priorities_[a], priorities_[b]);
-    pos_[keys_[a]] = a;
-    pos_[keys_[b]] = b;
-  }
-
-  void SiftUp(std::size_t i) {
+  /// Settles `entry` into the hole at i, moving it toward the root: each
+  /// lower-priority parent moves down one level into the hole. The
+  /// comparisons and the final layout are those of swapping the entry up.
+  void SiftUp(std::size_t i, const Entry& entry) {
     while (i > 0) {
-      std::size_t parent = (i - 1) / 2;
-      if (priorities_[parent] >= priorities_[i]) break;
-      Swap(parent, i);
+      const std::size_t parent = (i - 1) / 2;
+      if (entries_[parent].priority >= entry.priority) break;
+      Place(i, entries_[parent]);
       i = parent;
     }
+    Place(i, entry);
   }
 
-  void SiftDown(std::size_t i) {
-    std::size_t n = keys_.size();
+  /// Settles `entry` into the hole at i, moving it toward the leaves past
+  /// every higher-priority child (the right one when it is strictly
+  /// higher than the left).
+  void SiftDown(std::size_t i, const Entry& entry) {
+    const std::size_t n = entries_.size();
     for (;;) {
-      std::size_t left = 2 * i + 1;
+      const std::size_t left = 2 * i + 1;
       if (left >= n) break;
-      std::size_t best = left;
-      std::size_t right = left + 1;
-      if (right < n && priorities_[right] > priorities_[left]) best = right;
-      if (priorities_[i] >= priorities_[best]) break;
-      Swap(i, best);
+      const std::size_t right = left + 1;
+      const std::size_t best =
+          left + static_cast<std::size_t>(
+                     right < n &&
+                     entries_[right].priority > entries_[left].priority);
+      if (entry.priority >= entries_[best].priority) break;
+      Place(i, entries_[best]);
       i = best;
     }
+    Place(i, entry);
   }
 
-  std::vector<std::size_t> pos_;       // key -> index in keys_, or kAbsent.
-  std::vector<std::uint32_t> keys_;    // heap order.
-  std::vector<double> priorities_;     // parallel to keys_.
+  std::vector<std::size_t> pos_;  // key -> index in entries_, or kAbsent.
+  std::vector<Entry> entries_;    // heap order.
 };
 
 }  // namespace ugs

@@ -1,12 +1,16 @@
 #include "sparsify/backbone.h"
 
 #include <algorithm>
+#include <iterator>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "gen/generators.h"
 #include "tests/test_util.h"
+#include "util/union_find.h"
 
 namespace ugs {
 namespace {
@@ -144,6 +148,177 @@ TEST(MaximumSpanningForestTest, DisconnectedAvailableSetGivesForest) {
   // Only the two disjoint edges are available.
   std::vector<EdgeId> forest = MaximumSpanningForest(g, {0, 1});
   EXPECT_EQ(forest.size(), 2u);
+}
+
+// --- The one-order peel against the per-forest re-sort it replaced. ---
+
+/// Kruskal on a stable sort of `available` by descending probability.
+std::vector<EdgeId> ReferenceForest(const UncertainGraph& graph,
+                                    const std::vector<EdgeId>& available) {
+  std::vector<EdgeId> sorted = available;
+  std::stable_sort(sorted.begin(), sorted.end(), [&](EdgeId a, EdgeId b) {
+    return graph.edge(a).p > graph.edge(b).p;
+  });
+  UnionFind uf(graph.num_vertices());
+  std::vector<EdgeId> forest;
+  for (EdgeId e : sorted) {
+    if (uf.Union(graph.edge(e).u, graph.edge(e).v)) forest.push_back(e);
+  }
+  std::sort(forest.begin(), forest.end());
+  return forest;
+}
+
+/// The spanning backbone as first written: a separate connectivity pass,
+/// then each forest re-sorted from the whole remaining pool, and an
+/// over-budget forest built in full before it is dropped. `forests`
+/// receives the number of forests taken.
+Result<std::vector<EdgeId>> ReferenceSpanningBackbone(
+    const UncertainGraph& graph, double alpha, const BackboneOptions& options,
+    Rng* rng, int* forests) {
+  const std::size_t m = graph.num_edges();
+  const std::size_t n = graph.num_vertices();
+  const std::size_t target = TargetEdgeCount(graph, alpha);
+  std::vector<EdgeId> picked;
+  std::vector<EdgeId> pool(m);
+  for (EdgeId e = 0; e < m; ++e) pool[e] = e;
+  if (graph.IsStructurallyConnected() && target < n - 1) {
+    return Status::InvalidArgument(
+        "alpha |E| = " + std::to_string(target) + " < |V| - 1 = " +
+        std::to_string(n - 1) +
+        "; a connectivity-preserving backbone is impossible "
+        "(paper footnote 7)");
+  }
+  const std::size_t spanning_budget = static_cast<std::size_t>(
+      options.spanning_fraction * static_cast<double>(target));
+  *forests = 0;
+  while (*forests < options.max_spanning_forests) {
+    std::vector<EdgeId> forest = ReferenceForest(graph, pool);
+    if (forest.empty()) break;
+    const bool first = (*forests == 0);
+    if (!first && picked.size() + forest.size() > spanning_budget) break;
+    if (first && forest.size() > target) {
+      std::stable_sort(forest.begin(), forest.end(), [&](EdgeId a, EdgeId b) {
+        return graph.edge(a).p > graph.edge(b).p;
+      });
+      forest.resize(target);
+      std::sort(forest.begin(), forest.end());
+    }
+    picked.insert(picked.end(), forest.begin(), forest.end());
+    std::vector<EdgeId> rest;
+    std::set_difference(pool.begin(), pool.end(), forest.begin(),
+                        forest.end(), std::back_inserter(rest));
+    pool = std::move(rest);
+    ++*forests;
+    if (picked.size() >= spanning_budget || picked.size() >= target) break;
+  }
+  // Algorithm 1's Monte-Carlo fill, drawing from the id-sorted pool.
+  while (picked.size() < target && !pool.empty()) {
+    const auto i = static_cast<std::size_t>(rng->NextIndex(pool.size()));
+    const EdgeId e = pool[i];
+    const double p = graph.edge(e).p;
+    if (p == 0.0) {
+      pool[i] = pool.back();
+      pool.pop_back();
+      continue;
+    }
+    if (rng->Bernoulli(p)) {
+      picked.push_back(e);
+      pool[i] = pool.back();
+      pool.pop_back();
+    }
+  }
+  std::sort(picked.begin(), picked.end());
+  return picked;
+}
+
+/// A random graph on n vertices with p drawn from a 4-value grid (ties
+/// everywhere), connected or cut into `parts` vertex blocks.
+UncertainGraph TiedGraph(std::size_t n, std::size_t m, std::size_t parts,
+                         Rng* rng) {
+  const double grid[] = {0.125, 0.5, 0.75, 1.0};
+  std::set<std::pair<VertexId, VertexId>> seen;
+  std::vector<UncertainEdge> edges;
+  const std::size_t block = (n + parts - 1) / parts;
+  // A path per block keeps each block connected.
+  for (VertexId u = 0; u + 1 < n; ++u) {
+    if ((u + 1) % block == 0) continue;
+    seen.insert({u, u + 1});
+    edges.push_back({u, u + 1, grid[rng->NextIndex(4)]});
+  }
+  for (std::size_t tries = 0; edges.size() < m && tries < 20 * m; ++tries) {
+    const auto u = static_cast<VertexId>(rng->NextIndex(n));
+    const auto v = static_cast<VertexId>(rng->NextIndex(n));
+    if (u == v || u / block != v / block) continue;
+    if (!seen.insert({std::min(u, v), std::max(u, v)}).second) continue;
+    edges.push_back({u, v, grid[rng->NextIndex(4)]});
+  }
+  return UncertainGraph::FromEdges(n, std::move(edges));
+}
+
+TEST(BackbonePeelTest, MatchesPerForestResortOnTiedGraphs) {
+  Rng gen(31);
+  int max_forests_seen = 0;
+  int oversized_first_forests = 0;
+  int refusals = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    // Every 10th graph has thousands of edges, so the peel runs past the
+    // first lazily sorted chunk of the Kruskal order.
+    const std::size_t n =
+        trial % 10 == 0 ? 150 + gen.NextIndex(250) : 4 + gen.NextIndex(40);
+    const std::size_t parts = 1 + gen.NextIndex(3);
+    const UncertainGraph g = TiedGraph(n, n * (1 + gen.NextIndex(12)), parts,
+                                       &gen);
+    const double alpha = 0.05 + 0.9 * gen.NextDouble();
+    BackboneOptions options;
+    options.max_spanning_forests = 1 + static_cast<int>(gen.NextIndex(6));
+    options.spanning_fraction = gen.Bernoulli(0.5) ? 0.5 : 1.0;
+    const std::size_t target = TargetEdgeCount(g, alpha);
+    if (target == 0) continue;
+    const std::uint64_t seed = gen.Next64();
+    Rng rng(seed);
+    Rng reference_rng(seed);
+    int forests = 0;
+    const Result<std::vector<EdgeId>> got =
+        BuildBackbone(g, alpha, options, &rng);
+    const Result<std::vector<EdgeId>> want =
+        ReferenceSpanningBackbone(g, alpha, options, &reference_rng, &forests);
+    const std::string label = "trial " + std::to_string(trial);
+    ASSERT_EQ(got.ok(), want.ok()) << label;
+    if (!got.ok()) {
+      EXPECT_EQ(got.status().message(), want.status().message()) << label;
+      ++refusals;
+      continue;
+    }
+    ASSERT_EQ(*got, *want) << label;
+    // Both drew the same random numbers.
+    EXPECT_EQ(rng.Next64(), reference_rng.Next64()) << label;
+    max_forests_seen = std::max(max_forests_seen, forests);
+    std::vector<EdgeId> all(g.num_edges());
+    for (EdgeId e = 0; e < g.num_edges(); ++e) all[e] = e;
+    if (ReferenceForest(g, all).size() > target) ++oversized_first_forests;
+  }
+  // The branches the peel must reproduce all ran.
+  EXPECT_EQ(max_forests_seen, 6);
+  EXPECT_GT(oversized_first_forests, 0);
+  EXPECT_GT(refusals, 0);
+}
+
+TEST(MaximumSpanningForestTest, MatchesStableSortKruskalInAnyInputOrder) {
+  // Ties break by position in `available`, not by edge id.
+  Rng rng(32);
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::size_t n = trial % 10 == 0 ? 400 : 3 + rng.NextIndex(30);
+    const UncertainGraph g =
+        TiedGraph(n, trial % 10 == 0 ? 4000 : 60, 1 + rng.NextIndex(2), &rng);
+    std::vector<EdgeId> available;
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      if (rng.Bernoulli(0.7)) available.push_back(e);
+    }
+    rng.Shuffle(&available);
+    EXPECT_EQ(MaximumSpanningForest(g, available),
+              ReferenceForest(g, available))
+        << "trial " << trial;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 #include "sparsify/emd.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -182,6 +186,262 @@ TEST(EmdTest, ConvergesAndStops) {
   options.max_iterations = 50;
   EmdStats stats = RunEmd(&state, options);
   EXPECT_LT(stats.iterations, 50);
+}
+
+// --- The bound-pruned E-phase scan against a full scan. ---
+
+/// Lines 14-17 of Algorithm 3 without the bound: every non-backbone edge
+/// at `top` scored by CandidateProbability and InsertionGain, in
+/// adjacency order, the first strictly greater gain winning over
+/// `removed`.
+EPhaseChoice FullScan(const SparseState& state, VertexId top, EdgeId removed,
+                      DiscrepancyType type) {
+  const double p0 = CandidateProbability(state, removed, type);
+  EPhaseChoice best{removed, p0};
+  double best_gain = InsertionGain(state, removed, p0, type);
+  for (const AdjacencyEntry& a : state.graph().Neighbors(top)) {
+    if (state.InBackbone(a.edge) || a.edge == removed) continue;
+    const double p = CandidateProbability(state, a.edge, type);
+    const double gain = InsertionGain(state, a.edge, p, type);
+    if (gain > best_gain) {
+      best_gain = gain;
+      best = {a.edge, p};
+    }
+  }
+  return best;
+}
+
+/// Every vertex joined to its next `k` around a ring of n, all at p:
+/// regular, so equal discrepancies and tied gains abound.
+UncertainGraph RingLattice(std::size_t n, std::size_t k, double p) {
+  std::vector<UncertainEdge> edges;
+  for (VertexId u = 0; u < n; ++u) {
+    for (std::size_t j = 1; j <= k; ++j) {
+      edges.push_back({u, static_cast<VertexId>((u + j) % n), p});
+    }
+  }
+  return UncertainGraph::FromEdges(n, std::move(edges));
+}
+
+/// Random pairs at p in {0, 1/2, 1} or uniform, vertices 0-3 joined only
+/// by p = 0 edges (expected degree 0, so relative weight 0), and the
+/// last vertex isolated.
+UncertainGraph MixedGraph(Rng* rng) {
+  const std::size_t n = 40;
+  std::vector<UncertainEdge> edges = {
+      {0, 1, 0.0}, {1, 2, 0.0}, {2, 3, 0.0}, {0, 2, 0.0}, {0, 3, 0.0}};
+  std::vector<char> seen(n * n, 0);
+  for (const UncertainEdge& e : edges) seen[e.u * n + e.v] = 1;
+  while (edges.size() < 170) {
+    const auto u = static_cast<VertexId>(rng->NextIndex(n - 1));
+    const auto v = static_cast<VertexId>(rng->NextIndex(n - 1));
+    if (u == v || seen[std::min(u, v) * n + std::max(u, v)]) continue;
+    if (u < 4 && v < 4) continue;
+    seen[std::min(u, v) * n + std::max(u, v)] = 1;
+    const double grid[] = {0.0, 0.5, 1.0, rng->NextDouble()};
+    double p = grid[rng->NextIndex(4)];
+    if (u < 4 || v < 4) p = 0.0;
+    edges.push_back({u, v, p});
+  }
+  return UncertainGraph::FromEdges(n, std::move(edges));
+}
+
+/// Drives random E-phase steps on `graph` -- perturbed probabilities,
+/// `top` at the removed edge or anywhere -- and checks every pruned
+/// choice against FullScan, bit for bit. Returns the scan counts.
+EPhaseCounts CheckAgainstFullScan(const UncertainGraph& graph,
+                                  DiscrepancyType type, Rng* rng,
+                                  const std::string& label) {
+  std::vector<EdgeId> backbone;
+  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+    if (rng->Bernoulli(0.35)) backbone.push_back(e);
+  }
+  SparseState state(graph, backbone);
+  const double grid[] = {0.0, 0.25, 0.5, 1.0};
+  EPhaseCounts counts;
+  for (int step = 0; step < 600; ++step) {
+    const std::vector<EdgeId> members = state.BackboneEdges();
+    if (members.empty()) break;
+    if (rng->NextIndex(4) == 0) {
+      state.SetProbability(members[rng->NextIndex(members.size())],
+                           grid[rng->NextIndex(4)]);
+    }
+    const EdgeId removed = members[rng->NextIndex(members.size())];
+    state.RemoveEdge(removed);
+    const UncertainEdge& ed = graph.edge(removed);
+    const std::uint64_t pick = rng->NextIndex(3);
+    const VertexId top =
+        pick == 0 ? ed.u
+        : pick == 1
+            ? ed.v
+            : static_cast<VertexId>(rng->NextIndex(graph.num_vertices()));
+    const EPhaseChoice got =
+        EPhaseBestCandidate(state, top, removed, type, &counts);
+    const EPhaseChoice want = FullScan(state, top, removed, type);
+    EXPECT_EQ(got.edge, want.edge) << label << " step " << step;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.p),
+              std::bit_cast<std::uint64_t>(want.p))
+        << label << " step " << step;
+    state.AddEdge(got.edge, got.p);
+  }
+  return counts;
+}
+
+TEST(EPhaseBoundTest, PrunedScanMatchesFullScan) {
+  Rng rng(24);
+  const std::vector<std::pair<std::string, UncertainGraph>> graphs = {
+      {"ring p=1/2", RingLattice(24, 3, 0.5)},
+      {"ring p=1", RingLattice(16, 4, 1.0)},
+      {"K11 p=1", RingLattice(11, 5, 1.0)},
+      {"mixed", MixedGraph(&rng)},
+      {"mixed 2", MixedGraph(&rng)},
+      {"chung-lu", GenerateChungLu({.num_vertices = 80, .avg_degree = 10.0},
+                                   ProbabilityDistribution::Uniform(0.05, 1.0),
+                                   &rng)}};
+  for (DiscrepancyType type :
+       {DiscrepancyType::kAbsolute, DiscrepancyType::kRelative}) {
+    EPhaseCounts total;
+    for (const auto& [name, graph] : graphs) {
+      const std::string label =
+          name + (type == DiscrepancyType::kAbsolute ? " abs" : " rel");
+      const EPhaseCounts counts =
+          CheckAgainstFullScan(graph, type, &rng, label);
+      total.scored += counts.scored;
+      total.skipped += counts.skipped;
+    }
+    // Both branches of the scan ran.
+    EXPECT_GT(total.scored, 0u);
+    EXPECT_GT(total.skipped, 0u);
+  }
+}
+
+TEST(EPhaseBoundTest, TiedOptimaAcrossEdgeOrientationsMatchFullScan) {
+  // A star: centre 4 joined to 8 leaves at p = x, half the edges stored
+  // centre-first and half leaf-first, plus an edge (9, 10) pulled out of
+  // the backbone as the incumbent. Every leaf candidate sits at its exact
+  // absolute optimum (4.5x, unclamped) with the same gain in exact
+  // arithmetic, so the computed gains differ only in rounding by edge
+  // orientation, and the bound is tight to the last bits: a bound without
+  // its rounding slack skips a later candidate whose gain rounds above
+  // the first's.
+  Rng rng(9);
+  for (int trial = 0; trial < 300; ++trial) {
+    const double x = 0.01 + 0.2 * rng.NextDouble();
+    std::vector<UncertainEdge> edges;
+    for (VertexId leaf : {0u, 5u, 1u, 6u, 2u, 7u, 3u, 8u}) {
+      if (leaf % 2 == 0) {
+        edges.push_back({4, leaf, x});
+      } else {
+        edges.push_back({leaf, 4, x});
+      }
+    }
+    edges.push_back({9, 10, x * rng.NextDouble()});
+    const UncertainGraph g = UncertainGraph::FromEdges(11, std::move(edges));
+    const EdgeId removed = 8;
+    for (DiscrepancyType type :
+         {DiscrepancyType::kAbsolute, DiscrepancyType::kRelative}) {
+      SparseState state(g, {removed});
+      state.RemoveEdge(removed);
+      const EPhaseChoice got = EPhaseBestCandidate(state, 4, removed, type);
+      const EPhaseChoice want = FullScan(state, 4, removed, type);
+      ASSERT_EQ(got.edge, want.edge) << "trial " << trial;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.p),
+                std::bit_cast<std::uint64_t>(want.p))
+          << "trial " << trial;
+    }
+  }
+}
+
+TEST(EPhaseBoundTest, CancellingDiscrepanciesMatchFullScan) {
+  // A star: centre 0 at delta 8q joined to 8 leaves at p = q, each leaf
+  // over-assigned through a p = 0 backbone edge to delta -8q plus a few
+  // ulps. Each candidate's A = d_0 + d_leaf cancels to a few ulps, so its
+  // true gain is ~0 while its computed gain is rounding noise of order
+  // u (8q)^2, and the incumbent (an isolated p = 0 edge) gains exactly 0.
+  // Only the additive slack covers this noise: A^2 itself is ~0.
+  Rng rng(17);
+  for (int trial = 0; trial < 300; ++trial) {
+    const double q = 0.02 + 0.08 * rng.NextDouble();
+    std::vector<UncertainEdge> edges;
+    for (VertexId leaf = 1; leaf <= 8; ++leaf) {
+      if (leaf % 2 == 0) {
+        edges.push_back({0, leaf, q});
+      } else {
+        edges.push_back({leaf, 0, q});
+      }
+    }
+    std::vector<EdgeId> backbone;
+    for (VertexId leaf = 1; leaf <= 8; ++leaf) {
+      backbone.push_back(static_cast<EdgeId>(edges.size()));
+      edges.push_back({leaf, leaf + 8, 0.0});
+    }
+    const EdgeId removed = static_cast<EdgeId>(edges.size());
+    backbone.push_back(removed);
+    edges.push_back({17, 18, 0.0});
+    const UncertainGraph g = UncertainGraph::FromEdges(19, std::move(edges));
+    for (DiscrepancyType type :
+         {DiscrepancyType::kAbsolute, DiscrepancyType::kRelative}) {
+      SparseState state(g, backbone);
+      const double d0 = state.DeltaAbs(0);
+      for (EdgeId e = 8; e < 16; ++e) {
+        const double ulps = static_cast<double>(rng.NextIndex(17)) - 8.0;
+        state.SetProbability(e, q + d0 - ulps * 0x1p-52 * d0);
+      }
+      state.RemoveEdge(removed);
+      const EPhaseChoice got = EPhaseBestCandidate(state, 0, removed, type);
+      const EPhaseChoice want = FullScan(state, 0, removed, type);
+      ASSERT_EQ(got.edge, want.edge) << "trial " << trial;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.p),
+                std::bit_cast<std::uint64_t>(want.p))
+          << "trial " << trial;
+    }
+  }
+}
+
+TEST(EPhaseBoundTest, ZeroWeightCandidateBeatsANegativeIncumbent) {
+  // Relative discrepancy. The incumbent (x, y) = (0, 1) has x at expected
+  // degree 10 with 5 still assigned (delta 5) and y at expected degree 1
+  // with 1.4 assigned over two p = 0 edges (delta -0.4): Eq. (9) steps
+  // (5 - 4) / 11 and the gain is negative (about -0.072). The candidate
+  // (t, o) = (12, 13) joins two vertices of expected degree 0, whose
+  // terms of D1 are 0: gain exactly 0, so it must win. Its bound has
+  // B = 0 and A = 0, so only a strict comparison scores it.
+  std::vector<UncertainEdge> edges = {{0, 1, 1.0}};
+  for (VertexId d = 2; d < 11; ++d) edges.push_back({0, d, 1.0});
+  edges.push_back({1, 11, 0.0});
+  edges.push_back({1, 14, 0.0});
+  edges.push_back({12, 13, 0.0});
+  edges.push_back({12, 14, 0.0});
+  const UncertainGraph g = UncertainGraph::FromEdges(15, std::move(edges));
+  // Edge ids: 0 = (0,1), 1-9 = (0,2..10), 10 = (1,11), 11 = (1,14),
+  // 12 = (12,13), 13 = (12,14).
+  SparseState state(g, {0, 1, 2, 3, 4, 5, 10, 11});
+  state.SetProbability(10, 0.7);
+  state.SetProbability(11, 0.7);
+  state.RemoveEdge(0);
+  ASSERT_DOUBLE_EQ(state.DeltaAbs(0), 5.0);
+  ASSERT_DOUBLE_EQ(state.DeltaAbs(1), -0.4);
+  const DiscrepancyType rel = DiscrepancyType::kRelative;
+  ASSERT_LT(InsertionGain(state, 0, CandidateProbability(state, 0, rel), rel),
+            0.0);
+  EPhaseCounts counts;
+  const EPhaseChoice got = EPhaseBestCandidate(state, 12, 0, rel, &counts);
+  EXPECT_EQ(got.edge, 12u);
+  EXPECT_EQ(got.edge, FullScan(state, 12, 0, rel).edge);
+  EXPECT_EQ(counts.scored, 2u);
+  EXPECT_EQ(counts.skipped, 0u);
+}
+
+TEST(EPhaseBoundTest, RunEmdCountsItsCandidates) {
+  Rng rng(5);
+  UncertainGraph g = GenerateErdosRenyi(
+      60, 300, ProbabilityDistribution::Uniform(0.1, 0.6), &rng);
+  auto backbone = BuildBackbone(g, 0.4, BackboneOptions{}, &rng);
+  ASSERT_TRUE(backbone.ok());
+  SparseState state(g, backbone.value());
+  const EmdStats stats = RunEmd(&state, EmdOptions{});
+  EXPECT_GT(stats.candidates_scored, 0u);
+  EXPECT_GT(stats.candidates_skipped, 0u);
 }
 
 }  // namespace

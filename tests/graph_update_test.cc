@@ -118,6 +118,27 @@ TEST(ApplyUpdatesTest, MutatedGraphMatchesFromEdgesExactly) {
   }
 }
 
+TEST(WithUpdatesTest, LeavesThePredecessorAndMatchesApplyUpdates) {
+  const UncertainGraph predecessor = CompleteK4(0.5);
+  const UncertainGraph pristine = predecessor;
+  const std::vector<EdgeUpdate> batch = {
+      {EdgeUpdateOp::kDelete, 1, 2, 0.0},
+      {EdgeUpdateOp::kReweight, 0, 3, 0.9},
+      {EdgeUpdateOp::kInsert, 1, 2, 0.1}};
+  Result<UncertainGraph> successor = predecessor.WithUpdates(batch);
+  ASSERT_TRUE(successor.ok()) << successor.status().ToString();
+  EXPECT_TRUE(SameGraphBytes(predecessor, pristine));
+  UncertainGraph applied = pristine;
+  ASSERT_TRUE(applied.ApplyUpdates(batch).ok());
+  EXPECT_TRUE(SameGraphBytes(*successor, applied));
+  // A failing batch names its update and leaves the predecessor as well.
+  Result<UncertainGraph> failed =
+      predecessor.WithUpdates({{{EdgeUpdateOp::kInsert, 0, 1, 0.5}}});
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().message(), "update[0]: edge (0,1) already exists");
+  EXPECT_TRUE(SameGraphBytes(predecessor, pristine));
+}
+
 // --- Atomicity and typed failures. ---
 
 TEST(ApplyUpdatesTest, EveryInvalidUpdateFailsTypedAndAtomically) {

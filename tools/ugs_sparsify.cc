@@ -109,9 +109,10 @@ int main(int argc, char** argv) {
                 result->iterations, result->sweeps, result->swaps,
                 result->converged ? "yes" : "no", result->final_objective);
     if (result->iterations > 0) {  // EMD: where its time went.
-      std::printf(" e-phase=%.1fms m-phase=%.1fms",
+      std::printf(" e-phase=%.1fms m-phase=%.1fms scored=%zu skipped=%zu",
                   result->e_phase_seconds * 1e3,
-                  result->m_phase_seconds * 1e3);
+                  result->m_phase_seconds * 1e3, result->candidates_scored,
+                  result->candidates_skipped);
     }
     std::printf("\n");
   }
