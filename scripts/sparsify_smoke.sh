@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # End-to-end smoke of ugs_sparsify: generates a small Twitter-like graph
 # with ugs_generate, sparsifies it with EMD, EMDA (absolute discrepancy),
-# GDB and LP-t, and checks that each run exits 0 and writes exactly
-# round(alpha |E|) edges. Then checks that an entropy parameter outside
+# EMDR (relative, random backbone), GDB and LP-t, and checks that each
+# run exits 0 and writes exactly round(alpha |E|) edges. Then runs EMD
+# a second time with the same --seed and checks that it writes the same
+# bytes. Then checks that an entropy parameter outside
 # [0, 1] (--h=2, --h=nan) and a spanning backbone below |V| - 1 edges
 # (--alpha=0.02 on the connected input: 91 < 199) are refused with exit
 # 1 and an "error:" line, not a crash on a signal, and that an alpha
@@ -37,10 +39,12 @@ INPUT_EDGES="$(awk '/^# edges:/ {print $3; exit}' "${WORK}/g.txt")"
 TARGET="$(awk -v a="${ALPHA}" -v m="${INPUT_EDGES}" \
   'BEGIN {printf "%d", a * m + 0.5}')"
 
-for method in EMD EMDA GDB LP-t; do
+SEED=3
+for method in EMD EMDA EMDR GDB LP-t; do
   out="${WORK}/s-${method}.txt"
   "${BUILD_DIR}/ugs_sparsify" --in="${WORK}/g.txt" --out="${out}" \
-    --alpha="${ALPHA}" --method="${method}" >"${WORK}/log-${method}.txt" ||
+    --alpha="${ALPHA}" --method="${method}" --seed="${SEED}" \
+    >"${WORK}/log-${method}.txt" ||
     fail "${method} exited $?: $(cat "${WORK}/log-${method}.txt")"
   header="$(awk '/^# edges:/ {print $3; exit}' "${out}")"
   lines="$(grep -vc '^#' "${out}")"
@@ -48,6 +52,14 @@ for method in EMD EMDA GDB LP-t; do
     fail "${method} wrote ${lines} edges (header ${header}), want ${TARGET}"
   echo "ok: ${method} wrote ${TARGET} of ${INPUT_EDGES} edges"
 done
+
+"${BUILD_DIR}/ugs_sparsify" --in="${WORK}/g.txt" \
+  --out="${WORK}/s-EMD-again.txt" --alpha="${ALPHA}" --method=EMD \
+  --seed="${SEED}" >/dev/null ||
+  fail "EMD rerun exited $?"
+cmp -s "${WORK}/s-EMD.txt" "${WORK}/s-EMD-again.txt" ||
+  fail "EMD wrote different bytes on a rerun with --seed=${SEED}"
+echo "ok: EMD rerun with --seed=${SEED} wrote the same bytes"
 
 for bad in "EMD ${ALPHA} 2" "GDB ${ALPHA} nan" "LP-t 0.02 0.05"; do
   read -r method alpha h <<<"${bad}"

@@ -27,7 +27,6 @@ GraphSession::GraphSession(UncertainGraph graph, GraphSessionOptions options,
                            std::shared_ptr<ThreadPool> pool)
     : graph_(std::move(graph)),
       options_(options),
-      stats_(ComputeStats(graph_)),
       engine_(WithSkipSampler(options.engine, false), pool),
       skip_engine_(WithSkipSampler(options.engine, true), std::move(pool)) {}
 

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "graph/graph_stats.h"
 #include "graph/uncertain_graph.h"
 #include "query/query.h"
 #include "query/sample_engine.h"
@@ -38,8 +37,8 @@ struct GraphSessionOptions {
 };
 
 /// The serving facade of the query layer: owns one loaded UncertainGraph
-/// together with the per-graph state every request needs (cached stats,
-/// a plain and a block-sampler SampleEngine sharing one pool), and
+/// together with the per-graph state every request needs (a plain and a
+/// block-sampler SampleEngine sharing one pool), and
 /// executes QueryRequests through the query registry under the
 /// estimator-selection policy.
 ///
@@ -66,9 +65,6 @@ class GraphSession {
       const std::string& path, GraphSessionOptions options = {});
 
   const UncertainGraph& graph() const { return graph_; }
-
-  /// Graph statistics, computed once at session construction.
-  const GraphStats& stats() const { return stats_; }
 
   /// The session's plain sampling engine (kSkipSampler requests are
   /// routed to a twin engine with use_skip_sampler set, which draws
@@ -111,7 +107,6 @@ class GraphSession {
 
   UncertainGraph graph_;
   GraphSessionOptions options_;
-  GraphStats stats_;
   SampleEngine engine_;
   SampleEngine skip_engine_;  // use_skip_sampler: the block sampler.
 };

@@ -157,12 +157,12 @@ ReplyFrame Server::ExecuteStats(const std::string& payload,
     return {FrameType::kError, std::make_shared<const std::string>(
                                    EncodeError(session.status()))};
   }
-  const GraphStats& stats = (*session)->stats();
+  const UncertainGraph& graph = (*session)->graph();
   return {FrameType::kStatsReply,
           std::make_shared<const std::string>(
               "{\"graph\":" + JsonEscaped(payload) +
-              ",\"vertices\":" + std::to_string(stats.num_vertices) +
-              ",\"edges\":" + std::to_string(stats.num_edges) + "}")};
+              ",\"vertices\":" + std::to_string(graph.num_vertices()) +
+              ",\"edges\":" + std::to_string(graph.num_edges()) + "}")};
 }
 
 ReplyFrame Server::ExecuteUpdate(const std::string& payload,

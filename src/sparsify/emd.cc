@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
+#include <optional>
 #include <vector>
 
 #include "util/check.h"
@@ -72,25 +72,45 @@ Candidate ScoreCandidate(const SparseState& state, EdgeId e) {
   return {p, GainAt<kType>(du0, dv0, pi_u, pi_v, p)};
 }
 
-/// s(u) = 1 / pi(u)^2 for every vertex: the weight of u's term of D1 in
-/// units of its absolute discrepancy (1 for absolute, 0 where a relative
-/// weight is 0). pi is the original expected degree, so s never changes
-/// during a run.
-std::vector<double> TermWeights(const UncertainGraph& graph,
-                                DiscrepancyType type) {
-  std::vector<double> s(graph.num_vertices(), 1.0);
-  if (type == DiscrepancyType::kRelative) {
-    for (VertexId u = 0; u < graph.num_vertices(); ++u) {
-      const double pi = graph.ExpectedDegree(u);
-      s[u] = pi > 0.0 ? 1.0 / (pi * pi) : 0.0;
-    }
-  }
-  return s;
-}
-
 /// The E-phase bound's rounding slack, per unit of K; emd.h
 /// (EPhaseBestCandidate) derives it.
 constexpr double kBoundSlack = 1e-12;
+
+/// The per-vertex terms of the E-phase gain bound (emd.h,
+/// EPhaseBestCandidate), fixed for a whole run: s(u) = 1 / pi(u)^2, the
+/// weight of u's term of D1 in units of its absolute discrepancy (1 for
+/// absolute, 0 where a relative weight is 0; pi is the original expected
+/// degree), and each vertex's rounding slack
+///   slack(t) = 1e-12 (k(t) + max over o in N(t) of k(o)),
+///   k(x) = (deg(x) + 2)^2 s(x).
+struct BoundTerms {
+  std::vector<double> s;
+  std::vector<double> slack;
+};
+
+BoundTerms MakeBoundTerms(const UncertainGraph& graph, DiscrepancyType type) {
+  const std::size_t n = graph.num_vertices();
+  BoundTerms terms{std::vector<double>(n, 1.0), std::vector<double>(n)};
+  if (type == DiscrepancyType::kRelative) {
+    for (VertexId u = 0; u < n; ++u) {
+      const double pi = graph.ExpectedDegree(u);
+      terms.s[u] = pi > 0.0 ? 1.0 / (pi * pi) : 0.0;
+    }
+  }
+  std::vector<double> k(n);
+  for (VertexId x = 0; x < n; ++x) {
+    const double reach = static_cast<double>(graph.Degree(x)) + 2.0;
+    k[x] = reach * reach * terms.s[x];
+  }
+  for (VertexId t = 0; t < n; ++t) {
+    double k_max = 0.0;
+    for (const AdjacencyEntry& a : graph.Neighbors(t)) {
+      k_max = std::max(k_max, k[a.neighbor]);
+    }
+    terms.slack[t] = kBoundSlack * (k[t] + k_max);
+  }
+  return terms;
+}
 
 /// Lines 14-17 of Algorithm 3: the best candidate among the E \ E_b edges
 /// at `top`, plus the just-removed edge `e` itself. The first strictly
@@ -102,9 +122,8 @@ constexpr double kBoundSlack = 1e-12;
 /// once: Eq. (8)'s step is symmetric in its endpoints (IEEE + and *
 /// commute), and Gain takes the endpoints in edge order.
 template <DiscrepancyType kType>
-EPhaseChoice BestCandidate(const SparseState& state,
-                           std::span<const double> s, VertexId top, EdgeId e,
-                           EPhaseCounts* counts) {
+EPhaseChoice BestCandidate(const SparseState& state, const BoundTerms& terms,
+                           VertexId top, EdgeId e, EPhaseCounts* counts) {
   const UncertainGraph& graph = state.graph();
   const Candidate incumbent = ScoreCandidate<kType>(state, e);
   EPhaseChoice best{e, incumbent.p};
@@ -112,10 +131,12 @@ EPhaseChoice BestCandidate(const SparseState& state,
   const double d_top = state.DeltaAbs(top);
   const double pi_top = DegreeStepWeight(graph, top, kType);
   const double t_top0 = TypedDelta<kType>(d_top, pi_top);
+  const double* s = terms.s.data();
   const double s_top = s[top];
   const double a_top = d_top * s_top;
-  const double k_top = (std::abs(d_top) + 1.0) * (std::abs(d_top) + 1.0) *
-                       s_top;
+  const double slack_top = terms.slack[top];
+  // best_gain - slack(top): refreshed only when the best changes.
+  double threshold = best_gain - slack_top;
   std::size_t scored = 0;
   std::size_t examined = 0;
   for (const AdjacencyEntry& a : graph.Neighbors(top)) {
@@ -123,16 +144,12 @@ EPhaseChoice BestCandidate(const SparseState& state,
     const double d_other = state.DeltaAbs(a.neighbor);
     const double s_other = s[a.neighbor];
     const double bound_a = a_top + d_other * s_other;
-    const double slack =
-        kBoundSlack * (k_top + (std::abs(d_other) + 1.0) *
-                                   (std::abs(d_other) + 1.0) * s_other);
     // One branch per edge: the bound is evaluated for backbone edges too
     // (it has no side effects), and only candidates it cannot rule out
     // are scored.
     const bool candidate = !state.InBackbone(er) & (er != e);
     examined += candidate;
-    const bool bounded =
-        bound_a * bound_a < (best_gain - slack) * (s_top + s_other);
+    const bool bounded = bound_a * bound_a < threshold * (s_top + s_other);
     if (!candidate | bounded) continue;
     ++scored;
     const double pi_other = DegreeStepWeight(graph, a.neighbor, kType);
@@ -146,6 +163,7 @@ EPhaseChoice BestCandidate(const SparseState& state,
     if (gain > best_gain) {
       best_gain = gain;
       best = {er, p};
+      threshold = best_gain - slack_top;
     }
   }
   counts->scored += scored;
@@ -153,13 +171,13 @@ EPhaseChoice BestCandidate(const SparseState& state,
   return best;
 }
 
-EPhaseChoice BestCandidate(const SparseState& state, std::span<const double> s,
+EPhaseChoice BestCandidate(const SparseState& state, const BoundTerms& terms,
                            VertexId top, EdgeId e, DiscrepancyType type,
                            EPhaseCounts* counts) {
   return type == DiscrepancyType::kAbsolute
-             ? BestCandidate<DiscrepancyType::kAbsolute>(state, s, top, e,
+             ? BestCandidate<DiscrepancyType::kAbsolute>(state, terms, top, e,
                                                          counts)
-             : BestCandidate<DiscrepancyType::kRelative>(state, s, top, e,
+             : BestCandidate<DiscrepancyType::kRelative>(state, terms, top, e,
                                                          counts);
 }
 
@@ -191,8 +209,8 @@ EPhaseChoice EPhaseBestCandidate(const SparseState& state, VertexId top,
                                  EPhaseCounts* counts) {
   UGS_DCHECK(!state.InBackbone(removed));
   EPhaseCounts unused;
-  return BestCandidate(state, TermWeights(state.graph(), type), top, removed,
-                       type, counts != nullptr ? counts : &unused);
+  return BestCandidate(state, MakeBoundTerms(state.graph(), type), top,
+                       removed, type, counts != nullptr ? counts : &unused);
 }
 
 EmdStats RunEmd(SparseState* state, const EmdOptions& options) {
@@ -208,9 +226,17 @@ EmdStats RunEmd(SparseState* state, const EmdOptions& options) {
   m_phase.h = options.h;
 
   const UncertainGraph& graph = state->graph();
-  const std::vector<double> s = TermWeights(graph, type);
+  const BoundTerms terms = MakeBoundTerms(graph, type);
+  using HeapEntry = IndexedMaxHeap::Entry;
   IndexedMaxHeap heap(graph.num_vertices());
   EPhaseCounts counts;
+  const auto at = [&](VertexId x) {
+    return HeapEntry{std::abs(state->Delta(x, type)), x};
+  };
+  const auto settle = [&](VertexId x) {
+    heap.Update(x, std::abs(state->Delta(x, type)));
+    ++stats.heap_updates;
+  };
 
   Timer phase;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
@@ -226,21 +252,36 @@ EmdStats RunEmd(SparseState* state, const EmdOptions& options) {
       const UncertainEdge& ed = graph.edge(e);
       // Lines 10-12: pull e out; endpoint discrepancies grow by p_hat_e.
       state->RemoveEdge(e);
-      heap.Update(ed.u, std::abs(state->Delta(ed.u, type)));
-      heap.Update(ed.v, std::abs(state->Delta(ed.v, type)));
 
-      // Line 13: most-discrepant vertex.
-      const VertexId top = heap.Top();
+      // Line 13: most-discrepant vertex. The heap still holds u and v at
+      // their priorities before the removal and every other vertex
+      // exactly, so the first in heap order is the first of u and v at
+      // their new priorities and the heap's first other vertex. Settling
+      // u and v waits for the insert below.
+      HeapEntry top = at(ed.u);
+      if (const HeapEntry v = at(ed.v); IndexedMaxHeap::Precedes(v, top)) {
+        top = v;
+      }
+      if (const std::optional<HeapEntry> rest = heap.TopExcept(ed.u, ed.v);
+          rest.has_value() && IndexedMaxHeap::Precedes(*rest, top)) {
+        top = *rest;
+      }
 
       // Lines 14-17: the best candidate at `top`, or e itself.
-      const EPhaseChoice best = BestCandidate(*state, s, top, e, type, &counts);
+      const EPhaseChoice best =
+          BestCandidate(*state, terms, top.key, e, type, &counts);
 
-      // Lines 19-20: insert the winner, refresh heap entries.
+      // Lines 19-20: insert the winner, settle each touched vertex once.
       state->AddEdge(best.edge, best.p);
-      const UncertainEdge& bd = graph.edge(best.edge);
-      heap.Update(bd.u, std::abs(state->Delta(bd.u, type)));
-      heap.Update(bd.v, std::abs(state->Delta(bd.v, type)));
-      if (best.edge != e) ++stats.swaps;
+      settle(ed.u);
+      settle(ed.v);
+      if (best.edge != e) {
+        ++stats.swaps;
+        const UncertainEdge& bd = graph.edge(best.edge);
+        for (VertexId x : {bd.u, bd.v}) {
+          if (x != ed.u && x != ed.v) settle(x);
+        }
+      }
     }
     stats.e_phase_seconds += phase.ElapsedSeconds();
 

@@ -44,6 +44,9 @@ struct EmdStats {
   /// vertex) scored in full, and those the gain bound skipped.
   std::size_t candidates_scored = 0;
   std::size_t candidates_skipped = 0;
+  /// E-phase vertex-heap priority updates: each step settles the removed
+  /// edge's endpoints once, plus the winner's other endpoint on a swap.
+  std::size_t heap_updates = 0;
   /// Wall time of the E-phases and of the M-phases, each summed.
   double e_phase_seconds = 0.0;
   double m_phase_seconds = 0.0;
@@ -99,11 +102,25 @@ struct EPhaseCounts {
 /// which is concave in p with maximum A^2 / B: a bound for every p, the
 /// clamped Eq. (9) step included. A candidate is skipped when, in
 /// floating point,
-///   A^2 < (g - 1e-12 K) B,  K = sum_x (|d_x| + 1)^2 s_x,
-/// with g the best computed gain so far. Then its computed gain is below
-/// g, so scoring it could not have changed the winner. Cauchy-Schwarz
-/// gives A^2 <= L^2 <= K B with L = |d_t| s_t + |d_o| s_o, so A^2 / B <=
-/// K. The margins, to first order in u = 2^-53 (with or without fused
+///   A^2 < (g - slack(t)) B,
+///   slack(t) = 1e-12 (k(t) + max over o' in N(t) of k(o')),
+///   k(x) = (deg(x) + 2)^2 s(x),
+/// with g the best computed gain so far and deg(x) the number of edges
+/// at x. slack depends on the graph alone, so a run computes it once
+/// per vertex, and the scan keeps g - slack(t) until g changes. Then the
+/// candidate's computed gain is below g, so scoring it could not have
+/// changed the winner:
+///   - The slack covers the pair. Every p and p_hat lies in [0, 1], so
+///     d_x, a sum of p_e - p_hat_e over the deg(x) edges at x, lies in
+///     [-deg(x), deg(x)]. Its incremental updates drift by at most u =
+///     2^-53 times deg(x) + 1 per update, far below 1 in any feasible
+///     run. So |d_x| + 1 <= deg(x) + 2, and the pair's
+///     K = sum over x in {t, o} of (|d_x| + 1)^2 s_x is at most
+///     k(t) + k(o) <= slack(t) / 1e-12; the computed slack is short of
+///     that by at most 6u of itself.
+///   - Cauchy-Schwarz gives A^2 <= L^2 <= K B with L = |d_t| s_t +
+///     |d_o| s_o, so A^2 / B <= K.
+/// The margins, to first order in u (with or without fused
 /// multiply-adds):
 ///   - The computed gain: each of its four squared typed discrepancies is
 ///     off by at most 5u of itself (a subtraction, a division, a square),
@@ -112,15 +129,17 @@ struct EPhaseCounts {
 ///   - The computed A: s is off by 2u, each product and the sum by u, so
 ///     A is off by 4u L, and A^2 by 8u L^2 <= 8u K B.
 ///   - If g > 2K the candidate's gain, at most K (1 + 16u), is below g
-///     anyway. Otherwise rounding A^2 and (g - slack) B costs at most
-///     8u g B <= 16u K B, and the computed slack is short of 1e-12 K by
-///     at most 9u of it.
-/// So the test implies A^2 / B < g - 1e-12 K + 24u K, and the computed
-/// gain is below g - (1e-12 - 40u) K <= g: the slack is over 200 times
-/// the 40u K it must cover. Where g <= slack, or B = 0 (then A = 0), the
-/// right side is not positive and nothing is skipped; NaN or infinite
-/// terms compare false and are scored. pi <= |V| keeps s >= |V|^-2, far
-/// above the subnormal range.
+///     anyway. Otherwise rounding A^2 and (g - slack(t)) B costs at most
+///     8u g B <= 16u K B.
+/// So the test implies A^2 / B < g - slack(t) + 24u K, and the computed
+/// gain is below g - slack(t) + 40u K <= g - (1e-12 - 41u) K <= g: the
+/// slack is over 200 times the 40u K it must cover. Where g <= slack(t),
+/// or B = 0 (then A = 0), the right side is not positive and nothing is
+/// skipped; NaN or infinite terms compare false and are scored. pi <= |V|
+/// keeps s >= |V|^-2, far above the subnormal range. The slack is a
+/// maximum over t's neighbourhood, not over the graph, so a vertex with a
+/// tiny pi (a huge s) loosens the bound only at itself and its
+/// neighbours.
 EPhaseChoice EPhaseBestCandidate(const SparseState& state, VertexId top,
                                  EdgeId removed, DiscrepancyType type,
                                  EPhaseCounts* counts = nullptr);

@@ -82,6 +82,7 @@ class EmdSparsifier final : public Sparsifier {
     out.swaps = stats.swaps;
     out.candidates_scored = stats.candidates_scored;
     out.candidates_skipped = stats.candidates_skipped;
+    out.heap_updates = stats.heap_updates;
     out.e_phase_seconds = stats.e_phase_seconds;
     out.m_phase_seconds = stats.m_phase_seconds;
     out.converged = stats.converged;

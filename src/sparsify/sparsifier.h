@@ -34,6 +34,8 @@ struct SparsifyOutput {
   /// bound (EmdStats; 0 for the other methods).
   std::size_t candidates_scored = 0;
   std::size_t candidates_skipped = 0;
+  /// EMD's E-phase vertex-heap updates (EmdStats; 0 for the others).
+  std::size_t heap_updates = 0;
   /// EMD's E-phase and M-phase wall time (0 for the other methods).
   double e_phase_seconds = 0.0;
   double m_phase_seconds = 0.0;

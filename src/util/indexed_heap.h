@@ -1,7 +1,9 @@
 #ifndef UGS_UTIL_INDEXED_HEAP_H_
 #define UGS_UTIL_INDEXED_HEAP_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "util/check.h"
@@ -16,8 +18,25 @@ namespace ugs {
 /// endpoint priorities in place. Compared to a lazy std::priority_queue this
 /// keeps the E-phase heap overhead at O(alpha |E| log |V|) as analyzed in
 /// Section 4.3 of the paper.
+///
+/// Tie rule: entries are ordered by priority, highest first, and equal
+/// priorities by key, lowest first (Precedes). No two entries share a key,
+/// so this is a strict total order: Top() and TopExcept() are functions
+/// of the stored (key, priority) pairs alone, whatever sequence of
+/// operations produced them. NaN priorities are not supported.
 class IndexedMaxHeap {
  public:
+  struct Entry {
+    double priority;
+    std::uint32_t key;
+  };
+
+  /// The heap order: true iff `a` comes before `b`.
+  static bool Precedes(const Entry& a, const Entry& b) {
+    return a.priority > b.priority ||
+           (a.priority == b.priority && a.key < b.key);
+  }
+
   /// Creates an empty heap over keys [0, n).
   explicit IndexedMaxHeap(std::size_t n) : pos_(n, kAbsent) {}
 
@@ -64,6 +83,24 @@ class IndexedMaxHeap {
     return entries_[0].priority;
   }
 
+  /// The first entry in heap order whose key is neither `a` nor `b`, or
+  /// nullopt when there is none. Every ancestor of an entry precedes it,
+  /// so the answer sits in the top three levels: deeper, it would have
+  /// three ancestors, at most two of them excluded. O(1).
+  std::optional<Entry> TopExcept(std::uint32_t a, std::uint32_t b) const {
+    const std::size_t n = std::min<std::size_t>(entries_.size(), 7);
+    const Entry* best = nullptr;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Entry& entry = entries_[i];
+      if (entry.key == a || entry.key == b) continue;
+      // The root, when not excluded, precedes every other entry.
+      if (i == 0) return entry;
+      if (best == nullptr || Precedes(entry, *best)) best = &entry;
+    }
+    if (best == nullptr) return std::nullopt;
+    return *best;
+  }
+
   /// Priority currently stored for key (must be present).
   double PriorityOf(std::uint32_t key) const {
     UGS_DCHECK(Contains(key));
@@ -85,9 +122,9 @@ class IndexedMaxHeap {
     entries_.pop_back();
     pos_[key] = kAbsent;
     if (i == entries_.size()) return;
-    // The last entry refills the hole at i, moving whichever way its
-    // priority calls for.
-    if (i > 0 && entries_[(i - 1) / 2].priority < last.priority) {
+    // The last entry refills the hole at i, moving whichever way the
+    // order calls for.
+    if (i > 0 && Precedes(last, entries_[(i - 1) / 2])) {
       SiftUp(i, last);
     } else {
       SiftDown(i, last);
@@ -103,23 +140,17 @@ class IndexedMaxHeap {
  private:
   static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
 
-  struct Entry {
-    double priority;
-    std::uint32_t key;
-  };
-
   void Place(std::size_t i, const Entry& entry) {
     entries_[i] = entry;
     pos_[entry.key] = i;
   }
 
   /// Settles `entry` into the hole at i, moving it toward the root: each
-  /// lower-priority parent moves down one level into the hole. The
-  /// comparisons and the final layout are those of swapping the entry up.
+  /// parent it precedes moves down one level into the hole.
   void SiftUp(std::size_t i, const Entry& entry) {
     while (i > 0) {
       const std::size_t parent = (i - 1) / 2;
-      if (entries_[parent].priority >= entry.priority) break;
+      if (!Precedes(entry, entries_[parent])) break;
       Place(i, entries_[parent]);
       i = parent;
     }
@@ -127,8 +158,8 @@ class IndexedMaxHeap {
   }
 
   /// Settles `entry` into the hole at i, moving it toward the leaves past
-  /// every higher-priority child (the right one when it is strictly
-  /// higher than the left).
+  /// every child that precedes it, the first of the two children in heap
+  /// order each time.
   void SiftDown(std::size_t i, const Entry& entry) {
     const std::size_t n = entries_.size();
     for (;;) {
@@ -137,9 +168,8 @@ class IndexedMaxHeap {
       const std::size_t right = left + 1;
       const std::size_t best =
           left + static_cast<std::size_t>(
-                     right < n &&
-                     entries_[right].priority > entries_[left].priority);
-      if (entry.priority >= entries_[best].priority) break;
+                     right < n && Precedes(entries_[right], entries_[left]));
+      if (!Precedes(entries_[best], entry)) break;
       Place(i, entries_[best]);
       i = best;
     }

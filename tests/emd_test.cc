@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -10,6 +11,7 @@
 
 #include "gen/generators.h"
 #include "sparsify/backbone.h"
+#include "util/indexed_heap.h"
 #include "tests/test_util.h"
 
 namespace ugs {
@@ -442,6 +444,135 @@ TEST(EPhaseBoundTest, RunEmdCountsItsCandidates) {
   const EmdStats stats = RunEmd(&state, EmdOptions{});
   EXPECT_GT(stats.candidates_scored, 0u);
   EXPECT_GT(stats.candidates_skipped, 0u);
+}
+
+// --- RunEmd's lazily settled vertex heap against an eager one. ---
+
+/// RunEmd with the vertex heap kept eagerly: both endpoints updated after
+/// each removal and both of the winner's after each insert, `top` read
+/// off the heap. Candidates come from EPhaseBestCandidate; the M-phase
+/// and the outer loop are RunEmd's.
+EmdStats EagerEmd(SparseState* state, const EmdOptions& options) {
+  const DiscrepancyType type = options.discrepancy;
+  const UncertainGraph& graph = state->graph();
+  GdbOptions m_phase = options.m_phase;
+  m_phase.discrepancy = type;
+  m_phase.rule = CutRule::Degrees();
+  m_phase.h = options.h;
+  EmdStats stats;
+  stats.initial_objective = state->ObjectiveD1(type);
+  double previous = stats.initial_objective;
+  IndexedMaxHeap heap(graph.num_vertices());
+  EPhaseCounts counts;
+  const auto update = [&](VertexId x) {
+    heap.Update(x, std::abs(state->Delta(x, type)));
+    ++stats.heap_updates;
+  };
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    heap.Clear();
+    for (VertexId u = 0; u < graph.num_vertices(); ++u) {
+      heap.Push(u, std::abs(state->Delta(u, type)));
+    }
+    for (EdgeId e : state->BackboneEdges()) {
+      const UncertainEdge& ed = graph.edge(e);
+      state->RemoveEdge(e);
+      update(ed.u);
+      update(ed.v);
+      const EPhaseChoice best =
+          EPhaseBestCandidate(*state, heap.Top(), e, type, &counts);
+      state->AddEdge(best.edge, best.p);
+      const UncertainEdge& bd = graph.edge(best.edge);
+      update(bd.u);
+      update(bd.v);
+      if (best.edge != e) ++stats.swaps;
+    }
+    stats.sweeps += RunGdb(state, m_phase).sweeps;
+    ++stats.iterations;
+    const double objective = state->ObjectiveD1(type);
+    const bool converged =
+        std::abs(previous - objective) <=
+        options.tolerance * std::max(1.0, std::abs(previous));
+    previous = objective;
+    if (converged) {
+      stats.converged = true;
+      break;
+    }
+  }
+  stats.candidates_scored = counts.scored;
+  stats.candidates_skipped = counts.skipped;
+  stats.final_objective = previous;
+  return stats;
+}
+
+TEST(EmdHeapTest, LazyHeapMatchesEagerHeap) {
+  // Regular graphs (equal discrepancies everywhere, so the heap's tie
+  // rule picks `top`), graphs with zero-degree and isolated vertices,
+  // and random ones; random and spanning backbones; both discrepancy
+  // types. The backbone, every p_hat bit, the swaps and the scan counts
+  // must match the eager heap's.
+  Rng rng(31);
+  std::vector<std::pair<std::string, UncertainGraph>> graphs = {
+      {"ring p=1/2", RingLattice(24, 3, 0.5)},
+      {"ring p=1", RingLattice(16, 4, 1.0)},
+      {"K11 p=1", RingLattice(11, 5, 1.0)},
+      {"mixed", MixedGraph(&rng)},
+      {"mixed 2", MixedGraph(&rng)}};
+  graphs.emplace_back("erdos-renyi",
+                      GenerateErdosRenyi(
+                          60, 300, ProbabilityDistribution::Uniform(0.1, 0.6),
+                          &rng));
+  graphs.emplace_back(
+      "chung-lu", GenerateChungLu({.num_vertices = 80, .avg_degree = 10.0},
+                                  ProbabilityDistribution::Uniform(0.05, 1.0),
+                                  &rng));
+  for (const auto& [name, graph] : graphs) {
+    for (int trial = 0; trial < 3; ++trial) {
+      std::vector<EdgeId> backbone;
+      if (trial == 0) {
+        auto spanning = BuildBackbone(graph, 0.4, BackboneOptions{}, &rng);
+        if (spanning.ok()) backbone = spanning.value();
+      }
+      if (backbone.empty()) {
+        for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+          if (rng.Bernoulli(trial == 2 ? 0.6 : 0.3)) backbone.push_back(e);
+        }
+      }
+      for (DiscrepancyType type :
+           {DiscrepancyType::kAbsolute, DiscrepancyType::kRelative}) {
+        const std::string label =
+            name + " trial " + std::to_string(trial) +
+            (type == DiscrepancyType::kAbsolute ? " abs" : " rel");
+        EmdOptions options;
+        options.discrepancy = type;
+        SparseState lazy_state(graph, backbone);
+        SparseState eager_state(graph, backbone);
+        const EmdStats lazy = RunEmd(&lazy_state, options);
+        const EmdStats eager = EagerEmd(&eager_state, options);
+        EXPECT_EQ(lazy.iterations, eager.iterations) << label;
+        EXPECT_EQ(lazy.sweeps, eager.sweeps) << label;
+        EXPECT_EQ(lazy.swaps, eager.swaps) << label;
+        EXPECT_EQ(lazy.candidates_scored, eager.candidates_scored) << label;
+        EXPECT_EQ(lazy.candidates_skipped, eager.candidates_skipped) << label;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(lazy.final_objective),
+                  std::bit_cast<std::uint64_t>(eager.final_objective))
+            << label;
+        ASSERT_EQ(lazy_state.BackboneEdges(), eager_state.BackboneEdges())
+            << label;
+        for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(lazy_state.Probability(e)),
+                    std::bit_cast<std::uint64_t>(eager_state.Probability(e)))
+              << label << " edge " << e;
+        }
+        // Two settles per step, plus at most two more on a swap, where
+        // the eager heap makes four every step.
+        const std::size_t steps = static_cast<std::size_t>(lazy.iterations) *
+                                  backbone.size();
+        EXPECT_EQ(eager.heap_updates, 4 * steps) << label;
+        EXPECT_GE(lazy.heap_updates, 2 * steps) << label;
+        EXPECT_LE(lazy.heap_updates, 2 * steps + 2 * lazy.swaps) << label;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -131,106 +133,44 @@ TEST(IndexedHeapTest, PriorityOfReflectsUpdates) {
   EXPECT_DOUBLE_EQ(heap.PriorityOf(1), -2.0);
 }
 
-/// The heap as first written: parallel key and priority arrays, sifting
-/// by swapping an entry with its parent or child one level at a time.
-class SwapHeap {
- public:
-  explicit SwapHeap(std::size_t n) : pos_(n, kAbsent) {}
-
-  bool Contains(std::uint32_t key) const { return pos_[key] != kAbsent; }
-  std::size_t size() const { return keys_.size(); }
-  std::uint32_t Top() const { return keys_[0]; }
-
-  void Push(std::uint32_t key, double priority) {
-    pos_[key] = keys_.size();
-    keys_.push_back(key);
-    priorities_.push_back(priority);
-    SiftUp(keys_.size() - 1);
-  }
-
-  void Update(std::uint32_t key, double priority) {
-    if (!Contains(key)) {
-      Push(key, priority);
-      return;
-    }
-    const std::size_t i = pos_[key];
-    const double old = priorities_[i];
-    priorities_[i] = priority;
-    if (priority > old) {
-      SiftUp(i);
-    } else if (priority < old) {
-      SiftDown(i);
+/// The first of `model`'s keys in heap order by brute force -- highest
+/// priority, lowest key among equals -- skipping `a` and `b`.
+std::optional<std::uint32_t> BruteTop(
+    const std::map<std::uint32_t, double>& model, std::uint32_t a,
+    std::uint32_t b) {
+  std::optional<std::uint32_t> best;
+  double best_priority = 0.0;
+  for (const auto& [key, priority] : model) {  // Ascending keys.
+    if (key == a || key == b) continue;
+    if (!best.has_value() || priority > best_priority) {
+      best = key;
+      best_priority = priority;
     }
   }
+  return best;
+}
 
-  void Remove(std::uint32_t key) {
-    const std::size_t i = pos_[key];
-    const std::size_t last = keys_.size() - 1;
-    if (i != last) {
-      keys_[i] = keys_[last];
-      priorities_[i] = priorities_[last];
-      pos_[keys_[i]] = i;
-    }
-    pos_[key] = kAbsent;
-    keys_.pop_back();
-    priorities_.pop_back();
-    if (i != last) {
-      SiftUp(i);
-      SiftDown(i);
-    }
-  }
+/// Checks heap.TopExcept(a, b) against BruteTop, key and priority.
+void ExpectTopExceptMatches(const IndexedMaxHeap& heap,
+                            const std::map<std::uint32_t, double>& model,
+                            std::uint32_t a, std::uint32_t b,
+                            const std::string& label) {
+  const std::optional<IndexedMaxHeap::Entry> got = heap.TopExcept(a, b);
+  const std::optional<std::uint32_t> want = BruteTop(model, a, b);
+  ASSERT_EQ(got.has_value(), want.has_value()) << label;
+  if (!want.has_value()) return;
+  EXPECT_EQ(got->key, *want) << label;
+  EXPECT_EQ(got->priority, model.at(*want)) << label;
+}
 
-  void Clear() {
-    for (std::uint32_t k : keys_) pos_[k] = kAbsent;
-    keys_.clear();
-    priorities_.clear();
-  }
-
- private:
-  static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
-
-  void Swap(std::size_t a, std::size_t b) {
-    std::swap(keys_[a], keys_[b]);
-    std::swap(priorities_[a], priorities_[b]);
-    pos_[keys_[a]] = a;
-    pos_[keys_[b]] = b;
-  }
-
-  void SiftUp(std::size_t i) {
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      if (priorities_[parent] >= priorities_[i]) break;
-      Swap(parent, i);
-      i = parent;
-    }
-  }
-
-  void SiftDown(std::size_t i) {
-    const std::size_t n = keys_.size();
-    for (;;) {
-      const std::size_t left = 2 * i + 1;
-      if (left >= n) break;
-      std::size_t best = left;
-      const std::size_t right = left + 1;
-      if (right < n && priorities_[right] > priorities_[left]) best = right;
-      if (priorities_[i] >= priorities_[best]) break;
-      Swap(i, best);
-      i = best;
-    }
-  }
-
-  std::vector<std::size_t> pos_;
-  std::vector<std::uint32_t> keys_;
-  std::vector<double> priorities_;
-};
-
-TEST(IndexedHeapTest, TieHeavyOpsKeepTheSwapHeapsTopOrder) {
-  // Priorities from a 4-value set make ties the rule, so any change in
-  // which comparisons sifting makes, or in how ties settle, shows in
-  // Top() -- the vertex EMD's E-phase repairs.
+TEST(IndexedHeapTest, TieHeavyOpsKeepTopTheBruteForceArgmax) {
+  // Priorities from a 4-value set make ties the rule, so Top() pins the
+  // tie rule after every operation, whatever sequence built the heap.
+  // Each step also asks TopExcept to skip two keys drawn from the first
+  // three in heap order, an absent or random key, or the same key twice.
   const std::uint32_t universe = 64;
   IndexedMaxHeap heap(universe);
-  SwapHeap reference(universe);
+  std::map<std::uint32_t, double> model;
   Rng rng(77);
   for (int op = 0; op < 20000; ++op) {
     const auto key = static_cast<std::uint32_t>(rng.NextIndex(universe));
@@ -238,25 +178,80 @@ TEST(IndexedHeapTest, TieHeavyOpsKeepTheSwapHeapsTopOrder) {
     const std::uint64_t action = rng.NextIndex(20);
     if (action < 13) {
       heap.Update(key, priority);
-      reference.Update(key, priority);
+      model[key] = priority;
     } else if (action < 17) {
-      if (reference.Contains(key)) {
+      if (model.count(key) != 0) {
         heap.Remove(key);
-        reference.Remove(key);
+        model.erase(key);
       }
     } else if (action < 19) {
-      if (reference.size() > 0) {
-        const std::uint32_t top = reference.Top();
-        EXPECT_EQ(heap.PopTop(), top) << "op " << op;
-        reference.Remove(top);
+      if (!model.empty()) {
+        const std::uint32_t top = heap.PopTop();
+        EXPECT_EQ(top, *BruteTop(model, universe, universe)) << "op " << op;
+        model.erase(top);
       }
     } else if (rng.NextIndex(50) == 0) {
       heap.Clear();
-      reference.Clear();
+      model.clear();
     }
-    ASSERT_EQ(heap.size(), reference.size()) << "op " << op;
-    if (reference.size() > 0) {
-      ASSERT_EQ(heap.Top(), reference.Top()) << "op " << op;
+    ASSERT_EQ(heap.size(), model.size()) << "op " << op;
+    if (model.empty()) continue;
+    ASSERT_EQ(heap.Top(), *BruteTop(model, universe, universe)) << "op " << op;
+    ASSERT_EQ(heap.TopPriority(), model.at(heap.Top())) << "op " << op;
+
+    // The first three keys in heap order (fewer on a smaller heap).
+    std::vector<std::uint32_t> firsts;
+    const std::uint32_t first = *BruteTop(model, universe, universe);
+    firsts.push_back(first);
+    if (const auto second = BruteTop(model, first, universe)) {
+      firsts.push_back(*second);
+      if (const auto third = BruteTop(model, first, *second)) {
+        firsts.push_back(*third);
+      }
+    }
+    const auto pick = [&]() -> std::uint32_t {
+      const std::uint64_t r = rng.NextIndex(firsts.size() + 2);
+      if (r < firsts.size()) return firsts[r];
+      return r == firsts.size()
+                 ? universe  // A key no entry has.
+                 : static_cast<std::uint32_t>(rng.NextIndex(universe));
+    };
+    const std::uint32_t a = pick();
+    const std::uint32_t b = rng.NextIndex(8) == 0 ? a : pick();
+    ExpectTopExceptMatches(heap, model, a, b, "op " + std::to_string(op));
+  }
+}
+
+TEST(IndexedHeapTest, TopExceptOnSmallHeapsMatchesBruteForce) {
+  // Every heap of 1-3 keys out of 4, each key at priority 0 or 1 (so with
+  // and without ties), pushed in every order, against every exclusion pair
+  // over the 4 keys and one absent key: 0, 1 or 2 excluded keys present.
+  const std::uint32_t universe = 5;
+  for (std::uint32_t mask = 1; mask < 16; ++mask) {
+    std::vector<std::uint32_t> keys;
+    for (std::uint32_t k = 0; k < 4; ++k) {
+      if ((mask >> k) & 1) keys.push_back(k);
+    }
+    if (keys.size() > 3) continue;
+    for (std::uint32_t bits = 0; bits < 16; ++bits) {
+      do {
+        IndexedMaxHeap heap(universe);
+        std::map<std::uint32_t, double> model;
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+          const double priority = static_cast<double>((bits >> keys[i]) & 1);
+          heap.Push(keys[i], priority);
+          model[keys[i]] = priority;
+        }
+        for (std::uint32_t a = 0; a < universe; ++a) {
+          for (std::uint32_t b = 0; b < universe; ++b) {
+            ExpectTopExceptMatches(
+                heap, model, a, b,
+                "mask " + std::to_string(mask) + " bits " +
+                    std::to_string(bits) + " skip " + std::to_string(a) +
+                    "," + std::to_string(b));
+          }
+        }
+      } while (std::next_permutation(keys.begin(), keys.end()));
     }
   }
 }

@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
   const ugs::UncertainGraph& graph = (*session)->graph();
   if (!json) {
     std::printf("%s\n",
-                ugs::FormatStats("graph", (*session)->stats()).c_str());
+                ugs::FormatStats("graph", ugs::ComputeStats(graph)).c_str());
   }
 
   ugs::QueryRequest request;

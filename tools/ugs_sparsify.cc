@@ -109,10 +109,11 @@ int main(int argc, char** argv) {
                 result->iterations, result->sweeps, result->swaps,
                 result->converged ? "yes" : "no", result->final_objective);
     if (result->iterations > 0) {  // EMD: where its time went.
-      std::printf(" e-phase=%.1fms m-phase=%.1fms scored=%zu skipped=%zu",
+      std::printf(" e-phase=%.1fms m-phase=%.1fms scored=%zu skipped=%zu"
+                  " heap-updates=%zu",
                   result->e_phase_seconds * 1e3,
                   result->m_phase_seconds * 1e3, result->candidates_scored,
-                  result->candidates_skipped);
+                  result->candidates_skipped, result->heap_updates);
     }
     std::printf("\n");
   }
