@@ -30,10 +30,6 @@ Status GraphBuilder::AddEdge(VertexId u, VertexId v, double p) {
   return Status::OK();
 }
 
-bool GraphBuilder::HasEdge(VertexId u, VertexId v) const {
-  return seen_.count(EdgeKey(u, v)) > 0;
-}
-
 UncertainGraph GraphBuilder::Build() && {
   return UncertainGraph::FromEdges(num_vertices_, std::move(edges_));
 }

@@ -23,9 +23,6 @@ class GraphBuilder {
   /// Adds the undirected edge {u, v} with probability p.
   [[nodiscard]] Status AddEdge(VertexId u, VertexId v, double p);
 
-  /// True if {u, v} was already added (either orientation).
-  bool HasEdge(VertexId u, VertexId v) const;
-
   std::size_t num_edges() const { return edges_.size(); }
   std::size_t num_vertices() const { return num_vertices_; }
 

@@ -1,11 +1,13 @@
 #include "query/exact.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "query/reliability.h"
 #include "query/shortest_path.h"
+#include "query/world_sampler.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
@@ -38,21 +40,6 @@ std::vector<double> EdgeProbabilities(const UncertainGraph& graph) {
   return p;
 }
 
-/// Iterates all 2^m worlds serially; calls visit(world, probability).
-/// Kept for ExactWorldProbability, whose caller-supplied predicate is a
-/// single instance that may hold mutable scratch.
-void ForEachWorld(
-    const UncertainGraph& graph,
-    const std::function<void(const PossibleWorld&, double)>& visit) {
-  const std::vector<double> p = EdgeProbabilities(graph);
-  const std::uint64_t worlds = 1ULL << p.size();
-  PossibleWorld world(graph);
-  for (std::uint64_t mask = 0; mask < worlds; ++mask) {
-    const double probability = LoadWorld(mask, p, &world);
-    if (probability > 0.0) visit(world, probability);
-  }
-}
-
 /// A per-chunk reduction visitor: adds a world's contribution into
 /// acc[0..num_accumulators).
 using ChunkVisitor = std::function<void(const PossibleWorld&, double, double*)>;
@@ -60,8 +47,7 @@ using ChunkVisitor = std::function<void(const PossibleWorld&, double, double*)>;
 /// Worlds per enumeration chunk. Fixed (never derived from the thread
 /// count) so the per-chunk partial sums -- and therefore the final
 /// ordered reduction -- are bit-identical at any pool size. Graphs with
-/// <= 12 edges run as a single chunk, which also matches the historical
-/// serial summation order exactly.
+/// <= 12 edges run as a single chunk, summed in plain mask order.
 constexpr std::uint64_t kWorldChunk = 1ULL << 12;
 
 /// Enumerates all 2^m worlds in fixed chunks on `pool`. The factory
@@ -99,16 +85,6 @@ void ParallelWorldReduce(const UncertainGraph& graph, int num_accumulators,
 }
 
 }  // namespace
-
-double ExactWorldProbability(
-    const UncertainGraph& graph,
-    const std::function<bool(const PossibleWorld&)>& predicate) {
-  double total = 0.0;
-  ForEachWorld(graph, [&](const PossibleWorld& world, double prob) {
-    if (predicate(world)) total += prob;
-  });
-  return total;
-}
 
 double ExactConnectivityProbability(const UncertainGraph& graph,
                                     ThreadPool& pool) {

@@ -1,35 +1,25 @@
 #ifndef UGS_QUERY_EXACT_H_
 #define UGS_QUERY_EXACT_H_
 
-#include <functional>
+#include <cstddef>
 
 #include "graph/uncertain_graph.h"
-#include "query/world_sampler.h"
 #include "util/thread_pool.h"
 
 namespace ugs {
 
-/// The pool-taking oracles below are the kernels the registry dispatches to.
-
-/// Exact possible-world enumeration (Equation 1): evaluates a predicate or
-/// statistic on all 2^|E| deterministic worlds and aggregates by world
-/// probability. Exponential by definition -- the graph must have at most
+/// Exact possible-world enumeration (Equation 1): evaluates a statistic
+/// on all 2^|E| deterministic worlds and aggregates by world probability. Exponential by definition -- the graph must have at most
 /// kMaxExactEdges edges. These are the ground-truth oracles for testing
 /// the Monte-Carlo estimators (e.g., the paper's Figure 1 values
-/// Pr[G connected] = 0.219 and Pr[G' connected] = 0.216).
+/// Pr[G connected] = 0.219 and Pr[G' connected] = 0.216), and the kernels
+/// the registry dispatches to.
 ///
-/// The named oracles below enumerate worlds in fixed 4096-world chunks on
-/// the given pool, reducing chunk partials in chunk order, so they
-/// parallelize while staying bit-identical at any thread count.
-/// GraphSession passes its engine's pool. ExactWorldProbability itself
-/// stays serial: its caller-supplied predicate is a single instance that
-/// may hold mutable scratch.
+/// Each oracle enumerates worlds in fixed 4096-world chunks on the given
+/// pool, reducing chunk partials in chunk order, so they parallelize while
+/// staying bit-identical at any thread count. GraphSession passes its
+/// engine's pool.
 inline constexpr std::size_t kMaxExactEdges = 24;
-
-/// Sum of Pr(world) over worlds where predicate(world) is true.
-double ExactWorldProbability(
-    const UncertainGraph& graph,
-    const std::function<bool(const PossibleWorld&)>& predicate);
 
 /// Pr[the world is a single connected component] (isolated vertices count
 /// as disconnecting; a 1-vertex graph is connected).

@@ -1,7 +1,5 @@
 #include "query/graph_session.h"
 
-#include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "graph/csr_format.h"
@@ -74,45 +72,6 @@ Result<std::unique_ptr<GraphSession>> GraphSession::WithUpdates(
   options.graph_version = new_version;
   return std::unique_ptr<GraphSession>(new GraphSession(
       std::move(mutated).value(), options, engine_.shared_pool()));
-}
-
-std::vector<Result<QueryResult>> GraphSession::RunBatch(
-    const std::vector<QueryRequest>& requests) const {
-  const int workers =
-      static_cast<int>(std::min<std::size_t>(
-          requests.size(),
-          static_cast<std::size_t>(std::max(options_.batch_workers, 1))));
-  if (workers <= 1) {
-    std::vector<Result<QueryResult>> results;
-    results.reserve(requests.size());
-    // Requests are issued in order; each one's worlds fan out across the
-    // engine's pool. Results are position-stable and independent of any
-    // scheduling (see the determinism note in the class comment).
-    for (const QueryRequest& request : requests) {
-      results.push_back(Run(request));
-    }
-    return results;
-  }
-  // Request-level overlap on the engine's executor: one task group of
-  // `workers` driver tasks, each claiming request indices from a shared
-  // counter and writing disjoint result slots -- no per-call thread
-  // churn. Each request's own sampling loop is a nested task group on
-  // the same executor, so overlapping requests interleave their sample
-  // batches instead of serializing. Run is const and thread-safe, and
-  // each result is a pure function of (graph, request), so this is
-  // bit-identical to the sequential path.
-  std::vector<Result<QueryResult>> results(
-      requests.size(), Status::Internal("batch slot never ran"));
-  std::atomic<std::size_t> next{0};
-  engine_.pool().ParallelFor(
-      static_cast<std::size_t>(workers), [&](std::size_t) {
-        for (;;) {
-          const std::size_t i = next.fetch_add(1);
-          if (i >= requests.size()) break;
-          results[i] = Run(requests[i]);
-        }
-      });
-  return results;
 }
 
 }  // namespace ugs

@@ -3,7 +3,7 @@
 
 #include <memory>
 #include <string>
-#include <vector>
+#include <span>
 
 #include "graph/uncertain_graph.h"
 #include "query/query.h"
@@ -18,17 +18,6 @@ struct GraphSessionOptions {
   /// engines, which run on one pool of engine.num_threads threads (<= 0 =
   /// hardware concurrency). Successor sessions (WithUpdates) reuse it.
   SampleEngineOptions engine;
-  /// Requests RunBatch keeps in flight concurrently (request-level
-  /// overlap). <= 1 runs the batch sequentially. In-flight requests run
-  /// as a task group on the session's engine executor, and each one's
-  /// sampling loop is a nested group on the same executor -- overlapping
-  /// requests interleave their sample batches across the pool instead of
-  /// serializing behind one loop. The overlap therefore rides on the
-  /// engine executor's width: a 1-thread engine pool is the serial path
-  /// by contract, so it runs the batch sequentially regardless of this
-  /// knob (RunBatch never spawns threads of its own). Results are
-  /// bit-identical to the sequential path at any value.
-  int batch_workers = 1;
   /// Version of the graph this session serves. Freshly loaded graphs
   /// are version 1; WithUpdates builds each successor session with the
   /// bumped version. Stamped into every result (QueryResult
@@ -50,9 +39,8 @@ struct GraphSessionOptions {
 /// Determinism: a request's result is a pure function of (graph,
 /// request) -- the request's seed feeds the engine's seed-split contract,
 /// so results are bit-identical at any thread count and identical to
-/// calling the query's kernel with Rng(request.seed) on any engine.
-/// Batches inherit this per request: order and concurrency never change
-/// any result.
+/// calling the query's kernel with Rng(request.seed) on any engine. Run
+/// is const and thread-safe, so concurrent calls never change any result.
 class GraphSession {
  public:
   explicit GraphSession(UncertainGraph graph, GraphSessionOptions options = {});
@@ -91,15 +79,6 @@ class GraphSession {
   /// selection, then the query itself. The result records the estimator
   /// that ran and the wall time spent.
   [[nodiscard]] Result<QueryResult> Run(const QueryRequest& request) const;
-
-  /// Executes a batch of heterogeneous requests; result i answers
-  /// request i. Failures are per-request: a malformed request yields an
-  /// error slot without affecting the rest. With batch_workers > 1 up to
-  /// that many requests run concurrently (each slot is written by exactly
-  /// one worker, and every result is a pure function of (graph, request),
-  /// so order and concurrency never change any result).
-  std::vector<Result<QueryResult>> RunBatch(
-      const std::vector<QueryRequest>& requests) const;
 
  private:
   GraphSession(UncertainGraph graph, GraphSessionOptions options,

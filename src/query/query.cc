@@ -1,5 +1,7 @@
 #include "query/query.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <utility>
 
@@ -58,15 +60,28 @@ Status ValidatePairs(const std::string& query, const UncertainGraph& graph,
   return Status::OK();
 }
 
-Status ValidateSamples(const QueryRequest& request) {
+Status ValidateSamples(const UncertainGraph& graph,
+                       const QueryRequest& request) {
   if (request.num_samples <= 0) {
     return Status::InvalidArgument("num_samples must be positive, got " +
                                    std::to_string(request.num_samples));
   }
-  if (request.estimator == Estimator::kStratified &&
-      (request.num_pivot_edges < 0 || request.num_pivot_edges > 62)) {
+  if (request.estimator != Estimator::kStratified) return Status::OK();
+  if (request.num_pivot_edges < 0 || request.num_pivot_edges > 62) {
     return Status::InvalidArgument("num_pivot_edges must be in [0, 62], got " +
                                    std::to_string(request.num_pivot_edges));
+  }
+  // StratifiedEstimate draws at least one world in each of its
+  // 2^min(r, |E|) strata, so only a budget that covers every stratum
+  // bounds its work by num_samples.
+  const std::size_t strata_bits = std::min<std::size_t>(
+      static_cast<std::size_t>(request.num_pivot_edges), graph.num_edges());
+  if ((std::uint64_t{1} << strata_bits) >
+      static_cast<std::uint64_t>(request.num_samples)) {
+    return Status::InvalidArgument(
+        "stratified estimation visits 2^" + std::to_string(strata_bits) +
+        " strata, more than num_samples = " +
+        std::to_string(request.num_samples));
   }
   return Status::OK();
 }
@@ -137,7 +152,7 @@ class ReliabilityQuery final : public Query {
   Status Validate(const UncertainGraph& graph,
                   const QueryRequest& request) const override {
     UGS_RETURN_IF_ERROR(ValidatePairs(name(), graph, request.pairs));
-    return ValidateSamples(request);
+    return ValidateSamples(graph, request);
   }
 
   Result<QueryResult> Run(const UncertainGraph& graph,
@@ -187,9 +202,9 @@ class ConnectivityQuery final : public Query {
             Estimator::kStratified, Estimator::kExact};
   }
 
-  Status Validate(const UncertainGraph&,
+  Status Validate(const UncertainGraph& graph,
                   const QueryRequest& request) const override {
-    return ValidateSamples(request);
+    return ValidateSamples(graph, request);
   }
 
   Result<QueryResult> Run(const UncertainGraph& graph,
@@ -238,7 +253,7 @@ class ShortestPathQuery final : public Query {
   Status Validate(const UncertainGraph& graph,
                   const QueryRequest& request) const override {
     UGS_RETURN_IF_ERROR(ValidatePairs(name(), graph, request.pairs));
-    return ValidateSamples(request);
+    return ValidateSamples(graph, request);
   }
 
   Result<QueryResult> Run(const UncertainGraph& graph,
@@ -298,7 +313,7 @@ class PageRankQuery final : public Query {
       return Status::InvalidArgument("pagerank needs a non-empty graph");
     }
     UGS_RETURN_IF_ERROR(ValidatePageRankOptions(request.pagerank));
-    return ValidateSamples(request);
+    return ValidateSamples(graph, request);
   }
 
   Result<QueryResult> Run(const UncertainGraph& graph,
@@ -321,9 +336,9 @@ class ClusteringQuery final : public Query {
     return {Estimator::kSampled, Estimator::kSkipSampler};
   }
 
-  Status Validate(const UncertainGraph&,
+  Status Validate(const UncertainGraph& graph,
                   const QueryRequest& request) const override {
-    return ValidateSamples(request);
+    return ValidateSamples(graph, request);
   }
 
   Result<QueryResult> Run(const UncertainGraph& graph,

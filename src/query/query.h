@@ -27,9 +27,8 @@ namespace ugs {
 /// already has (Sparsifier + MakeSparsifierByName).
 ///
 /// Most callers should not touch Query directly: GraphSession
-/// (query/graph_session.h) owns the loaded graph, the cached stats, and
-/// the sampling engines, and routes single requests or whole batches
-/// through this registry.
+/// (query/graph_session.h) owns the loaded graph and the sampling
+/// engines, and routes each request through this registry.
 
 /// How a request is executed. kAuto defers to the selection policy
 /// (query/estimator_policy.h); everything else forces a strategy, which
@@ -72,14 +71,17 @@ struct QueryRequest {
   int num_samples = 512;
   /// Seed of the request's private RNG. A request's result is a pure
   /// function of (graph, request), so identical requests agree
-  /// bit-for-bit no matter the thread count, batch size, or position in
-  /// a batch -- the engine's seed-split contract lifted to requests.
+  /// bit-for-bit no matter the thread count, engine batch size, or
+  /// concurrent requests -- the engine's seed-split contract lifted to
+  /// requests.
   std::uint64_t seed = 1;
 
   Estimator estimator = Estimator::kAuto;
 
   PageRankOptions pagerank;    ///< pagerank only.
-  int num_pivot_edges = 8;     ///< stratified only: 2^r strata.
+  /// stratified only: 2^min(r, |E|) strata. Validate refuses r outside
+  /// [0, 62] and more strata than num_samples.
+  int num_pivot_edges = 8;
 };
 
 /// Typed response. `estimator` records what actually ran (never kAuto).

@@ -28,9 +28,9 @@ struct SessionRegistryOptions {
   /// least-recently-used unpinned entries. 0 = unlimited.
   std::size_t max_sessions = 8;
   /// Approximate resident-memory budget over all cached sessions
-  /// (graph + adjacency + cached stats). 0 = unlimited. A single session
-  /// larger than the budget still loads (the registry never evicts the
-  /// entry it is about to return).
+  /// (graph + adjacency; see ApproxSessionBytes). 0 = unlimited. A single
+  /// session larger than the budget still loads (the registry never
+  /// evicts the entry it is about to return).
   std::size_t max_resident_bytes = 0;
   /// Options applied to every session the registry opens.
   GraphSessionOptions session;

@@ -564,41 +564,6 @@ Result<WireUpdateReply> DecodeUpdateReply(std::string_view payload) {
   return reply;
 }
 
-std::string RequestToJson(const WireRequest& request) {
-  const QueryRequest& q = request.request;
-  std::string out = "{\"graph\":";
-  AppendJsonString(&out, request.graph);
-  out += ",\"query\":";
-  AppendJsonString(&out, q.query);
-  out += ",\"pairs\":[";
-  for (std::size_t i = 0; i < q.pairs.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    out.push_back('[');
-    out += std::to_string(q.pairs[i].s);
-    out.push_back(',');
-    out += std::to_string(q.pairs[i].t);
-    out.push_back(']');
-  }
-  out += "],\"sources\":[";
-  for (std::size_t i = 0; i < q.sources.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    out += std::to_string(q.sources[i]);
-  }
-  out += "],\"k\":" + std::to_string(q.k);
-  out += ",\"samples\":" + std::to_string(q.num_samples);
-  out += ",\"seed\":" + std::to_string(q.seed);
-  out += ",\"estimator\":";
-  AppendJsonString(&out, EstimatorName(q.estimator));
-  out += ",\"pivots\":" + std::to_string(q.num_pivot_edges);
-  out += ",\"pagerank\":{\"damping\":";
-  AppendDouble(&out, q.pagerank.damping);
-  out += ",\"max_iterations\":" + std::to_string(q.pagerank.max_iterations);
-  out += ",\"tolerance\":";
-  AppendDouble(&out, q.pagerank.tolerance);
-  out += "}}";
-  return out;
-}
-
 std::string ResultToJson(const QueryResult& result, bool include_timing) {
   std::string out = "{\"query\":";
   AppendJsonString(&out, result.query);

@@ -118,13 +118,12 @@ std::string EncodeError(const Status& status);
 /// when the payload is malformed, in which case `*decoded` is untouched.
 [[nodiscard]] Status DecodeError(std::string_view payload, Status* decoded);
 
-/// One-line JSON renderings of the wire payloads (no trailing newline).
+/// One-line JSON rendering of a result payload (no trailing newline).
 /// Doubles are printed round-trippably (%.17g), so two bit-identical
 /// payloads render to byte-identical JSON -- the property the CI smoke
 /// diff between ugs_client and ugs_query relies on. `include_timing`
-/// controls the result's wall-time field: drop it to make renderings of
-/// repeated runs diffable.
-std::string RequestToJson(const WireRequest& request);
+/// controls the wall-time field: drop it to make renderings of repeated
+/// runs diffable.
 std::string ResultToJson(const QueryResult& result, bool include_timing = true);
 
 /// `s` as a quoted, escaped JSON string literal (used by the hand-rolled

@@ -77,12 +77,6 @@ class IndexedMaxHeap {
     return entries_[0].key;
   }
 
-  /// Priority of the max entry.
-  double TopPriority() const {
-    UGS_CHECK(!empty());
-    return entries_[0].priority;
-  }
-
   /// The first entry in heap order whose key is neither `a` nor `b`, or
   /// nullopt when there is none. Every ancestor of an entry precedes it,
   /// so the answer sits in the top three levels: deeper, it would have
@@ -99,36 +93,6 @@ class IndexedMaxHeap {
     }
     if (best == nullptr) return std::nullopt;
     return *best;
-  }
-
-  /// Priority currently stored for key (must be present).
-  double PriorityOf(std::uint32_t key) const {
-    UGS_DCHECK(Contains(key));
-    return entries_[pos_[key]].priority;
-  }
-
-  /// Removes and returns the key with maximum priority.
-  std::uint32_t PopTop() {
-    std::uint32_t top = Top();
-    Remove(top);
-    return top;
-  }
-
-  /// Removes key (must be present).
-  void Remove(std::uint32_t key) {
-    UGS_DCHECK(Contains(key));
-    const std::size_t i = pos_[key];
-    const Entry last = entries_.back();
-    entries_.pop_back();
-    pos_[key] = kAbsent;
-    if (i == entries_.size()) return;
-    // The last entry refills the hole at i, moving whichever way the
-    // order calls for.
-    if (i > 0 && Precedes(last, entries_[(i - 1) / 2])) {
-      SiftUp(i, last);
-    } else {
-      SiftDown(i, last);
-    }
   }
 
   /// Drops all entries (key universe unchanged).

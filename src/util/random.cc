@@ -50,16 +50,6 @@ double Rng::Exponential(double rate) {
   return -std::log(u) / rate;
 }
 
-double Rng::Normal(double mean, double stddev) {
-  double u, v, s;
-  do {
-    u = Uniform(-1.0, 1.0);
-    v = Uniform(-1.0, 1.0);
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  return mean + stddev * u * std::sqrt(-2.0 * std::log(s) / s);
-}
-
 std::uint64_t Rng::Geometric(double p) {
   UGS_DCHECK(p > 0.0 && p <= 1.0);
   if (p >= 1.0) return 0;

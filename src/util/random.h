@@ -63,9 +63,6 @@ class Rng {
   /// Standard exponential deviate with the given rate (mean = 1/rate).
   double Exponential(double rate);
 
-  /// Standard normal deviate via Marsaglia polar method.
-  double Normal(double mean = 0.0, double stddev = 1.0);
-
   /// Geometric number of failures before first success; p in (0,1].
   std::uint64_t Geometric(double p);
 

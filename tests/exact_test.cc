@@ -82,19 +82,6 @@ TEST_F(ExactTest, NeverConnectedPairGivesZero) {
   EXPECT_DOUBLE_EQ(d, 0.0);
 }
 
-TEST_F(ExactTest, CustomPredicate) {
-  // Probability that at least 2 of 3 independent edges exist.
-  UncertainGraph g = UncertainGraph::FromEdges(
-      4, {{0, 1, 0.5}, {1, 2, 0.4}, {2, 3, 0.3}});
-  double prob = ExactWorldProbability(g, [](const PossibleWorld& w) {
-    return w.edges().size() >= 2;
-  });
-  // P = p1p2q3 + p1q2p3 + q1p2p3 + p1p2p3
-  double expected = 0.5 * 0.4 * 0.7 + 0.5 * 0.6 * 0.3 + 0.5 * 0.4 * 0.3 +
-                    0.5 * 0.4 * 0.3;
-  EXPECT_NEAR(prob, expected, 1e-12);
-}
-
 TEST_F(ExactTest, DeterministicGraphSingleWorld) {
   UncertainGraph g = testing_util::PathGraph(4, 1.0);
   EXPECT_NEAR(ExactConnectivityProbability(g, pool), 1.0, 1e-12);

@@ -63,132 +63,13 @@ TEST(GraphSessionTest, UnknownQuerySurfacesNotFound) {
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
 }
 
-TEST(GraphSessionTest, BatchAnswersEveryRequestInOrder) {
-  GraphSession session(testing_util::CompleteK4(0.5));
-  std::vector<QueryRequest> batch;
-  batch.push_back(ConnectivityRequest(1));
-  QueryRequest reliability;
-  reliability.query = "reliability";
-  reliability.pairs = {{0, 3}};
-  reliability.num_samples = 32;
-  reliability.seed = 5;
-  batch.push_back(reliability);
-  QueryRequest knn;
-  knn.query = "knn";
-  knn.sources = {0};
-  knn.k = 2;
-  batch.push_back(knn);
-
-  std::vector<Result<QueryResult>> results = session.RunBatch(batch);
-  ASSERT_EQ(results.size(), batch.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    ASSERT_TRUE(results[i].ok()) << "request " << i;
-  }
-  EXPECT_EQ(results[0]->query, "connectivity");
-  EXPECT_EQ(results[1]->query, "reliability");
-  EXPECT_EQ(results[2]->query, "knn");
-}
-
-TEST(GraphSessionTest, BatchFailuresAreIsolatedPerRequest) {
-  GraphSession session(testing_util::CompleteK4(0.5));
-  QueryRequest bad;
-  bad.query = "definitely-not-registered";
-  std::vector<QueryRequest> batch{ConnectivityRequest(1), bad,
-                                  ConnectivityRequest(2)};
-  std::vector<Result<QueryResult>> results = session.RunBatch(batch);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_TRUE(results[0].ok());
-  EXPECT_FALSE(results[1].ok());
-  EXPECT_EQ(results[1].status().code(), StatusCode::kNotFound);
-  EXPECT_TRUE(results[2].ok());
-}
-
-TEST(GraphSessionTest, BatchResultsMatchIndividualRunsAtEveryThreadCount) {
-  // Batch execution must neither reorder nor couple requests: each slot
-  // is bit-identical to running the request alone, at any thread count.
-  std::vector<QueryRequest> batch;
-  for (std::uint64_t seed : {11u, 22u, 33u}) {
-    batch.push_back(ConnectivityRequest(seed));
-  }
-  QueryRequest pagerank;
-  pagerank.query = "pagerank";
-  pagerank.num_samples = 16;
-  pagerank.seed = 44;
-  batch.push_back(pagerank);
-
-  GraphSession reference(testing_util::CompleteK4(0.5));
-  std::vector<double> expected_scalars;
-  for (std::size_t i = 0; i + 1 < batch.size(); ++i) {
-    Result<QueryResult> r = reference.Run(batch[i]);
-    ASSERT_TRUE(r.ok());
-    expected_scalars.push_back(r->scalar);
-  }
-  Result<QueryResult> expected_pr = reference.Run(batch.back());
-  ASSERT_TRUE(expected_pr.ok());
-
-  for (int threads : {1, 2, 8}) {
-    GraphSessionOptions options;
-    options.engine.num_threads = threads;
-    GraphSession session(testing_util::CompleteK4(0.5), options);
-    std::vector<Result<QueryResult>> results = session.RunBatch(batch);
-    ASSERT_EQ(results.size(), batch.size());
-    for (std::size_t i = 0; i + 1 < batch.size(); ++i) {
-      ASSERT_TRUE(results[i].ok());
-      EXPECT_EQ(results[i]->scalar, expected_scalars[i])
-          << "slot " << i << " at " << threads << " threads";
-    }
-    ASSERT_TRUE(results.back().ok());
-    EXPECT_TRUE(results.back()->samples == expected_pr->samples)
-        << threads << " threads";
-  }
-}
-
-TEST(GraphSessionTest, OverlappedBatchIsBitIdenticalToSequential) {
-  // batch_workers > 1 claims requests concurrently; every slot must stay
-  // bit-identical to the sequential batch (and so to individual runs).
-  std::vector<QueryRequest> batch;
-  for (std::uint64_t seed : {11u, 22u, 33u, 44u, 55u}) {
-    batch.push_back(ConnectivityRequest(seed));
-  }
-  QueryRequest pagerank;
-  pagerank.query = "pagerank";
-  pagerank.num_samples = 16;
-  pagerank.seed = 66;
-  batch.push_back(pagerank);
-  QueryRequest bad;
-  bad.query = "not-a-query";  // Error slots must stay per-request too.
-  batch.insert(batch.begin() + 2, bad);
-
-  GraphSession sequential(testing_util::CompleteK4(0.5));
-  std::vector<Result<QueryResult>> expected = sequential.RunBatch(batch);
-
-  for (int workers : {2, 4, 16}) {
-    GraphSessionOptions options;
-    options.batch_workers = workers;
-    GraphSession session(testing_util::CompleteK4(0.5), options);
-    std::vector<Result<QueryResult>> results = session.RunBatch(batch);
-    ASSERT_EQ(results.size(), expected.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      ASSERT_EQ(results[i].ok(), expected[i].ok())
-          << "slot " << i << " at " << workers << " workers";
-      if (!results[i].ok()) {
-        EXPECT_EQ(results[i].status().code(), expected[i].status().code());
-        continue;
-      }
-      EXPECT_TRUE(results[i]->samples == expected[i]->samples)
-          << "slot " << i << " at " << workers << " workers";
-      EXPECT_EQ(results[i]->scalar, expected[i]->scalar) << "slot " << i;
-      EXPECT_EQ(results[i]->means, expected[i]->means) << "slot " << i;
-    }
-  }
-}
-
 TEST(GraphSessionTest, OverlapMatrixIsBitIdenticalAtEveryWidth) {
   // The engine-leg overlap determinism matrix: 1/2/8 executor threads x
   // 1/2/8 request drivers overlapping on ONE session. The executor
   // interleaves the drivers' sample batches across the shared pool; the
   // seed-split contract must keep every result bit-identical to the
-  // serial reference no matter the interleaving.
+  // serial reference no matter the interleaving, and a malformed request
+  // must fail alone without touching its neighbours' results.
   std::vector<QueryRequest> requests;
   for (std::uint64_t seed : {3u, 4u, 5u}) {
     requests.push_back(ConnectivityRequest(seed));
@@ -204,11 +85,19 @@ TEST(GraphSessionTest, OverlapMatrixIsBitIdenticalAtEveryWidth) {
   pagerank.num_samples = 24;
   pagerank.seed = 7;
   requests.push_back(pagerank);
+  QueryRequest bad;
+  bad.query = "not-a-query";
+  requests.insert(requests.begin() + 2, bad);
 
   GraphSession reference(testing_util::CompleteK4(0.5));
   std::vector<QueryResult> expected;
   for (const QueryRequest& request : requests) {
     Result<QueryResult> r = reference.Run(request);
+    if (request.query == bad.query) {
+      ASSERT_EQ(r.status().code(), StatusCode::kNotFound);
+      expected.emplace_back();
+      continue;
+    }
     ASSERT_TRUE(r.ok()) << request.query;
     expected.push_back(*r);
   }
@@ -240,6 +129,13 @@ TEST(GraphSessionTest, OverlapMatrixIsBitIdenticalAtEveryWidth) {
             got[static_cast<std::size_t>(d)];
         ASSERT_EQ(mine.size(), requests.size());
         for (std::size_t r = 0; r < requests.size(); ++r) {
+          if (requests[r].query == bad.query) {
+            ASSERT_FALSE(mine[r].ok())
+                << "driver " << d << " at " << threads << " threads x "
+                << overlap << " overlap";
+            EXPECT_EQ(mine[r].status().code(), StatusCode::kNotFound);
+            continue;
+          }
           ASSERT_TRUE(mine[r].ok())
               << requests[r].query << " driver " << d << " at " << threads
               << " threads x " << overlap << " overlap: "

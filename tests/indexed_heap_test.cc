@@ -27,20 +27,7 @@ TEST(IndexedHeapTest, PushAndTop) {
   heap.Push(1, 0.5);
   EXPECT_EQ(heap.size(), 3u);
   EXPECT_EQ(heap.Top(), 7u);
-  EXPECT_DOUBLE_EQ(heap.TopPriority(), 2.5);
-}
-
-TEST(IndexedHeapTest, PopTopDescendingOrder) {
-  IndexedMaxHeap heap(8);
-  double priorities[] = {3.0, 1.0, 4.0, 1.5, 5.0, 9.0, 2.0, 6.0};
-  for (std::uint32_t i = 0; i < 8; ++i) heap.Push(i, priorities[i]);
-  double last = 1e18;
-  while (!heap.empty()) {
-    double p = heap.TopPriority();
-    heap.PopTop();
-    EXPECT_LE(p, last);
-    last = p;
-  }
+  EXPECT_DOUBLE_EQ(heap.TopExcept(10, 10)->priority, 2.5);
 }
 
 TEST(IndexedHeapTest, UpdateRaisesPriority) {
@@ -49,7 +36,7 @@ TEST(IndexedHeapTest, UpdateRaisesPriority) {
   heap.Push(1, 2.0);
   heap.Update(0, 3.0);
   EXPECT_EQ(heap.Top(), 0u);
-  EXPECT_DOUBLE_EQ(heap.PriorityOf(0), 3.0);
+  EXPECT_DOUBLE_EQ(heap.TopExcept(5, 5)->priority, 3.0);
 }
 
 TEST(IndexedHeapTest, UpdateLowersPriority) {
@@ -67,15 +54,6 @@ TEST(IndexedHeapTest, UpdateInsertsIfAbsent) {
   EXPECT_EQ(heap.Top(), 2u);
 }
 
-TEST(IndexedHeapTest, RemoveMiddleKey) {
-  IndexedMaxHeap heap(5);
-  for (std::uint32_t i = 0; i < 5; ++i) heap.Push(i, i * 1.0);
-  heap.Remove(2);
-  EXPECT_FALSE(heap.Contains(2));
-  EXPECT_EQ(heap.size(), 4u);
-  EXPECT_EQ(heap.Top(), 4u);
-}
-
 TEST(IndexedHeapTest, ClearResets) {
   IndexedMaxHeap heap(5);
   heap.Push(0, 1.0);
@@ -87,18 +65,9 @@ TEST(IndexedHeapTest, ClearResets) {
   EXPECT_EQ(heap.Top(), 0u);
 }
 
-TEST(IndexedHeapTest, TiedPrioritiesAllSurface) {
-  IndexedMaxHeap heap(4);
-  for (std::uint32_t i = 0; i < 4; ++i) heap.Push(i, 1.0);
-  std::vector<std::uint32_t> popped;
-  while (!heap.empty()) popped.push_back(heap.PopTop());
-  std::sort(popped.begin(), popped.end());
-  EXPECT_EQ(popped, (std::vector<std::uint32_t>{0, 1, 2, 3}));
-}
-
 TEST(IndexedHeapTest, RandomizedAgainstMapModel) {
-  // Differential test against a sorted-map reference model, exercising the
-  // exact operation mix EMD uses (Update-heavy with occasional Remove).
+  // Differential test against a map reference model, under the operation
+  // EMD's E-phase issues: Update, raising or lowering a stored priority.
   const std::uint32_t universe = 50;
   IndexedMaxHeap heap(universe);
   std::map<std::uint32_t, double> model;
@@ -106,31 +75,18 @@ TEST(IndexedHeapTest, RandomizedAgainstMapModel) {
   for (int op = 0; op < 5000; ++op) {
     int action = static_cast<int>(rng.NextIndex(10));
     auto key = static_cast<std::uint32_t>(rng.NextIndex(universe));
-    if (action < 6) {  // Update (insert or change).
+    if (action < 8) {  // Update (insert or change).
       double priority = rng.Uniform(-10.0, 10.0);
       heap.Update(key, priority);
       model[key] = priority;
-    } else if (action < 8) {  // Remove if present.
-      if (model.count(key)) {
-        heap.Remove(key);
-        model.erase(key);
-      }
     } else if (!model.empty()) {  // Check top priority matches model max.
-      double top = heap.TopPriority();
+      double top = heap.TopExcept(universe, universe)->priority;
       double best = -1e18;
       for (const auto& [k, v] : model) best = std::max(best, v);
       ASSERT_DOUBLE_EQ(top, best) << "op " << op;
     }
     ASSERT_EQ(heap.size(), model.size());
   }
-}
-
-TEST(IndexedHeapTest, PriorityOfReflectsUpdates) {
-  IndexedMaxHeap heap(3);
-  heap.Push(1, 7.0);
-  EXPECT_DOUBLE_EQ(heap.PriorityOf(1), 7.0);
-  heap.Update(1, -2.0);
-  EXPECT_DOUBLE_EQ(heap.PriorityOf(1), -2.0);
 }
 
 /// The first of `model`'s keys in heap order by brute force -- highest
@@ -176,20 +132,9 @@ TEST(IndexedHeapTest, TieHeavyOpsKeepTopTheBruteForceArgmax) {
     const auto key = static_cast<std::uint32_t>(rng.NextIndex(universe));
     const double priority = static_cast<double>(rng.NextIndex(4));
     const std::uint64_t action = rng.NextIndex(20);
-    if (action < 13) {
+    if (action < 19) {
       heap.Update(key, priority);
       model[key] = priority;
-    } else if (action < 17) {
-      if (model.count(key) != 0) {
-        heap.Remove(key);
-        model.erase(key);
-      }
-    } else if (action < 19) {
-      if (!model.empty()) {
-        const std::uint32_t top = heap.PopTop();
-        EXPECT_EQ(top, *BruteTop(model, universe, universe)) << "op " << op;
-        model.erase(top);
-      }
     } else if (rng.NextIndex(50) == 0) {
       heap.Clear();
       model.clear();
@@ -197,7 +142,9 @@ TEST(IndexedHeapTest, TieHeavyOpsKeepTopTheBruteForceArgmax) {
     ASSERT_EQ(heap.size(), model.size()) << "op " << op;
     if (model.empty()) continue;
     ASSERT_EQ(heap.Top(), *BruteTop(model, universe, universe)) << "op " << op;
-    ASSERT_EQ(heap.TopPriority(), model.at(heap.Top())) << "op " << op;
+    ASSERT_EQ(heap.TopExcept(universe, universe)->priority,
+              model.at(heap.Top()))
+        << "op " << op;
 
     // The first three keys in heap order (fewer on a smaller heap).
     std::vector<std::uint32_t> firsts;

@@ -484,6 +484,41 @@ TEST(QueryValidationTest, SampleCountMustBePositive) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(QueryValidationTest, StratifiedStrataMustFitTheSampleBudget) {
+  // StratifiedEstimate draws at least one world in each of its
+  // 2^min(r, |E|) strata, so Validate refuses a budget below that count
+  // before the session draws any world.
+  GraphSession path(testing_util::PathGraph(70, 0.5));  // 69 edges.
+  Result<std::unique_ptr<Query>> query = MakeQueryByName("connectivity");
+  ASSERT_TRUE(query.ok());
+  QueryRequest request = BaseRequest("connectivity");
+  request.estimator = Estimator::kStratified;
+  request.num_pivot_edges = 62;
+  request.num_samples = std::numeric_limits<int>::max();
+  ASSERT_EQ((*query)->Validate(path.graph(), request).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(path.Run(request).status().code(), StatusCode::kInvalidArgument);
+
+  // 2^r == num_samples is the largest stratification the budget covers.
+  request.num_pivot_edges = 4;
+  request.num_samples = 16;
+  Result<QueryResult> exact_fit = path.Run(request);
+  ASSERT_TRUE(exact_fit.ok()) << exact_fit.status().ToString();
+  EXPECT_EQ(exact_fit->estimator, Estimator::kStratified);
+  request.num_samples = 15;
+  EXPECT_EQ(path.Run(request).status().code(), StatusCode::kInvalidArgument);
+
+  // r beyond |E| pivots every edge: 2^|E| strata, not 2^r.
+  GraphSession k4(testing_util::CompleteK4(0.5));  // 6 edges.
+  request.num_pivot_edges = 40;
+  request.num_samples = 64;
+  Result<QueryResult> all_pivoted = k4.Run(request);
+  ASSERT_TRUE(all_pivoted.ok()) << all_pivoted.status().ToString();
+  EXPECT_EQ(all_pivoted->estimator, Estimator::kStratified);
+  request.num_samples = 63;
+  EXPECT_EQ(k4.Run(request).status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(QueryValidationTest, PageRankRejectsBadOptions) {
   GraphSession session(testing_util::CompleteK4(0.5));
   const double nan = std::numeric_limits<double>::quiet_NaN();

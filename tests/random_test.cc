@@ -97,21 +97,6 @@ TEST(RngTest, ExponentialMean) {
   EXPECT_NEAR(sum / n, 0.25, 0.01);
 }
 
-TEST(RngTest, NormalMoments) {
-  Rng rng(37);
-  double sum = 0.0, ss = 0.0;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) {
-    double x = rng.Normal(2.0, 3.0);
-    sum += x;
-    ss += x * x;
-  }
-  double mean = sum / n;
-  double var = ss / n - mean * mean;
-  EXPECT_NEAR(mean, 2.0, 0.05);
-  EXPECT_NEAR(var, 9.0, 0.2);
-}
-
 TEST(RngTest, GeometricMean) {
   Rng rng(41);
   double sum = 0.0;
