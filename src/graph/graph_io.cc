@@ -3,12 +3,17 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "graph/graph_builder.h"
 
 namespace ugs {
 namespace {
+
+/// Ids must stay below this, so the vertex count (max id + 1) fits a
+/// VertexId too.
+constexpr VertexId kVertexLimit = std::numeric_limits<VertexId>::max();
 
 Result<UncertainGraph> ParseFromStream(std::istream& in) {
   std::vector<UncertainEdge> edges;
@@ -30,6 +35,11 @@ Result<UncertainGraph> ParseFromStream(std::istream& in) {
         std::istringstream hs(line.substr(pos + 9));
         std::size_t n = 0;
         if (hs >> n) {
+          if (n > kVertexLimit) {
+            return Status::IOError("vertex count " + std::to_string(n) +
+                                   " at line " + std::to_string(line_no) +
+                                   " exceeds " + std::to_string(kVertexLimit));
+          }
           declared_vertices = n;
           has_declared = true;
         }
@@ -46,6 +56,10 @@ Result<UncertainGraph> ParseFromStream(std::istream& in) {
     if (u < 0 || v < 0) {
       return Status::IOError("negative vertex id at line " +
                              std::to_string(line_no));
+    }
+    if (u >= kVertexLimit || v >= kVertexLimit) {
+      return Status::IOError("vertex id out of range at line " +
+                             std::to_string(line_no) + ": '" + line + "'");
     }
     UncertainEdge e{static_cast<VertexId>(u), static_cast<VertexId>(v), p};
     max_id = std::max({max_id, e.u, e.v});

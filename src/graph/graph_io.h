@@ -15,7 +15,9 @@ namespace ugs {
 ///   <u> <v> <p>
 ///
 /// Vertex ids are dense 0-based integers. Loading infers the vertex count
-/// as (max id + 1) unless a '# vertices: N' header is present.
+/// as (max id + 1) unless a '# vertices: N' header is present. Ids must
+/// stay below, and N must not exceed, the largest VertexId (IOError
+/// naming the line otherwise).
 
 /// Parses an uncertain graph from a file.
 [[nodiscard]] Result<UncertainGraph> LoadEdgeList(const std::string& path);

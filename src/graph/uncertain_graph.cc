@@ -129,7 +129,14 @@ Result<UncertainGraph> UncertainGraph::WithUpdates(
                                    why);
   };
   auto edge_name = [](const EdgeUpdate& u) {
-    return "(" + std::to_string(u.u) + "," + std::to_string(u.v) + ")";
+    // Appended, not `"(" + std::to_string(...)`: GCC 12 at -O3 flags
+    // that with a false -Wrestrict.
+    std::string name = "(";
+    name += std::to_string(u.u);
+    name += ',';
+    name += std::to_string(u.v);
+    name += ')';
+    return name;
   };
   for (std::size_t at = 0; at < updates.size(); ++at) {
     const EdgeUpdate& u = updates[at];

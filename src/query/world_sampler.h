@@ -1,7 +1,9 @@
 #ifndef UGS_QUERY_WORLD_SAMPLER_H_
 #define UGS_QUERY_WORLD_SAMPLER_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -9,6 +11,20 @@
 #include "util/random.h"
 
 namespace ugs {
+
+/// Bit-pattern equality of doubles: +0.0 and -0.0 differ, and a NaN
+/// equals a NaN with the same bits. The comparison every "bit-identical"
+/// determinism check means (`==` would call a NaN result different from
+/// itself).
+inline bool SameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+inline bool SameBits(const std::vector<double>& a,
+                     const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
 
 /// Samples one possible world: present[e] = 1 with probability p_e,
 /// independently per edge (possible-world semantics, Section 1). O(|E|).
@@ -119,7 +135,7 @@ struct McSamples {
   /// engine's identical-at-any-thread-count determinism checks.
   friend bool operator==(const McSamples& a, const McSamples& b) {
     return a.num_units == b.num_units && a.num_samples == b.num_samples &&
-           a.values == b.values && a.valid == b.valid;
+           SameBits(a.values, b.values) && a.valid == b.valid;
   }
 };
 

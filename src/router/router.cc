@@ -13,12 +13,6 @@ namespace ugs {
 
 namespace {
 
-/// Typed error reply carrying `status`.
-ReplyFrame ErrorReply(const Status& status) {
-  return {FrameType::kError,
-          std::make_shared<const std::string>(EncodeError(status))};
-}
-
 std::uint64_t MicrosSince(std::chrono::steady_clock::time_point start) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -57,15 +51,6 @@ const char* ShardStateName(ShardState state) {
   return "unknown";
 }
 
-FrameServerOptions Router::MakeTransportOptions() {
-  FrameServerOptions transport;
-  transport.host = options_.host;
-  transport.port = options_.port;
-  transport.num_workers = options_.num_workers;
-  transport.trace_sink = telemetry_.Sink();
-  return transport;
-}
-
 void Router::BuildMetrics() {
   metrics_.AddCounter("ugs_router_failovers_total",
                       "Forwards retried on another shard.", {}, &failovers_);
@@ -82,27 +67,36 @@ void Router::BuildMetrics() {
   metrics_.AddCounter("ugs_router_update_failures_total",
                       "Update broadcasts that failed on some shard.", {},
                       &update_failures_);
+  // One pass per series name, so each name's per-shard series render
+  // under a single HELP/TYPE block.
+  const auto label = [](const ShardLink& shard) {
+    return std::vector<telemetry::Label>{
+        {"shard", shard.addr.host + ":" + std::to_string(shard.addr.port)}};
+  };
   for (const std::unique_ptr<ShardLink>& shard : shards_) {
-    const std::string label =
-        shard->addr.host + ":" + std::to_string(shard->addr.port);
     metrics_.AddHistogram("ugs_shard_forward_seconds",
                           "One send+receive on this shard (successes).",
-                          {{"shard", label}}, &shard->forward_us, 1e-6);
+                          label(*shard), &shard->forward_us, 1e-6);
+  }
+  for (const std::unique_ptr<ShardLink>& shard : shards_) {
     metrics_.AddCounter("ugs_shard_forward_failures_total",
                         "Transport failures forwarding to this shard.",
-                        {{"shard", label}}, &shard->forward_failures);
+                        label(*shard), &shard->forward_failures);
+  }
+  for (const std::unique_ptr<ShardLink>& shard : shards_) {
     metrics_.AddCounter("ugs_shard_race_wins_total",
-                        "Races this shard answered first.", {{"shard", label}},
+                        "Races this shard answered first.", label(*shard),
                         &shard->race_wins);
   }
-  server_.ExportMetrics(&metrics_);
 }
 
 Router::Router(RouterOptions options)
     : options_(std::move(options)),
       ring_(options_.shards.size()),
-      telemetry_(options_.telemetry, KnownQueryNames(), &metrics_),
-      server_(MakeTransportOptions(),
+      server_({.host = options_.host,
+               .port = options_.port,
+               .num_workers = options_.num_workers},
+              options_.telemetry, &metrics_,
               [this](FrameType type, const std::string& payload,
                      telemetry::RequestTrace* trace) {
                 return HandleFrame(type, payload, trace);
@@ -269,11 +263,11 @@ void Router::PollShard(ShardLink* shard) {
     return;
   }
   NoteShardSuccess(shard);
-  {
-    MutexLock lock(&shard->mutex);
-    shard->last_stats = std::move(*stats);
-  }
-  ReturnConn(shard, std::move(*conn));
+  MutexLock lock(&shard->mutex);
+  shard->last_stats = std::move(*stats);
+  // The probe closes as it goes out of scope rather than joining the
+  // pool: pooling one per poll would grow the pool (and the shard's open
+  // connections) without bound.
 }
 
 // --- Forwarding. ---
@@ -282,67 +276,35 @@ ReplyFrame Router::HandleFrame(FrameType type, const std::string& payload,
                                telemetry::RequestTrace* trace) {
   const bool traced = options_.telemetry.enabled;
   telemetry::StageClock clock(traced);
+  ReplyFrame reply;
   if (type == FrameType::kStats) {
-    if (traced) trace->query = "stats";
     if (payload.empty()) {
       return {FrameType::kStatsReply,
               std::make_shared<const std::string>(StatsJson())};
     }
-    if (payload == kMetricsStatsVerb) {
-      // The router answers the Prometheus sub-verb itself: its metrics
-      // describe the routing tier, and each shard's exposition is one
-      // `--metrics` call away.
-      return {FrameType::kStatsReply,
-              std::make_shared<const std::string>(metrics_.PrometheusText())};
-    }
     if (traced) trace->graph = payload;
-    ReplyFrame reply = RouteStats(payload);
-    clock.Stamp(trace, telemetry::Stage::kExecute);
-    if (traced && reply.type == FrameType::kError) trace->ok = false;
-    return reply;
-  }
-  if (type == FrameType::kUpdate) {
+    reply = RouteStats(payload);
+  } else if (type == FrameType::kUpdate) {
     // Decode only to validate and to label the trace; the raw bytes are
     // what the shards receive.
     Result<WireUpdate> update = DecodeUpdate(payload);
     clock.Stamp(trace, telemetry::Stage::kDecode);
-    if (!update.ok()) {
-      if (traced) trace->ok = false;
-      return Counted(ErrorReply(update.status()));
-    }
+    if (!update.ok()) return ErrorReply(update.status());
+    if (traced) trace->graph = update->graph;
+    reply = RouteUpdate(payload);
+  } else {
+    Result<WireRequest> request = DecodeRequest(payload);
+    clock.Stamp(trace, telemetry::Stage::kDecode);
+    if (!request.ok()) return ErrorReply(request.status());
     if (traced) {
-      trace->graph = update->graph;
-      trace->query = "update";
+      trace->graph = request->graph;
+      trace->query = CanonicalQueryName(request->request.query);
+      trace->samples =
+          static_cast<std::uint64_t>(request->request.num_samples);
     }
-    ReplyFrame reply = RouteUpdate(payload);
-    clock.Stamp(trace, telemetry::Stage::kExecute);
-    if (traced && reply.type == FrameType::kError) trace->ok = false;
-    return reply;
+    reply = RouteQuery(*request, payload);
   }
-  Result<WireRequest> request = DecodeRequest(payload);
-  clock.Stamp(trace, telemetry::Stage::kDecode);
-  if (!request.ok()) {
-    if (traced) trace->ok = false;
-    return Counted(ErrorReply(request.status()));
-  }
-  if (traced) {
-    trace->graph = request->graph;
-    trace->query = CanonicalQueryName(request->request.query);
-    trace->samples = static_cast<std::uint64_t>(request->request.num_samples);
-  }
-  ReplyFrame reply = RouteQuery(*request, payload);
   clock.Stamp(trace, telemetry::Stage::kExecute);
-  if (traced && reply.type == FrameType::kError) trace->ok = false;
-  return reply;
-}
-
-ReplyFrame Router::Counted(ReplyFrame reply) {
-  if (reply.type == FrameType::kResult ||
-      reply.type == FrameType::kUpdateReply) {
-    telemetry_.requests.Add();
-  } else if (reply.type == FrameType::kError) {
-    telemetry_.errors.Add();
-  }
   return reply;
 }
 
@@ -365,7 +327,7 @@ ReplyFrame Router::RouteQuery(const WireRequest& request,
     if (racers.size() == 2) {
       std::optional<ReplyFrame> raced = RaceForward(
           payload, shards_[racers[0]].get(), shards_[racers[1]].get());
-      if (raced.has_value()) return Counted(std::move(*raced));
+      if (raced.has_value()) return std::move(*raced);
       // Both racers' transports died: fall through to failover, which
       // re-reads health (the Note* calls above demoted them).
       failovers_.Add();
@@ -407,8 +369,8 @@ ReplyFrame Router::RouteUpdate(const std::string& payload) {
       // and no version moves. Forward the shard's error as-is and stop:
       // the remaining shards would only repeat it.
       update_failures_.Add();
-      return Counted({reply->type, std::make_shared<const std::string>(
-                                       std::move(reply->payload))});
+      return {reply->type,
+              std::make_shared<const std::string>(std::move(reply->payload))};
     }
     ++acked;
     if (!ack.has_value()) ack = std::move(*reply);
@@ -419,14 +381,14 @@ ReplyFrame Router::RouteUpdate(const std::string& payload) {
     // stats). The client gets a typed error so it can retry; shard
     // restarts reset versions anyway (logs are in-memory).
     update_failures_.Add();
-    return Counted(ErrorReply(Status::IOError(
+    return ErrorReply(Status::IOError(
         "router: update acked by " + std::to_string(acked) + "/" +
         std::to_string(shards_.size()) +
-        " shards (last failure: " + last.message() + ")")));
+        " shards (last failure: " + last.message() + ")"));
   }
   Frame& first = *ack;
-  return Counted({first.type, std::make_shared<const std::string>(
-                                  std::move(first.payload))});
+  return {first.type,
+          std::make_shared<const std::string>(std::move(first.payload))};
 }
 
 ReplyFrame Router::ForwardWithFailover(
@@ -438,8 +400,8 @@ ReplyFrame Router::ForwardWithFailover(
     Result<Frame> reply = ForwardOnce(shard, type, payload);
     if (reply.ok()) {
       NoteShardSuccess(shard);
-      return Counted({reply->type, std::make_shared<const std::string>(
-                                       std::move(reply->payload))});
+      return {reply->type,
+              std::make_shared<const std::string>(std::move(reply->payload))};
     }
     // Transport failure: demote the shard and try the next candidate.
     // Safe to retry even if the request reached the shard -- responses
@@ -449,9 +411,9 @@ ReplyFrame Router::ForwardWithFailover(
     last = reply.status();
     if (i + 1 < candidates.size()) failovers_.Add();
   }
-  return Counted(ErrorReply(Status::IOError(
+  return ErrorReply(Status::IOError(
       "router: no shard available (" + std::to_string(candidates.size()) +
-      " tried; last: " + last.message() + ")")));
+      " tried; last: " + last.message() + ")"));
 }
 
 Result<Frame> Router::ForwardOnce(ShardLink* shard, FrameType type,
@@ -585,8 +547,8 @@ std::optional<ReplyFrame> Router::RaceForward(const std::string& payload,
 RouterStats Router::stats() const {
   RouterStats stats;
   stats.connections = server_.connections();
-  stats.requests = telemetry_.requests.Value();
-  stats.errors = telemetry_.errors.Value() + server_.protocol_errors();
+  stats.requests = server_.requests();
+  stats.errors = server_.errors();
   stats.failovers = failovers_.Value();
   stats.raced = raced_.Value();
   stats.race_mismatches = race_mismatches_.Value();
@@ -644,7 +606,7 @@ std::string Router::StatsJson() const {
            "\",\"stats\":" + (last_stats.empty() ? "null" : last_stats) +
            "}";
   }
-  out += "],\"telemetry\":" + telemetry_.Json() + "}";
+  out += "],\"telemetry\":" + server_.telemetry().Json() + "}";
   return out;
 }
 

@@ -125,9 +125,10 @@ struct RouterStats {
 /// in the aggregated stats' embedded per-shard registry sections; see
 /// docs/dynamic-graphs.md).
 ///
-/// Frontend transport (epoll reactor, pipelining, backpressure) is the
-/// same FrameServer ugs_serve runs on; forwarding happens on its
-/// dispatch workers over per-shard pooled connections.
+/// Frontend transport (epoll reactor, pipelining, backpressure) and
+/// request accounting are the same FrameServer ugs_serve runs on;
+/// forwarding happens on its dispatch workers over per-shard pooled
+/// connections.
 class Router {
  public:
   explicit Router(RouterOptions options);
@@ -149,11 +150,6 @@ class Router {
 
   /// The aggregated stats JSON (the empty stats verb's reply).
   std::string StatsJson() const;
-
-  /// The Prometheus text exposition of the router's own metrics (what
-  /// the kMetricsStatsVerb stats sub-verb returns; per-shard series are
-  /// labeled shard="host:port").
-  std::string PrometheusText() const { return metrics_.PrometheusText(); }
 
   /// Current health of shard `index` (test/monitoring hook).
   ShardState shard_state(std::size_t index) const;
@@ -231,19 +227,16 @@ class Router {
   /// The effective replica count for one graph (per-graph override or
   /// the default, clamped to the fleet size).
   std::size_t ReplicationFor(const std::string& graph) const;
-  /// Wraps a reply frame, counting results vs errors.
-  ReplyFrame Counted(ReplyFrame reply);
 
-  /// Transport options with the trace sink patched in.
-  FrameServerOptions MakeTransportOptions();
-  /// Registers the router's own metrics (per-shard forward series,
-  /// routing counters) next to the request telemetry.
+  /// Registers the router's own metrics (routing counters, per-shard
+  /// forward series) after the front end's.
   void BuildMetrics();
 
   // --- Health monitor. ---
 
   void MonitorLoop();
-  /// One poll of one shard: connect + empty stats verb.
+  /// One poll of one shard: connect + empty stats verb on a fresh
+  /// probe connection, closed afterwards.
   void PollShard(ShardLink* shard);
 
   RouterOptions options_;
@@ -251,8 +244,6 @@ class Router {
   std::vector<std::unique_ptr<ShardLink>> shards_;
 
   telemetry::Registry metrics_;
-  /// Request counters, latency by kind and by stage, slow-query log.
-  telemetry::RequestTelemetry telemetry_;
   telemetry::Counter failovers_;
   telemetry::Counter raced_;
   telemetry::Counter race_mismatches_;
@@ -266,7 +257,8 @@ class Router {
   bool monitor_stop_ UGS_GUARDED_BY(monitor_mutex_) = false;
 
   /// Last member: destruction joins the frontend's threads while the
-  /// shard links they forward over are still alive.
+  /// shard links they forward over are still alive. Owns the request
+  /// telemetry and files every reply's outcome.
   FrameServer server_;
 };
 

@@ -14,6 +14,8 @@
 #include <ctime>
 #include <utility>
 
+#include "query/query.h"
+
 namespace ugs {
 
 namespace {
@@ -100,8 +102,40 @@ struct FrameServer::Conn {
   bool closed UGS_GUARDED_BY(mutex) = false;
 };
 
-FrameServer::FrameServer(FrameServerOptions options, Handler handler)
-    : options_(std::move(options)), handler_(std::move(handler)) {}
+FrameServer::FrameServer(FrameServerOptions options,
+                         const telemetry::ServiceOptions& telemetry,
+                         telemetry::Registry* metrics, Handler handler)
+    : options_(std::move(options)),
+      metrics_(metrics),
+      telemetry_(telemetry, KnownQueryNames(), metrics),
+      handler_(std::move(handler)) {
+  // The transport's own series follow the request block.
+  metrics_->AddCounter("ugs_connections_total",
+                       "Connections accepted since start.", {},
+                       &connections_);
+  metrics_->AddCounter(
+      "ugs_protocol_errors_total",
+      "Frames answered with a transport-level typed error.", {},
+      &protocol_errors_);
+  metrics_->AddCounter("ugs_frames_dispatched_total",
+                       "Decoded frames handed to the dispatch pool.", {},
+                       &frames_dispatched_);
+  metrics_->AddCounter("ugs_read_bytes_total",
+                       "Bytes read from client sockets.", {}, &read_bytes_);
+  metrics_->AddCounter("ugs_written_bytes_total",
+                       "Bytes written to client sockets.", {},
+                       &written_bytes_);
+  metrics_->AddGauge("ugs_in_flight_requests",
+                     "Requests accepted but not yet answered.", {},
+                     &in_flight_);
+  metrics_->AddGauge("ugs_dispatch_queue_depth",
+                     "Decoded frames waiting for a dispatch worker.", {},
+                     &dispatch_queue_depth_);
+  metrics_->AddGauge(
+      "ugs_reply_window_depth",
+      "Open reply slots across connections (pipelining depth).", {},
+      &reply_window_depth_);
+}
 
 FrameServer::~FrameServer() { Stop(); }
 
@@ -187,41 +221,30 @@ std::uint64_t FrameServer::uptime_ms() const {
           .count());
 }
 
-void FrameServer::ExportMetrics(telemetry::Registry* registry) const {
-  registry->AddCounter("ugs_connections_total",
-                       "Connections accepted since start.", {},
-                       &connections_);
-  registry->AddCounter(
-      "ugs_protocol_errors_total",
-      "Frames answered with a transport-level typed error.", {},
-      &protocol_errors_);
-  registry->AddCounter("ugs_frames_dispatched_total",
-                       "Decoded frames handed to the dispatch pool.", {},
-                       &frames_dispatched_);
-  registry->AddCounter("ugs_read_bytes_total",
-                       "Bytes read from client sockets.", {}, &read_bytes_);
-  registry->AddCounter("ugs_written_bytes_total",
-                       "Bytes written to client sockets.", {},
-                       &written_bytes_);
-  registry->AddGauge("ugs_in_flight_requests",
-                     "Requests accepted but not yet answered.", {},
-                     &in_flight_);
-  registry->AddGauge("ugs_dispatch_queue_depth",
-                     "Decoded frames waiting for a dispatch worker.", {},
-                     &dispatch_queue_depth_);
-  registry->AddGauge(
-      "ugs_reply_window_depth",
-      "Open reply slots across connections (pipelining depth).", {},
-      &reply_window_depth_);
-}
-
-ReplyFrame FrameServer::ExecuteUnexpected(FrameType received) {
-  protocol_errors_.Add();
-  return {FrameType::kError,
-          std::make_shared<const std::string>(
-              EncodeError(Status::InvalidArgument(
-                  "server: unexpected frame type " +
-                  std::to_string(static_cast<int>(received)))))};
+ReplyFrame FrameServer::Execute(const Job& job,
+                                telemetry::RequestTrace* trace) {
+  if (job.type == FrameType::kStats && job.payload == kMetricsStatsVerb) {
+    // The Prometheus sub-verb. Safe to claim this name: graph ids with
+    // '/' never reach a session registry. A router answers it too: its
+    // metrics describe the routing tier, and each shard's exposition is
+    // one `--metrics` call away.
+    return {FrameType::kStatsReply,
+            std::make_shared<const std::string>(metrics_->PrometheusText())};
+  }
+  ReplyFrame reply = handler_(job.type, job.payload, trace);
+  switch (reply.type) {
+    case FrameType::kResult:
+    case FrameType::kUpdateReply:
+      telemetry_.requests.Add();
+      break;
+    case FrameType::kError:
+      telemetry_.errors.Add();
+      trace->ok = false;
+      break;
+    default:  // kStatsReply: neither a request nor an error.
+      break;
+  }
+  return reply;
 }
 
 // --- Reactor. ---
@@ -439,18 +462,7 @@ void FrameServer::HandleReadable(const std::shared_ptr<Conn>& conn) {
       // on. Queue the typed error as the connection's final reply (it
       // still sits behind earlier pending replies, preserving order) and
       // close once everything has flushed.
-      protocol_errors_.Add();
-      {
-        MutexLock lock(&conn->mutex);
-        Conn::Reply reply;
-        reply.ready = true;
-        reply.frame = {FrameType::kError,
-                       std::make_shared<const std::string>(
-                           EncodeError(frame.status()))};
-        conn->replies.push_back(std::move(reply));
-        ++conn->next_seq;
-      }
-      reply_window_depth_.Add();
+      QueueProtocolError(conn, frame.status());
       conn->reading = false;
       conn->close_after_flush = true;
       break;
@@ -485,19 +497,12 @@ void FrameServer::HandleReadable(const std::shared_ptr<Conn>& conn) {
         jobs_cv_.Signal();
         break;
       }
-      default: {
-        ReplyFrame reply = ExecuteUnexpected(decoded.type);
-        {
-          MutexLock lock(&conn->mutex);
-          Conn::Reply slot;
-          slot.ready = true;
-          slot.frame = std::move(reply);
-          conn->replies.push_back(std::move(slot));
-          ++conn->next_seq;
-        }
-        reply_window_depth_.Add();
+      default:  // A frame type the dispatcher never accepts.
+        QueueProtocolError(
+            conn, Status::InvalidArgument(
+                      "server: unexpected frame type " +
+                      std::to_string(static_cast<int>(decoded.type))));
         break;
-      }
     }
   }
   if (conn->peer_eof && conn->decoder.buffered() > 0 &&
@@ -505,22 +510,25 @@ void FrameServer::HandleReadable(const std::shared_ptr<Conn>& conn) {
     // The stream ended inside a frame: answer ReadFrame's typed
     // mid-frame-EOF error (same message, same error accounting) as
     // this connection's final reply.
-    protocol_errors_.Add();
-    {
-      MutexLock lock(&conn->mutex);
-      Conn::Reply reply;
-      reply.ready = true;
-      reply.frame = {FrameType::kError,
-                     std::make_shared<const std::string>(EncodeError(
-                         Status::IOError("wire: connection closed "
-                                         "mid-frame")))};
-      conn->replies.push_back(std::move(reply));
-      ++conn->next_seq;
-    }
-    reply_window_depth_.Add();
+    QueueProtocolError(conn,
+                       Status::IOError("wire: connection closed mid-frame"));
     conn->close_after_flush = true;
   }
   PumpConnection(conn);
+}
+
+void FrameServer::QueueProtocolError(const std::shared_ptr<Conn>& conn,
+                                     const Status& status) {
+  protocol_errors_.Add();
+  {
+    MutexLock lock(&conn->mutex);
+    Conn::Reply reply;
+    reply.ready = true;
+    reply.frame = ErrorReply(status);
+    conn->replies.push_back(std::move(reply));
+    ++conn->next_seq;
+  }
+  reply_window_depth_.Add();
 }
 
 void FrameServer::HandleWritable(const std::shared_ptr<Conn>& conn) {
@@ -562,7 +570,7 @@ void FrameServer::PumpConnection(const std::shared_ptr<Conn>& conn) {
     }
     conn->bytes_enqueued = conn->out.size() - conn->out_off +
                            conn->bytes_flushed;
-    if (reply.traced && options_.trace_sink) {
+    if (reply.traced) {
       Conn::PendingWrite pw;
       pw.end_offset = conn->bytes_enqueued;
       pw.trace = std::move(reply.trace);
@@ -596,7 +604,7 @@ void FrameServer::PumpConnection(const std::shared_ptr<Conn>& conn) {
   }
 
   // Finalize the spans whose bytes the socket has fully accepted: stamp
-  // the write stage and hand the completed trace to the sink.
+  // the write stage and fold the completed trace into the telemetry.
   if (!conn->pending_writes.empty()) {
     const auto now = std::chrono::steady_clock::now();
     while (!conn->pending_writes.empty() &&
@@ -605,7 +613,7 @@ void FrameServer::PumpConnection(const std::shared_ptr<Conn>& conn) {
       pw.trace.stage_us[static_cast<std::size_t>(telemetry::Stage::kWrite)] =
           ElapsedUs(pw.ready_at, now);
       pw.trace.total_us = ElapsedUs(pw.arrival, now);
-      options_.trace_sink(pw.trace);
+      telemetry_.Record(pw.trace);
       conn->pending_writes.pop_front();
     }
   }
@@ -689,7 +697,7 @@ void FrameServer::CompleteJob(const std::shared_ptr<Conn>& conn,
 }
 
 void FrameServer::DispatchLoop() {
-  const bool traced = static_cast<bool>(options_.trace_sink);
+  const bool traced = telemetry_.enabled();
   for (;;) {
     Job job;
     {
@@ -704,8 +712,12 @@ void FrameServer::DispatchLoop() {
     if (traced) {
       trace.stage_us[static_cast<std::size_t>(telemetry::Stage::kQueueWait)] =
           ElapsedUs(job.arrival, std::chrono::steady_clock::now());
+      // Frame kinds label their own spans; the handler labels a query
+      // with its canonical name once decoded.
+      if (job.type == FrameType::kStats) trace.query = "stats";
+      if (job.type == FrameType::kUpdate) trace.query = "update";
     }
-    ReplyFrame reply = handler_(job.type, job.payload, &trace);
+    ReplyFrame reply = Execute(job, &trace);
     CompleteJob(job.conn, job.seq, std::move(reply), std::move(trace), traced,
                 job.arrival);
   }

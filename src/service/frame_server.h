@@ -38,13 +38,13 @@ struct FrameServerOptions {
   int port = 0;
   /// Dispatch threads draining decoded frames from all connections.
   int num_workers = 1;
-  /// Called once per dispatched request after its reply bytes reach the
-  /// socket, with the completed span breakdown (queue-wait and write
-  /// stages stamped by the transport, the rest by the handler). Runs on
-  /// the reactor thread: must be cheap and must not block. Null
-  /// disables span bookkeeping entirely.
-  std::function<void(const telemetry::RequestTrace&)> trace_sink;
 };
+
+/// Typed error reply carrying `status`.
+inline ReplyFrame ErrorReply(const Status& status) {
+  return {FrameType::kError,
+          std::make_shared<const std::string>(EncodeError(status))};
+}
 
 /// The transport tier shared by ugs_serve and ugs_router: an epoll
 /// reactor speaking the wire protocol (service/wire.h) over TCP, with a
@@ -63,16 +63,28 @@ struct FrameServerOptions {
 ///
 /// The handler runs on the dispatch pool and must be thread-safe. It
 /// receives the frame type (kRequest, kStats, or kUpdate), the raw
-/// payload, and a
-/// per-request trace to stamp stage timings and identity into, and
-/// returns the reply frame to deliver.
+/// payload, and a per-request trace to stamp stage timings and identity
+/// into, and returns the reply frame to deliver. The handler only
+/// computes replies; the request accounting of the front end lives
+/// here. FrameServer answers the kMetricsStatsVerb stats sub-verb
+/// itself, labels stats and update spans by frame type, and files every
+/// handler reply by one rule: kResult and kUpdateReply count as
+/// requests, kError as an error (and marks the span failed),
+/// kStatsReply as neither. Spans are folded into the RequestTelemetry
+/// block once their reply bytes reach the socket.
 class FrameServer {
  public:
   using Handler =
       std::function<ReplyFrame(FrameType type, const std::string& payload,
                                telemetry::RequestTrace* trace)>;
 
-  FrameServer(FrameServerOptions options, Handler handler);
+  /// `telemetry` configures the request block (spans, slow-query log).
+  /// That block and the transport's own metrics are registered into
+  /// `metrics`, whose Prometheus text answers kMetricsStatsVerb;
+  /// `metrics` is borrowed and must outlive this server.
+  FrameServer(FrameServerOptions options,
+              const telemetry::ServiceOptions& telemetry,
+              telemetry::Registry* metrics, Handler handler);
   ~FrameServer();
 
   FrameServer(const FrameServer&) = delete;
@@ -95,10 +107,18 @@ class FrameServer {
   /// Connections accepted since Start (monotonic).
   std::uint64_t connections() const { return connections_.Value(); }
 
-  /// Frames answered with a transport-level typed error (unexpected
-  /// frame type, unparseable header, mid-frame EOF) -- the slice of the
-  /// owner's error counter this tier generates itself.
-  std::uint64_t protocol_errors() const { return protocol_errors_.Value(); }
+  /// Query and update frames answered with a result.
+  std::uint64_t requests() const { return telemetry_.requests.Value(); }
+
+  /// Frames answered with an error: the handler's kError replies plus
+  /// the transport's own typed errors (unexpected frame type,
+  /// unparseable header, mid-frame EOF).
+  std::uint64_t errors() const {
+    return telemetry_.errors.Value() + protocol_errors_.Value();
+  }
+
+  /// The request block (its Json() is the stats verb's "telemetry").
+  const telemetry::RequestTelemetry& telemetry() const { return telemetry_; }
 
   /// Milliseconds since Start (0 before the first Start).
   std::uint64_t uptime_ms() const;
@@ -109,11 +129,6 @@ class FrameServer {
     const std::int64_t v = in_flight_.Value();
     return v > 0 ? static_cast<std::uint64_t>(v) : 0;
   }
-
-  /// Registers the transport's metrics (accepts, bytes read/written,
-  /// dispatch queue depth, reply-window depth, ...) with `registry`.
-  /// Call before Start; the registry must not outlive this server.
-  void ExportMetrics(telemetry::Registry* registry) const;
 
  private:
   /// One multiplexed connection (defined in frame_server.cc;
@@ -132,8 +147,9 @@ class FrameServer {
     std::chrono::steady_clock::time_point arrival{};
   };
 
-  /// Reply to a frame whose type the dispatcher never accepts.
-  ReplyFrame ExecuteUnexpected(FrameType received);
+  /// Runs one dispatched frame (the handler, or the Prometheus text for
+  /// kMetricsStatsVerb) and files the reply under the outcome rule.
+  ReplyFrame Execute(const Job& job, telemetry::RequestTrace* trace);
 
   // --- Reactor (all Handle*/reactor state is reactor-thread-only except
   // the reply slots, which workers fill under Conn::mutex). ---
@@ -145,6 +161,10 @@ class FrameServer {
   void AcceptNewConnections();
   void HandleReadable(const std::shared_ptr<Conn>& conn);
   void HandleWritable(const std::shared_ptr<Conn>& conn);
+  /// Appends a ready, untraced transport-level typed error to the reply
+  /// window and counts it as a protocol error.
+  void QueueProtocolError(const std::shared_ptr<Conn>& conn,
+                          const Status& status);
   /// Appends ready reply frames (in request order, prefix only) to the
   /// write buffer and flushes what the socket accepts.
   void PumpConnection(const std::shared_ptr<Conn>& conn);
@@ -159,6 +179,10 @@ class FrameServer {
   void WakeReactor();
 
   FrameServerOptions options_;
+  telemetry::Registry* const metrics_;
+  /// Request counters, latency by kind (canonical query names +
+  /// "stats" + "update" + "other") and by stage, slow-query log.
+  telemetry::RequestTelemetry telemetry_;
   Handler handler_;
 
   int listen_fd_ = -1;

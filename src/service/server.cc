@@ -18,21 +18,14 @@ SessionRegistryOptions Server::MakeRegistryOptions() const {
   return registry;
 }
 
-FrameServerOptions Server::MakeTransportOptions() {
-  FrameServerOptions transport;
-  transport.host = options_.host;
-  transport.port = options_.port;
-  transport.num_workers = options_.num_workers;
-  transport.trace_sink = telemetry_.Sink();
-  return transport;
-}
-
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       registry_(MakeRegistryOptions()),
       cache_(options_.cache),
-      telemetry_(options_.telemetry, KnownQueryNames(), &metrics_),
-      server_(MakeTransportOptions(),
+      server_({.host = options_.host,
+               .port = options_.port,
+               .num_workers = options_.num_workers},
+              options_.telemetry, &metrics_,
               [this](FrameType type, const std::string& payload,
                      telemetry::RequestTrace* trace) {
                 switch (type) {
@@ -47,7 +40,6 @@ Server::Server(ServerOptions options)
   metrics_.AddCounter("ugs_worlds_sampled_total",
                       "Possible worlds drawn by the sample engines.", {},
                       &worlds_sampled_);
-  server_.ExportMetrics(&metrics_);
   cache_.ExportMetrics(&metrics_);
   registry_.ExportMetrics(&metrics_);
 }
@@ -66,97 +58,67 @@ ReplyFrame Server::ExecuteQuery(const std::string& payload,
   telemetry::StageClock clock(traced);
   Result<WireRequest> request = DecodeRequest(payload);
   clock.Stamp(trace, telemetry::Stage::kDecode);
-  Status failure = Status::OK();
-  if (!request.ok()) {
-    failure = request.status();
-  } else {
-    if (traced) {
-      trace->graph = request->graph;
-      trace->query = CanonicalQueryName(request->request.query);
-    }
-    std::string key;
-    std::uint64_t key_version = 0;
-    if (cache_.enabled()) {
-      // The key carries the graph's current version, so an update
-      // invalidates exactly the old version's entries: this lookup can
-      // never surface a pre-update payload.
-      key_version = registry_.CurrentVersion(request->graph);
-      key = ResultCache::Key(request->graph, key_version, request->request);
-      std::shared_ptr<const std::string> hit = cache_.Lookup(key);
-      clock.Stamp(trace, telemetry::Stage::kCacheLookup);
-      if (hit != nullptr) {
-        // A hit replays the byte-identical payload of the cold run --
-        // sound because the result is a pure function of (graph id,
-        // graph version, request), seed included -- and shares the
-        // cached bytes instead of copying them.
-        telemetry_.requests.Add();
-        if (traced) trace->cache_hit = true;
-        return {FrameType::kResult, std::move(hit)};
-      }
-    }
-    Result<SessionRegistry::Handle> session =
-        registry_.Acquire(request->graph);
-    if (!session.ok()) {
-      failure = session.status();
-    } else {
-      // The pin (`session`) keeps the graph alive for the whole run even
-      // if a concurrent open evicts it from the registry.
-      Result<QueryResult> result = (*session)->Run(request->request);
-      clock.Stamp(trace, telemetry::Stage::kExecute);
-      if (result.ok()) {
-        telemetry_.requests.Add();
-        if (traced) {
-          trace->estimator = EstimatorName(result->estimator);
-          trace->samples =
-              static_cast<std::uint64_t>(result->samples.num_samples);
-        }
-        auto encoded =
-            std::make_shared<const std::string>(EncodeResult(*result));
-        clock.Stamp(trace, telemetry::Stage::kEncode);
-        if (cache_.enabled()) {
-          // A concurrent update may have bumped the version between the
-          // lookup and the pin; file the payload under the version the
-          // pinned session actually ran at, never a stale key.
-          if (result->graph_version != key_version) {
-            key = ResultCache::Key(request->graph, result->graph_version,
-                                   request->request);
-          }
-          cache_.Insert(key, encoded);
-        }
-        return {FrameType::kResult, std::move(encoded)};
-      }
-      failure = result.status();
+  if (!request.ok()) return ErrorReply(request.status());
+  if (traced) {
+    trace->graph = request->graph;
+    trace->query = CanonicalQueryName(request->request.query);
+  }
+  std::string key;
+  std::uint64_t key_version = 0;
+  if (cache_.enabled()) {
+    // The key carries the graph's current version, so an update
+    // invalidates exactly the old version's entries: this lookup can
+    // never surface a pre-update payload.
+    key_version = registry_.CurrentVersion(request->graph);
+    key = ResultCache::Key(request->graph, key_version, request->request);
+    std::shared_ptr<const std::string> hit = cache_.Lookup(key);
+    clock.Stamp(trace, telemetry::Stage::kCacheLookup);
+    if (hit != nullptr) {
+      // A hit replays the byte-identical payload of the cold run --
+      // sound because the result is a pure function of (graph id,
+      // graph version, request), seed included -- and shares the
+      // cached bytes instead of copying them.
+      if (traced) trace->cache_hit = true;
+      return {FrameType::kResult, std::move(hit)};
     }
   }
-  telemetry_.errors.Add();
-  if (traced) trace->ok = false;
-  return {FrameType::kError,
-          std::make_shared<const std::string>(EncodeError(failure))};
+  Result<SessionRegistry::Handle> session = registry_.Acquire(request->graph);
+  if (!session.ok()) return ErrorReply(session.status());
+  // The pin (`session`) keeps the graph alive for the whole run even if
+  // a concurrent open evicts it from the registry.
+  Result<QueryResult> result = (*session)->Run(request->request);
+  clock.Stamp(trace, telemetry::Stage::kExecute);
+  if (!result.ok()) return ErrorReply(result.status());
+  if (traced) {
+    trace->estimator = EstimatorName(result->estimator);
+    trace->samples = static_cast<std::uint64_t>(result->samples.num_samples);
+  }
+  auto encoded = std::make_shared<const std::string>(EncodeResult(*result));
+  clock.Stamp(trace, telemetry::Stage::kEncode);
+  if (cache_.enabled()) {
+    // A concurrent update may have bumped the version between the
+    // lookup and the pin; file the payload under the version the pinned
+    // session actually ran at, never a stale key.
+    if (result->graph_version != key_version) {
+      key = ResultCache::Key(request->graph, result->graph_version,
+                             request->request);
+    }
+    cache_.Insert(key, encoded);
+  }
+  return {FrameType::kResult, std::move(encoded)};
 }
 
 ReplyFrame Server::ExecuteStats(const std::string& payload,
                                 telemetry::RequestTrace* trace) {
-  if (options_.telemetry.enabled) trace->query = "stats";
   if (payload.empty()) {
     return {FrameType::kStatsReply,
             std::make_shared<const std::string>(StatsJson())};
-  }
-  if (payload == kMetricsStatsVerb) {
-    // The Prometheus sub-verb. Safe to claim this name: graph ids with
-    // '/' never reach the registry.
-    return {FrameType::kStatsReply,
-            std::make_shared<const std::string>(metrics_.PrometheusText())};
   }
   // Non-empty payload: describe one graph (opening it if needed), so
   // clients can size requests without shipping the graph.
   if (options_.telemetry.enabled) trace->graph = payload;
   Result<SessionRegistry::Handle> session = registry_.Acquire(payload);
-  if (!session.ok()) {
-    telemetry_.errors.Add();
-    if (options_.telemetry.enabled) trace->ok = false;
-    return {FrameType::kError, std::make_shared<const std::string>(
-                                   EncodeError(session.status()))};
-  }
+  if (!session.ok()) return ErrorReply(session.status());
   const UncertainGraph& graph = (*session)->graph();
   return {FrameType::kStatsReply,
           std::make_shared<const std::string>(
@@ -169,37 +131,24 @@ ReplyFrame Server::ExecuteUpdate(const std::string& payload,
                                  telemetry::RequestTrace* trace) {
   const bool traced = options_.telemetry.enabled;
   telemetry::StageClock clock(traced);
-  if (traced) trace->query = "update";
   Result<WireUpdate> update = DecodeUpdate(payload);
   clock.Stamp(trace, telemetry::Stage::kDecode);
-  Status failure = Status::OK();
-  if (!update.ok()) {
-    failure = update.status();
-  } else {
-    if (traced) trace->graph = update->graph;
-    Result<std::uint64_t> version =
-        registry_.ApplyUpdates(update->graph, update->updates);
-    clock.Stamp(trace, telemetry::Stage::kExecute);
-    if (version.ok()) {
-      // Every entry cached under the pre-update version is now
-      // unreachable (version-keyed lookups ask for *version); record
-      // the exact stale count and let LRU retire the bytes.
-      if (cache_.enabled()) cache_.Invalidate(update->graph, *version - 1);
-      telemetry_.requests.Add();
-      WireUpdateReply reply;
-      reply.version = *version;
-      reply.applied = static_cast<std::uint32_t>(update->updates.size());
-      auto encoded =
-          std::make_shared<const std::string>(EncodeUpdateReply(reply));
-      clock.Stamp(trace, telemetry::Stage::kEncode);
-      return {FrameType::kUpdateReply, std::move(encoded)};
-    }
-    failure = version.status();
-  }
-  telemetry_.errors.Add();
-  if (traced) trace->ok = false;
-  return {FrameType::kError,
-          std::make_shared<const std::string>(EncodeError(failure))};
+  if (!update.ok()) return ErrorReply(update.status());
+  if (traced) trace->graph = update->graph;
+  Result<std::uint64_t> version =
+      registry_.ApplyUpdates(update->graph, update->updates);
+  clock.Stamp(trace, telemetry::Stage::kExecute);
+  if (!version.ok()) return ErrorReply(version.status());
+  // Every entry cached under the pre-update version is now unreachable
+  // (version-keyed lookups ask for *version); record the exact stale
+  // count and let LRU retire the bytes.
+  if (cache_.enabled()) cache_.Invalidate(update->graph, *version - 1);
+  WireUpdateReply reply;
+  reply.version = *version;
+  reply.applied = static_cast<std::uint32_t>(update->updates.size());
+  auto encoded = std::make_shared<const std::string>(EncodeUpdateReply(reply));
+  clock.Stamp(trace, telemetry::Stage::kEncode);
+  return {FrameType::kUpdateReply, std::move(encoded)};
 }
 
 // --- Stats. ---
@@ -207,11 +156,8 @@ ReplyFrame Server::ExecuteUpdate(const std::string& payload,
 ServerStats Server::stats() const {
   ServerStats stats;
   stats.connections = server_.connections();
-  stats.requests = telemetry_.requests.Value();
-  // Execution-level errors plus the transport tier's own (unexpected
-  // frame types, garbage headers, mid-frame EOF) -- the same total the
-  // pre-split server counted in one place.
-  stats.errors = telemetry_.errors.Value() + server_.protocol_errors();
+  stats.requests = server_.requests();
+  stats.errors = server_.errors();
   stats.uptime_ms = server_.uptime_ms();
   stats.in_flight = server_.in_flight();
   return stats;
@@ -235,8 +181,9 @@ std::string Server::StatsJson() const {
          "},\"cache\":" + cache_.StatsJson() +
          ",\"registry\":" + registry_.StatsJson() +
          ",\"telemetry\":" +
-         telemetry_.Json(",\"worlds_sampled\":" + std::to_string(worlds) +
-                         ",\"samples_per_sec\":" + rate) +
+         server_.telemetry().Json(",\"worlds_sampled\":" +
+                                  std::to_string(worlds) +
+                                  ",\"samples_per_sec\":" + rate) +
          "}";
 }
 

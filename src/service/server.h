@@ -66,8 +66,10 @@ struct ServerStats {
 /// unparseable frame header) closes it.
 ///
 /// Transport (epoll reactor, dispatch pool, reply ordering,
-/// backpressure) lives in FrameServer -- the tier this class shares with
-/// ugs_router; Server supplies the query/stats execution on top.
+/// backpressure) and request accounting (counters, spans, the
+/// Prometheus sub-verb) live in FrameServer -- the front end this class
+/// shares with ugs_router; Server supplies the query/stats/update
+/// execution on top.
 ///
 /// Observability: every request's span (decode -> cache lookup -> queue
 /// wait -> execute -> encode -> socket write) is stamped into a trace,
@@ -112,10 +114,6 @@ class Server {
   /// docs/operations.md).
   std::string StatsJson() const;
 
-  /// The Prometheus text exposition of every registered metric (what
-  /// the kMetricsStatsVerb stats sub-verb returns).
-  std::string PrometheusText() const { return metrics_.PrometheusText(); }
-
  private:
   // --- Request execution (dispatch-worker side, via FrameServer's
   // handler). ---
@@ -126,9 +124,9 @@ class Server {
   /// `trace`.
   ReplyFrame ExecuteQuery(const std::string& payload,
                           telemetry::RequestTrace* trace);
-  /// Runs one stats payload (empty = counters JSON, kMetricsStatsVerb =
-  /// Prometheus text, otherwise a graph id to describe) into a reply
-  /// frame.
+  /// Runs one stats payload (empty = counters JSON, otherwise a graph
+  /// id to describe) into a reply frame; FrameServer answers
+  /// kMetricsStatsVerb itself.
   ReplyFrame ExecuteStats(const std::string& payload,
                           telemetry::RequestTrace* trace);
   /// Applies one batch of edge mutations through the registry, then
@@ -140,21 +138,17 @@ class Server {
 
   /// Registry options with the telemetry hooks patched in.
   SessionRegistryOptions MakeRegistryOptions() const;
-  /// Transport options with the trace sink patched in.
-  FrameServerOptions MakeTransportOptions();
 
   ServerOptions options_;
   SessionRegistry registry_;
   ResultCache cache_;
 
   telemetry::Registry metrics_;
-  /// Request counters, latency by kind (canonical query names +
-  /// "stats" + "update" + "other") and by stage, slow-query log.
-  telemetry::RequestTelemetry telemetry_;
   telemetry::Counter worlds_sampled_;
 
   /// Last member: destruction joins the transport threads before the
-  /// registry/cache/metrics they execute against go away.
+  /// registry/cache/metrics they execute against go away. Owns the
+  /// request telemetry and files every reply's outcome.
   FrameServer server_;
 };
 

@@ -621,7 +621,8 @@ std::string ResultToJson(const QueryResult& result, bool include_timing) {
 
 bool PayloadEquals(const QueryResult& a, const QueryResult& b) {
   auto knn_equal = [](const KnnResult& x, const KnnResult& y) {
-    return x.vertex == y.vertex && x.path_probability == y.path_probability;
+    return x.vertex == y.vertex &&
+           SameBits(x.path_probability, y.path_probability);
   };
   if (a.knn.size() != b.knn.size() || a.paths.size() != b.paths.size()) {
     return false;
@@ -634,13 +635,13 @@ bool PayloadEquals(const QueryResult& a, const QueryResult& b) {
   }
   for (std::size_t i = 0; i < a.paths.size(); ++i) {
     if (a.paths[i].vertices != b.paths[i].vertices ||
-        a.paths[i].probability != b.paths[i].probability) {
+        !SameBits(a.paths[i].probability, b.paths[i].probability)) {
       return false;
     }
   }
   return a.query == b.query && a.estimator == b.estimator &&
-         a.samples == b.samples && a.means == b.means &&
-         a.has_scalar == b.has_scalar && a.scalar == b.scalar;
+         a.samples == b.samples && SameBits(a.means, b.means) &&
+         a.has_scalar == b.has_scalar && SameBits(a.scalar, b.scalar);
 }
 
 void AppendFrame(std::string* out, FrameType type, std::string_view payload) {

@@ -11,6 +11,11 @@
 namespace ugs {
 namespace {
 
+/// eps calibration: run r tries eps * kTheta^(+/-r), at most
+/// kMaxCalibrationRuns runs in all.
+constexpr double kTheta = 1.1;
+constexpr int kMaxCalibrationRuns = 60;
+
 /// Integer weight transform w_e = round(p_e / p_min), floored at 1 and
 /// capped at max_weight.
 std::vector<int> TransformWeights(const UncertainGraph& graph,
@@ -116,7 +121,7 @@ Result<NiResult> NiSparsify(const UncertainGraph& graph, double alpha,
   // Calibration: approximate the minimum eps with |E'| <= target.
   //
   // Every calibration run r is a pure function of its index: it evaluates
-  // eps * theta^(+/- r) with its own seed-split RNG stream. That makes the
+  // eps * kTheta^(+/- r) with its own seed-split RNG stream. That makes the
   // grow/shrink scans embarrassingly parallel -- candidates are evaluated
   // speculatively in pool-sized batches, then scanned in sequential index
   // order, so the selected (eps, core result) and the reported run count
@@ -124,7 +129,7 @@ Result<NiResult> NiSparsify(const UncertainGraph& graph, double alpha,
   const double initial_eps = eps;
   const std::uint64_t calibration_base = rng->Next64();
   auto eps_at = [&](int exponent) {
-    return initial_eps * std::pow(options.theta, exponent);
+    return initial_eps * std::pow(kTheta, exponent);
   };
   auto run_at = [&](int run_index, double run_eps) {
     Rng run_rng = SplitRng(calibration_base, run_index);
@@ -138,10 +143,11 @@ Result<NiResult> NiSparsify(const UncertainGraph& graph, double alpha,
   NiCoreResult first = run_at(0, eps);
   ++runs;
   if (first.edges.size() > target) {
-    // Too many edges: grow eps by theta per run until the first that fits.
+    // Too many edges: grow eps by kTheta per run until the first that
+    // fits.
     int index = 1;
-    while (runs < options.max_calibration_runs && !have_best) {
-      const int budget = options.max_calibration_runs - runs;
+    while (runs < kMaxCalibrationRuns && !have_best) {
+      const int budget = kMaxCalibrationRuns - runs;
       const int batch =
           std::min(budget, std::max(1, thread_pool.num_threads()));
       std::vector<NiCoreResult> results(batch);
@@ -165,7 +171,7 @@ Result<NiResult> NiSparsify(const UncertainGraph& graph, double alpha,
       // Give up calibrating; fall back to an empty core result (the
       // Monte-Carlo fill below produces the requested edge count).
       best = NiCoreResult{};
-      best_eps = eps_at(options.max_calibration_runs - 1);
+      best_eps = eps_at(kMaxCalibrationRuns - 1);
     }
   } else {
     // Fits already: shrink eps while it keeps fitting, keep the last fit.
@@ -174,8 +180,8 @@ Result<NiResult> NiSparsify(const UncertainGraph& graph, double alpha,
     have_best = true;
     int index = 1;
     bool overflowed = false;
-    while (runs < options.max_calibration_runs && !overflowed) {
-      const int budget = options.max_calibration_runs - runs;
+    while (runs < kMaxCalibrationRuns && !overflowed) {
+      const int budget = kMaxCalibrationRuns - runs;
       const int batch =
           std::min(budget, std::max(1, thread_pool.num_threads()));
       std::vector<NiCoreResult> results(batch);

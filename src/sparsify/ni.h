@@ -19,14 +19,13 @@ namespace ugs {
 ///      forest r), decrement weights, and when an edge's weight reaches 0
 ///      at round r sample it with l_e = min(log n / (eps^2 r), 1), keeping
 ///      it with inflated weight w'_e = w_e / l_e;
-///   3. calibrate eps by factor theta until the first run with
-///      |E'| <= alpha |E| (from above) / the last such run (from below);
+///   3. calibrate eps by factor theta = 1.1 until the first run with
+///      |E'| <= alpha |E| (from above) / the last such run (from below),
+///      in at most 60 runs;
 ///   4. fill the remaining alpha|E| - |E'| edges by Monte-Carlo sampling
 ///      with the original probabilities;
 ///   5. transform back: p'_e = min(w'_e * p_min, 1).
 struct NiOptions {
-  double theta = 1.1;            ///< eps calibration factor.
-  int max_calibration_runs = 60;
   /// Cap on transformed integer weights; bounds the number of peeling
   /// rounds when p_min is pathologically small. Reported when it binds.
   int max_weight = 10000;

@@ -15,6 +15,9 @@ namespace {
 
 constexpr VertexId kNoCluster = static_cast<VertexId>(-1);
 
+/// The smallest stretch parameter t tried (a 3-spanner).
+constexpr int kMinT = 2;
+
 /// Per-vertex scan state reused across the clustering iterations: for the
 /// current vertex, the best (least-weight) alive edge to each adjacent
 /// cluster.
@@ -206,10 +209,10 @@ Result<SpannerResult> SpannerSparsify(const UncertainGraph& graph,
   // smallest t whose expected size fits the budget, or -- when every
   // expected size exceeds it (small graphs) -- the t minimizing the
   // expected size, i.e. the sparsest spanner the bound promises.
-  int t = options.min_t;
+  int t = kMinT;
   double best_expected = std::numeric_limits<double>::infinity();
   bool found_fitting = false;
-  for (int cand = options.min_t; cand <= options.max_t; ++cand) {
+  for (int cand = kMinT; cand <= options.max_t; ++cand) {
     double expected =
         cand * std::pow(static_cast<double>(n),
                         1.0 + 1.0 / static_cast<double>(cand));
@@ -236,7 +239,6 @@ Result<SpannerResult> SpannerSparsify(const UncertainGraph& graph,
   if (spanner.size() > target) {
     // Even the sparsest spanner overshoots (tiny alpha): keep a maximum
     // spanning tree (by probability) and the lightest remaining edges.
-    out.trimmed = true;
     std::vector<EdgeId> tree = MaximumSpanningForest(graph, spanner);
     std::vector<char> in_tree(m, 0);
     for (EdgeId e : tree) in_tree[e] = 1;

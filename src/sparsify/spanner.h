@@ -22,14 +22,11 @@ namespace ugs {
 ///   * remaining budget filled by Monte-Carlo edge sampling.
 struct SpannerOptions {
   int max_t = 24;                ///< calibration ceiling for t.
-  int min_t = 2;
 };
 
 struct SpannerResult {
   std::vector<EdgeId> edges;     ///< ids into graph.edges().
   int t_used = 0;
-  bool trimmed = false;          ///< spanner overshot even at max_t and was
-                                 ///< cut back to the target (tree kept).
 };
 
 /// One raw Baswana-Sen run at fixed t over the given weights (lower is

@@ -87,12 +87,8 @@ RequestTelemetry::RequestTelemetry(const ServiceOptions& options,
                        &slow_queries_);
 }
 
-std::function<void(const RequestTrace&)> RequestTelemetry::Sink() {
-  if (!options_.enabled) return nullptr;
-  return [this](const RequestTrace& trace) { Record(trace); };
-}
-
 void RequestTelemetry::Record(const RequestTrace& trace) {
+  if (!options_.enabled) return;
   // Unlisted kinds fall through to "other", the last entry.
   auto kind = std::find_if(kinds_.begin(), kinds_.end() - 1,
                            [&trace](const auto& entry) {

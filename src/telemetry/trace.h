@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -84,12 +83,12 @@ struct ServiceOptions {
 ///  cache_hit=0 samples=1000 total_ms=41.203 decode_ms=0.012 ...`.
 std::string SlowQueryLine(const RequestTrace& trace);
 
-/// The per-request telemetry of one serving front end (ugs_serve or
-/// ugs_router): the answered/error counters, request latency by kind
-/// and by pipeline stage, the slow-query check, and the "telemetry"
-/// object of the stats JSON. Everything is registered into the owner's
-/// Registry at construction; the counters are live even when spans are
-/// off.
+/// The per-request telemetry of one serving front end (the FrameServer
+/// under ugs_serve or ugs_router): the answered/error counters, request
+/// latency by kind and by pipeline stage, the slow-query check, and the
+/// "telemetry" object of the stats JSON. Everything is registered into
+/// the given Registry at construction; the counters are live even when
+/// spans are off.
 class RequestTelemetry {
  public:
   /// `query_kinds` are the query labels in stats-JSON order; the frame
@@ -102,11 +101,12 @@ class RequestTelemetry {
   RequestTelemetry(const RequestTelemetry&) = delete;
   RequestTelemetry& operator=(const RequestTelemetry&) = delete;
 
-  /// The frame server's trace sink; null when spans are disabled.
-  std::function<void(const RequestTrace&)> Sink();
+  /// Whether spans are recorded (ServiceOptions::enabled).
+  bool enabled() const { return options_.enabled; }
 
   /// Folds one completed span into the kind and stage histograms and
-  /// logs it when it reaches the slow-query threshold.
+  /// logs it when it reaches the slow-query threshold. A no-op when
+  /// spans are disabled.
   void Record(const RequestTrace& trace);
 
   /// The "telemetry" stats object. `extra` is a `,"key":value...`

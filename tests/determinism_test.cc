@@ -34,6 +34,15 @@ const UncertainGraph& DeterminismGraph() {
   return *graph;
 }
 
+/// Parameter name "t<threads>" of the 1/2/8-thread matrices. Built by
+/// appending: GCC 12 at -O3 flags `"t" + std::to_string(...)` here with
+/// a false -Wrestrict.
+std::string ThreadsName(const ::testing::TestParamInfo<int>& info) {
+  std::string name = "t";
+  name += std::to_string(info.param);
+  return name;
+}
+
 bool SameGraph(const UncertainGraph& a, const UncertainGraph& b) {
   if (a.num_edges() != b.num_edges()) return false;
   for (EdgeId e = 0; e < a.num_edges(); ++e) {
@@ -180,10 +189,7 @@ TEST_P(EngineThreadCountTest, SkipSamplerBitIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads1_2_8, EngineThreadCountTest,
-                         ::testing::Values(1, 2, 8),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return "t" + std::to_string(info.param);
-                         });
+                         ::testing::Values(1, 2, 8), ThreadsName);
 
 /// The pool-taking kernels -- exact oracles, NI calibration, the sampled
 /// cut-discrepancy MAE and the greedy representative -- return the same
@@ -266,10 +272,7 @@ TEST_P(PoolWidthTest, GreedyRepresentativeBitIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads1_2_8, PoolWidthTest,
-                         ::testing::Values(1, 2, 8),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return "t" + std::to_string(info.param);
-                         });
+                         ::testing::Values(1, 2, 8), ThreadsName);
 
 TEST(GeneratorDeterminismTest, ChungLuSameSeed) {
   ChungLuOptions options;

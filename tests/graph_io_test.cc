@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -47,6 +48,37 @@ TEST(GraphIoTest, MalformedLineFails) {
 TEST(GraphIoTest, NegativeIdFails) {
   Result<UncertainGraph> r = ParseEdgeList("-1 2 0.5\n");
   ASSERT_FALSE(r.ok());
+}
+
+TEST(GraphIoTest, VertexIdsPastTheVertexIdRangeFail) {
+  // 2^32 + 1 and 2^32 would wrap to 1 and 0; 2^32 - 1 leaves no room
+  // for the vertex count. The id is refused before the graph is sized.
+  const std::pair<std::string, std::string> cases[] = {
+      {"4294967297 0 0.5\n", "line 1"},
+      {"4294967296 1 0.5\n", "line 1"},
+      {"0 1 0.5\n1 4294967295 0.5\n", "line 2"}};
+  for (const auto& [text, line] : cases) {
+    Result<UncertainGraph> r = ParseEdgeList(text);
+    ASSERT_FALSE(r.ok()) << text;
+    EXPECT_EQ(r.status().code(), StatusCode::kIOError) << text;
+    EXPECT_NE(r.status().message().find("vertex id out of range at " + line),
+              std::string::npos)
+        << r.status().ToString();
+  }
+}
+
+TEST(GraphIoTest, VertexCountPastTheVertexIdRangeFails) {
+  // Refused before anything is sized by the count.
+  for (const std::string count : {"4611686018427387904", "4294967296"}) {
+    Result<UncertainGraph> r =
+        ParseEdgeList("0 1 0.5\n# vertices: " + count + "\n");
+    ASSERT_FALSE(r.ok()) << count;
+    EXPECT_EQ(r.status().code(), StatusCode::kIOError);
+    EXPECT_NE(r.status().message().find("vertex count " + count +
+                                        " at line 2"),
+              std::string::npos)
+        << r.status().ToString();
+  }
 }
 
 TEST(GraphIoTest, BadProbabilityFails) {

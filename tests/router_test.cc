@@ -1,6 +1,7 @@
 #include "router/router.h"
 
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -291,6 +292,32 @@ TEST_F(RouterTest, HealthMonitorMarksAKilledShardDown) {
   const std::string json = router->StatsJson();
   EXPECT_NE(json.find("\"state\":\"down\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"healthy\":1"), std::string::npos) << json;
+}
+
+/// Open file descriptors of this process (router, shards and clients
+/// all live in it, so both ends of a loopback connection count).
+std::size_t OpenFds() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST_F(RouterTest, HealthMonitorClosesItsProbes) {
+  std::unique_ptr<Server> shard = StartShard();
+  RouterOptions options;
+  options.health_interval_ms = 5;
+  std::unique_ptr<Router> router = StartRouter({shard.get()}, options);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const std::size_t before = OpenFds();
+  // About 60 polls, no traffic. A probe kept open per poll would hold
+  // two descriptors each (client end and the shard's accepted end).
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const std::size_t after = OpenFds();
+  EXPECT_LE(after, before + 8) << before << " -> " << after;
+  EXPECT_EQ(router->shard_state(0), ShardState::kUp);
 }
 
 TEST_F(RouterTest, AggregatedStatsMergesShardJsonUnderRouterSchema) {

@@ -315,12 +315,18 @@ TEST(RequestTelemetryTest, ExtraFragmentFollowsSpansRecorded) {
             0u);
 }
 
-TEST(RequestTelemetryTest, DisabledTelemetryHasNoSinkButLiveCounters) {
+TEST(RequestTelemetryTest, DisabledTelemetryRecordsNoSpansButLiveCounters) {
   ServiceOptions options;
   options.enabled = false;
+  options.slow_query_ms = 1;
   Registry registry;
-  RequestTelemetry telemetry(options, {}, &registry);
-  EXPECT_FALSE(static_cast<bool>(telemetry.Sink()));
+  RequestTelemetry telemetry(options, {"reliability"}, &registry);
+  EXPECT_FALSE(telemetry.enabled());
+  telemetry.Record(TraceOf("reliability", 5000));
+  EXPECT_NE(telemetry.Json().find("\"slow_queries\":0,\"spans_recorded\":0,"
+                                  "\"request_ms\":{}"),
+            std::string::npos)
+      << telemetry.Json();
   telemetry.requests.Add();
   telemetry.errors.Add(2);
   const std::string text = registry.PrometheusText();

@@ -1,6 +1,7 @@
 #include "service/wire.h"
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -150,6 +151,36 @@ TEST(WireResultTest, RoundTripsSampledResultBitExactly) {
   Result<QueryResult> decoded = DecodeResult(EncodeResult(result));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ExpectResultsBitEqual(result, *decoded);
+}
+
+TEST(WireResultTest, PayloadEqualsComparesBitPatterns) {
+  QueryResult result = SampledResult();
+  result.has_scalar = true;
+  result.scalar = 0.0;
+  result.means[1] = 0.0;
+  result.knn = {{{3, 0.0}}};
+  result.paths = {{{0, 1}, 0.0}};
+  // A result differing only in the sign of one zero is another result.
+  QueryResult flipped = result;
+  flipped.scalar = -0.0;
+  EXPECT_FALSE(PayloadEquals(result, flipped));
+  flipped = result;
+  flipped.means[1] = -0.0;
+  EXPECT_FALSE(PayloadEquals(result, flipped));
+  flipped = result;
+  flipped.samples.values[2] = -0.0;
+  EXPECT_FALSE(PayloadEquals(result, flipped));
+  flipped = result;
+  flipped.knn[0][0].path_probability = -0.0;
+  EXPECT_FALSE(PayloadEquals(result, flipped));
+  flipped = result;
+  flipped.paths[0].probability = -0.0;
+  EXPECT_FALSE(PayloadEquals(result, flipped));
+  // A copy of a result carrying a NaN is the same result.
+  result.means[0] = std::numeric_limits<double>::quiet_NaN();
+  result.samples.values[0] = std::numeric_limits<double>::quiet_NaN();
+  const QueryResult copy = result;
+  EXPECT_TRUE(PayloadEquals(result, copy));
 }
 
 TEST(WireResultTest, RoundTripsScalarResult) {

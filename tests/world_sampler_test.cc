@@ -1,5 +1,7 @@
 #include "query/world_sampler.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "tests/test_util.h"
@@ -53,6 +55,19 @@ TEST(McSamplesTest, UnitMeanAllValid) {
   s.values = {1.0, 10.0, 2.0, 20.0, 3.0, 30.0};  // Sample-major.
   EXPECT_DOUBLE_EQ(s.UnitMean(0), 2.0);
   EXPECT_DOUBLE_EQ(s.UnitMean(1), 20.0);
+}
+
+TEST(McSamplesTest, EqualityIsBitwise) {
+  McSamples s;
+  s.num_units = 1;
+  s.num_samples = 2;
+  s.values = {0.0, 1.0};
+  McSamples flipped = s;
+  flipped.values[0] = -0.0;
+  EXPECT_FALSE(s == flipped);
+  s.values[1] = std::numeric_limits<double>::quiet_NaN();
+  const McSamples copy = s;
+  EXPECT_TRUE(s == copy);
 }
 
 TEST(McSamplesTest, ValidityFiltering) {
