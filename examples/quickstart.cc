@@ -13,9 +13,10 @@
 // per graph.
 
 #include <cstdio>
+#include <vector>
 
 #include "gen/generators.h"
-#include "graph/graph_builder.h"
+#include "graph/uncertain_graph.h"
 #include "graph/graph_stats.h"
 #include "metrics/discrepancy.h"
 #include "query/graph_session.h"
@@ -33,14 +34,13 @@ int Fail(const ugs::Status& status) {
 
 int main() {
   // ---- Part 1: the paper's Figure 1 graph, exactly. ----
-  ugs::GraphBuilder builder(4);
+  std::vector<ugs::UncertainEdge> edges;
   for (ugs::VertexId u = 0; u < 4; ++u) {
-    for (ugs::VertexId v = u + 1; v < 4; ++v) {
-      ugs::Status s = builder.AddEdge(u, v, 0.3);
-      if (!s.ok()) return Fail(s);
-    }
+    for (ugs::VertexId v = u + 1; v < 4; ++v) edges.push_back({u, v, 0.3});
   }
-  ugs::GraphSession k4(std::move(builder).Build());
+  auto k4_graph = ugs::UncertainGraph::Build(4, std::move(edges));
+  if (!k4_graph.ok()) return Fail(k4_graph.status());
+  ugs::GraphSession k4(std::move(k4_graph).value());
 
   // One request, two estimators: full 2^|E| enumeration versus plain
   // Monte-Carlo over 20000 possible worlds.

@@ -97,16 +97,9 @@ Status ValidateStructure(const CsrArrays& a, std::uint64_t n,
                    ", want 2|E| = " + std::to_string(2 * m));
   }
   for (std::uint64_t e = 0; e < m; ++e) {
-    const UncertainEdge& ed = a.edges[e];
-    if (ed.u >= n || ed.v >= n) {
-      return Corrupt("edge " + std::to_string(e) + " endpoint out of range");
-    }
-    if (ed.u == ed.v) {
-      return Corrupt("edge " + std::to_string(e) + " is a self loop");
-    }
-    if (!(ed.p >= 0.0 && ed.p <= 1.0)) {  // Also rejects NaN.
-      return Corrupt("edge " + std::to_string(e) +
-                     " probability outside [0,1]");
+    const Status edge = CheckEdge(a.edges[e], n);
+    if (!edge.ok()) {
+      return Corrupt("edge " + std::to_string(e) + ": " + edge.message());
     }
   }
   for (std::uint64_t u = 0; u < n; ++u) {

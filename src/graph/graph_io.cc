@@ -6,8 +6,6 @@
 #include <limits>
 #include <sstream>
 
-#include "graph/graph_builder.h"
-
 namespace ugs {
 namespace {
 
@@ -68,11 +66,7 @@ Result<UncertainGraph> ParseFromStream(std::istream& in) {
   std::size_t n = has_declared
                       ? declared_vertices
                       : (edges.empty() ? 0 : static_cast<std::size_t>(max_id) + 1);
-  GraphBuilder builder(n);
-  for (const UncertainEdge& e : edges) {
-    UGS_RETURN_IF_ERROR(builder.AddEdge(e.u, e.v, e.p));
-  }
-  return std::move(builder).Build();
+  return UncertainGraph::Build(n, std::move(edges));
 }
 
 }  // namespace

@@ -17,7 +17,9 @@ namespace ugs {
 /// Vertex ids are dense 0-based integers. Loading infers the vertex count
 /// as (max id + 1) unless a '# vertices: N' header is present. Ids must
 /// stay below, and N must not exceed, the largest VertexId (IOError
-/// naming the line otherwise).
+/// naming the line otherwise). The parsed edges then go through
+/// UncertainGraph::Build, whose InvalidArgument names the first invalid
+/// edge (self loop, duplicate, p outside [0, 1], endpoint >= N).
 
 /// Parses an uncertain graph from a file.
 [[nodiscard]] Result<UncertainGraph> LoadEdgeList(const std::string& path);

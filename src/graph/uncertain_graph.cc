@@ -14,43 +14,100 @@ double EdgeEntropyBits(double p) {
   return -(p * std::log2(p) + (1.0 - p) * std::log2(1.0 - p));
 }
 
-UncertainGraph::UncertainGraph(const UncertainGraph& other)
-    : owned_edges_(other.edges_.begin(), other.edges_.end()),
-      owned_degree_offsets_(other.degree_offsets_.begin(),
-                            other.degree_offsets_.end()),
-      owned_adjacency_(other.adjacency_.begin(), other.adjacency_.end()),
-      owned_expected_degree_(other.expected_degree_.begin(),
-                             other.expected_degree_.end()) {
-  AdoptOwned();
+namespace {
+
+/// The heap block behind a built graph: the arrays its spans alias.
+struct HeapArrays {
+  std::vector<UncertainEdge> edges;
+  std::vector<std::uint64_t> degree_offsets;
+  std::vector<AdjacencyEntry> adjacency;
+  std::vector<double> expected_degrees;
+};
+
+std::string PairName(std::uint64_t u, std::uint64_t v) {
+  // Appended, not `"(" + std::to_string(...)`: GCC 12 at -O3 flags that
+  // with a false -Wrestrict.
+  std::string name = "(";
+  name += std::to_string(u);
+  name += ',';
+  name += std::to_string(v);
+  name += ')';
+  return name;
 }
 
-UncertainGraph& UncertainGraph::operator=(const UncertainGraph& other) {
-  if (this != &other) *this = UncertainGraph(other);
-  return *this;
+}  // namespace
+
+Status CheckEdge(const UncertainEdge& e, std::size_t num_vertices) {
+  if (e.u >= num_vertices || e.v >= num_vertices) {
+    return Status::InvalidArgument("edge endpoint out of range: " +
+                                   PairName(e.u, e.v));
+  }
+  if (e.u == e.v) {
+    return Status::InvalidArgument("self loop at vertex " +
+                                   std::to_string(e.u));
+  }
+  // Negated-range form so NaN (all comparisons false) is refused too.
+  if (!(e.p >= 0.0 && e.p <= 1.0)) {
+    return Status::InvalidArgument("edge probability must be in [0,1], got " +
+                                   std::to_string(e.p));
+  }
+  return Status::OK();
 }
 
-void UncertainGraph::AdoptOwned() {
-  edges_ = owned_edges_;
-  degree_offsets_ = owned_degree_offsets_;
-  adjacency_ = owned_adjacency_;
-  expected_degree_ = owned_expected_degree_;
-  keepalive_.reset();
-  external_bytes_ = 0;
+Result<UncertainGraph> UncertainGraph::Build(std::size_t num_vertices,
+                                             std::vector<UncertainEdge> edges) {
+  auto heap = std::make_shared<HeapArrays>();
+  heap->edges = std::move(edges);
+  const std::vector<UncertainEdge>& list = heap->edges;
+  // One pass checks every edge and counts degrees: offsets[u + 1] holds
+  // deg(u) until the prefix sum turns the counts into row starts.
+  std::vector<std::uint64_t>& offsets = heap->degree_offsets;
+  offsets.assign(num_vertices + 1, 0);
+  for (const UncertainEdge& e : list) {
+    UGS_RETURN_IF_ERROR(CheckEdge(e, num_vertices));
+    ++offsets[e.u + std::size_t{1}];
+    ++offsets[e.v + std::size_t{1}];
+  }
+  for (std::size_t i = 0; i < num_vertices; ++i) offsets[i + 1] += offsets[i];
+  std::vector<AdjacencyEntry>& adjacency = heap->adjacency;
+  adjacency.resize(2 * list.size());
+  std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (EdgeId e = 0; e < list.size(); ++e) {
+    adjacency[cursor[list[e].u]++] = {list[e].v, e};
+    adjacency[cursor[list[e].v]++] = {list[e].u, e};
+  }
+  // Sort each row by neighbor id for FindEdge's binary search; equal
+  // neighbors in a row are a parallel edge, in whichever orientation it
+  // was given. Row min(u, v) meets it first.
+  heap->expected_degrees.assign(num_vertices, 0.0);
+  for (std::size_t u = 0; u < num_vertices; ++u) {
+    auto begin = adjacency.begin() + offsets[u];
+    auto end = adjacency.begin() + offsets[u + 1];
+    std::sort(begin, end, [](const AdjacencyEntry& a, const AdjacencyEntry& b) {
+      return a.neighbor < b.neighbor;
+    });
+    for (auto it = begin; it != end; ++it) {
+      if (it != begin && (it - 1)->neighbor == it->neighbor) {
+        return Status::InvalidArgument("duplicate edge " +
+                                       PairName(u, it->neighbor));
+      }
+      heap->expected_degrees[u] += list[it->edge].p;
+    }
+  }
+  UncertainGraph g;
+  g.edges_ = heap->edges;
+  g.degree_offsets_ = heap->degree_offsets;
+  g.adjacency_ = heap->adjacency;
+  g.expected_degree_ = heap->expected_degrees;
+  g.keepalive_ = std::move(heap);
+  return g;
 }
 
 UncertainGraph UncertainGraph::FromEdges(std::size_t num_vertices,
                                          std::vector<UncertainEdge> edges) {
-  UncertainGraph g;
-  g.owned_edges_ = std::move(edges);
-  g.owned_degree_offsets_.assign(num_vertices + 1, 0);
-  for (const UncertainEdge& e : g.owned_edges_) {
-    UGS_CHECK(e.u < num_vertices && e.v < num_vertices);
-    UGS_CHECK(e.u != e.v);
-    UGS_CHECK(e.p >= 0.0 && e.p <= 1.0);
-  }
-  g.BuildAdjacency();
-  g.AdoptOwned();
-  return g;
+  Result<UncertainGraph> built = Build(num_vertices, std::move(edges));
+  UGS_CHECK(built.ok());
+  return std::move(built).value();
 }
 
 UncertainGraph UncertainGraph::FromCsrView(
@@ -60,6 +117,7 @@ UncertainGraph UncertainGraph::FromCsrView(
   UGS_CHECK(arrays.adjacency.size() == 2 * arrays.edges.size());
   UGS_CHECK(arrays.expected_degrees.size() ==
             arrays.degree_offsets.size() - 1);
+  UGS_CHECK(resident_bytes > 0);  // is_view() reads it.
   UncertainGraph g;
   g.edges_ = arrays.edges;
   g.degree_offsets_ = arrays.degree_offsets;
@@ -68,42 +126,6 @@ UncertainGraph UncertainGraph::FromCsrView(
   g.keepalive_ = std::move(keepalive);
   g.external_bytes_ = resident_bytes;
   return g;
-}
-
-void UncertainGraph::BuildAdjacency() {
-  const std::size_t n = owned_degree_offsets_.size() - 1;
-  // Counting pass.
-  std::vector<std::size_t> counts(n, 0);
-  for (const UncertainEdge& e : owned_edges_) {
-    ++counts[e.u];
-    ++counts[e.v];
-  }
-  owned_degree_offsets_[0] = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    owned_degree_offsets_[i + 1] = owned_degree_offsets_[i] + counts[i];
-  }
-  owned_adjacency_.resize(2 * owned_edges_.size());
-  std::vector<std::uint64_t> cursor(owned_degree_offsets_.begin(),
-                                    owned_degree_offsets_.end() - 1);
-  for (EdgeId e = 0; e < owned_edges_.size(); ++e) {
-    const UncertainEdge& ed = owned_edges_[e];
-    owned_adjacency_[cursor[ed.u]++] = {ed.v, e};
-    owned_adjacency_[cursor[ed.v]++] = {ed.u, e};
-  }
-  // Sort each vertex's slice by neighbor id to allow binary search and to
-  // detect parallel edges.
-  owned_expected_degree_.assign(n, 0.0);
-  for (std::size_t u = 0; u < n; ++u) {
-    auto begin = owned_adjacency_.begin() + owned_degree_offsets_[u];
-    auto end = owned_adjacency_.begin() + owned_degree_offsets_[u + 1];
-    std::sort(begin, end, [](const AdjacencyEntry& a, const AdjacencyEntry& b) {
-      return a.neighbor < b.neighbor;
-    });
-    for (auto it = begin; it != end; ++it) {
-      if (it != begin) UGS_CHECK((it - 1)->neighbor != it->neighbor);
-      owned_expected_degree_[u] += owned_edges_[it->edge].p;
-    }
-  }
 }
 
 Status UncertainGraph::ApplyUpdates(std::span<const EdgeUpdate> updates) {
@@ -116,9 +138,9 @@ Status UncertainGraph::ApplyUpdates(std::span<const EdgeUpdate> updates) {
 Result<UncertainGraph> UncertainGraph::WithUpdates(
     std::span<const EdgeUpdate> updates) const {
   const std::size_t n = num_vertices();
-  // Stage the mutated edge list (copying a view's edges if this graph is
-  // mmap-backed); *this is never touched. A delete only flags its entry, so staged index e < num_edges() stays
-  // edge id e of *this until the commit compacts once.
+  // Stage the mutated edge list; *this is never touched. A delete only
+  // flags its entry, so staged index e < num_edges() stays edge id e of
+  // *this until the commit compacts once.
   std::vector<UncertainEdge> staged(edges_.begin(), edges_.end());
   std::vector<char> deleted(staged.size(), 0);
   // (min,max) endpoint -> staged index of each pair this batch inserted;
@@ -128,23 +150,14 @@ Result<UncertainGraph> UncertainGraph::WithUpdates(
     return Status::InvalidArgument("update[" + std::to_string(at) + "]: " +
                                    why);
   };
-  auto edge_name = [](const EdgeUpdate& u) {
-    // Appended, not `"(" + std::to_string(...)`: GCC 12 at -O3 flags
-    // that with a false -Wrestrict.
-    std::string name = "(";
-    name += std::to_string(u.u);
-    name += ',';
-    name += std::to_string(u.v);
-    name += ')';
-    return name;
-  };
   for (std::size_t at = 0; at < updates.size(); ++at) {
     const EdgeUpdate& u = updates[at];
     if (u.u >= n || u.v >= n) {
-      return fail(at, "endpoint of " + edge_name(u) + " out of range for " +
-                          std::to_string(n) + " vertices");
+      return fail(at, "endpoint of " + PairName(u.u, u.v) +
+                          " out of range for " + std::to_string(n) +
+                          " vertices");
     }
-    if (u.u == u.v) return fail(at, "self loop " + edge_name(u));
+    if (u.u == u.v) return fail(at, "self loop " + PairName(u.u, u.v));
     const std::uint64_t key =
         (static_cast<std::uint64_t>(std::min(u.u, u.v)) << 32) |
         std::max(u.u, u.v);
@@ -154,7 +167,7 @@ Result<UncertainGraph> UncertainGraph::WithUpdates(
     switch (u.op) {
       case EdgeUpdateOp::kInsert:
         if (e != kInvalidEdge) {
-          return fail(at, "edge " + edge_name(u) + " already exists");
+          return fail(at, "edge " + PairName(u.u, u.v) + " already exists");
         }
         if (!(u.p > 0.0 && u.p <= 1.0)) {
           return fail(at, "probability must be in (0, 1]");
@@ -165,13 +178,13 @@ Result<UncertainGraph> UncertainGraph::WithUpdates(
         break;
       case EdgeUpdateOp::kDelete:
         if (e == kInvalidEdge) {
-          return fail(at, "edge " + edge_name(u) + " does not exist");
+          return fail(at, "edge " + PairName(u.u, u.v) + " does not exist");
         }
         deleted[e] = 1;
         break;
       case EdgeUpdateOp::kReweight:
         if (e == kInvalidEdge) {
-          return fail(at, "edge " + edge_name(u) + " does not exist");
+          return fail(at, "edge " + PairName(u.u, u.v) + " does not exist");
         }
         if (!(u.p > 0.0 && u.p <= 1.0)) {
           return fail(at, "probability must be in (0, 1]");

@@ -52,6 +52,13 @@ struct EdgeUpdate {
 /// H(p) = -p log2 p - (1-p) log2(1-p); 0 at the deterministic endpoints.
 double EdgeEntropyBits(double p);
 
+/// The per-edge rule every way of making a graph applies (Build, and so
+/// ParseEdgeList; .ugsc structure validation): both endpoints below
+/// num_vertices, no self loop, p in [0, 1] with NaN refused.
+/// InvalidArgument naming the fault otherwise.
+[[nodiscard]] Status CheckEdge(const UncertainEdge& e,
+                               std::size_t num_vertices);
+
 /// The four parallel arrays of a fully-built CSR uncertain graph. The
 /// binary .ugsc format (graph/csr_format.h) stores exactly these, so a
 /// validated mapping can back an UncertainGraph without any copies.
@@ -73,42 +80,38 @@ struct CsrArrays {
 /// (probabilities, world membership flags, discrepancy deltas) can live in
 /// plain arrays parallel to the edge list.
 ///
-/// All accessors read through spans, and the spans can be backed two ways:
-///   - owned: heap vectors built by FromEdges / GraphBuilder;
-///   - view: externally validated arrays (an mmap'ed .ugsc file) kept
-///     alive by a type-erased keepalive handle (FromCsrView).
-/// Query and sampling code never sees the difference. Copying a view
-/// materializes it into owned storage; moving never copies array data.
+/// All accessors read through spans into immutable arrays that a shared
+/// keepalive handle pins: a heap block for Build / FromEdges, the mapped
+/// file for FromCsrView. Copies share those arrays; nothing ever writes
+/// them, so a copy and its original are independent values.
 ///
-/// Construct through GraphBuilder (validating), the static FromEdges
-/// (checked) factory, or MappedGraph::Open (graph/csr_format.h).
+/// Construct through Build (validating), FromEdges (trusted input), or
+/// MappedGraph::Open (graph/csr_format.h).
 class UncertainGraph {
  public:
-  UncertainGraph() = default;
+  /// The graph over vertices [0, num_vertices) with these edges, or
+  /// InvalidArgument naming the first fault: an endpoint >= num_vertices,
+  /// a self loop, p outside [0, 1] (NaN included; see CheckEdge), or the
+  /// same pair twice in either orientation ("duplicate edge (u,v)").
+  /// p = 0 is accepted because sparsified graphs carry it (see the class
+  /// comment).
+  [[nodiscard]] static Result<UncertainGraph> Build(
+      std::size_t num_vertices, std::vector<UncertainEdge> edges);
 
-  UncertainGraph(UncertainGraph&&) noexcept = default;
-  UncertainGraph& operator=(UncertainGraph&&) noexcept = default;
-  /// Deep copy: always materializes into owned storage (a copy of a
-  /// mapped graph is an ordinary heap-backed graph).
-  UncertainGraph(const UncertainGraph& other);
-  UncertainGraph& operator=(const UncertainGraph& other);
-
-  /// Builds a graph from an edge list. Aborts on invalid input (self loop,
-  /// duplicate edge, p outside [0, 1], endpoint >= num_vertices); use
-  /// GraphBuilder for a Status-returning path. p = 0 is accepted because
-  /// sparsified graphs carry it (see the class comment).
+  /// Build for edge lists the caller vouches for (generators, sparsifier
+  /// outputs, WithUpdates' commit): aborts where Build returns an error.
   static UncertainGraph FromEdges(std::size_t num_vertices,
                                   std::vector<UncertainEdge> edges);
 
   /// Adopts already-validated external CSR arrays without copying.
   /// `keepalive` owns the backing storage (an mmap region) and is held
-  /// until every copy of this graph is gone; `resident_bytes` is the
-  /// actual footprint of that storage (the mapped file size), reported
-  /// through external_bytes(). The caller vouches for the arrays: all
-  /// the structural invariants FromEdges enforces must already hold
-  /// (csr_format.h validates them at open). Accessors trust the arrays,
-  /// so a malformed view is undefined behavior -- never construct one
-  /// from unvalidated bytes.
+  /// until every copy of this graph is gone; `resident_bytes` (> 0) is
+  /// the actual footprint of that storage (the mapped file size),
+  /// reported through external_bytes(). The caller vouches for the
+  /// arrays: all the structural invariants Build enforces must already
+  /// hold (csr_format.h validates them at open). Accessors trust the
+  /// arrays, so a malformed view is undefined behavior -- never construct
+  /// one from unvalidated bytes.
   static UncertainGraph FromCsrView(const CsrArrays& arrays,
                                     std::shared_ptr<const void> keepalive,
                                     std::size_t resident_bytes);
@@ -156,8 +159,8 @@ class UncertainGraph {
   }
 
   /// True when the arrays live in external storage (an mmap'ed .ugsc
-  /// file) instead of heap vectors.
-  bool is_view() const { return keepalive_ != nullptr; }
+  /// file) instead of a heap block.
+  bool is_view() const { return external_bytes_ != 0; }
 
   /// Bytes of external backing storage (the mapped file size); 0 for
   /// heap-backed graphs. Residency accounting (service/session_registry)
@@ -174,7 +177,7 @@ class UncertainGraph {
   /// shift down one id); reweights are positional. The result is
   /// bit-identical to FromEdges(num_vertices(), equivalent_edge_list) --
   /// the version-equivalence contract (docs/dynamic-graphs.md) -- and
-  /// owns its storage even when *this is a view (mmap-backed .ugsc); the
+  /// lives on the heap even when *this is a view (mmap-backed .ugsc); the
   /// vertex count never changes. Costs O(|E| + b log d) for b updates,
   /// plus the FromEdges rebuild.
   [[nodiscard]] Result<UncertainGraph> WithUpdates(
@@ -197,27 +200,16 @@ class UncertainGraph {
   bool IsStructurallyConnected() const;
 
  private:
-  void BuildAdjacency();
-
-  /// Points the access spans at the owned vectors.
-  void AdoptOwned();
-
-  // Access spans: every accessor reads these. They alias either the
-  // owned_* vectors below or external storage pinned by keepalive_.
+  // Access spans: every accessor reads these. They alias the arrays
+  // keepalive_ pins.
   std::span<const UncertainEdge> edges_;
   std::span<const std::uint64_t> degree_offsets_;  // CSR offsets, size n+1.
   std::span<const AdjacencyEntry> adjacency_;      // size 2|E|.
   std::span<const double> expected_degree_;        // size n.
 
-  // Owned backing (empty while the graph is a view).
-  std::vector<UncertainEdge> owned_edges_;
-  std::vector<std::uint64_t> owned_degree_offsets_;
-  std::vector<AdjacencyEntry> owned_adjacency_;
-  std::vector<double> owned_expected_degree_;
-
-  // View backing: keeps the external storage (mmap region) alive.
+  // The storage the spans alias: a heap block, or an mmap region.
   std::shared_ptr<const void> keepalive_;
-  std::size_t external_bytes_ = 0;
+  std::size_t external_bytes_ = 0;  // Mapped file size; 0 on the heap.
 };
 
 }  // namespace ugs

@@ -64,14 +64,14 @@ class GraphSession {
   /// Version of the graph this session serves (stamped into results).
   std::uint64_t version() const { return options_.graph_version; }
 
-  /// Builds the successor session: a copy of this session's graph with
-  /// `updates` applied (atomically -- see UncertainGraph::ApplyUpdates)
-  /// and the version set to `new_version`. This session is untouched
-  /// either way; sessions stay immutable, updates swap whole sessions
-  /// (the registry's copy-on-mutate path). The successor shares this
-  /// session's pool, so applying updates spawns no threads. A
-  /// view-backed graph (mmap) materializes into owned storage here --
-  /// first write, not first read.
+  /// Builds the successor session: this session's graph with `updates`
+  /// applied (atomically -- see UncertainGraph::WithUpdates) and the
+  /// version set to `new_version`. This session is untouched either
+  /// way; sessions stay immutable, updates swap whole sessions (the
+  /// registry's copy-on-mutate path). The successor shares this
+  /// session's pool, so applying updates spawns no threads. The
+  /// successor's graph is heap-built even when this one is a view
+  /// (mmap): the first write leaves the mapping, not the first read.
   [[nodiscard]] Result<std::unique_ptr<GraphSession>> WithUpdates(
       std::span<const EdgeUpdate> updates, std::uint64_t new_version) const;
 

@@ -450,6 +450,7 @@ std::optional<ReplyFrame> Router::RaceForward(const std::string& payload,
     ShardLink* shard;
     Client conn;
     bool live = false;
+    std::chrono::steady_clock::time_point sent_at{};
   };
   Racer racers[2] = {{a, {}, false}, {b, {}, false}};
   for (Racer& racer : racers) {
@@ -459,6 +460,7 @@ std::optional<ReplyFrame> Router::RaceForward(const std::string& payload,
       NoteShardFailure(racer.shard);
       continue;
     }
+    racer.sent_at = std::chrono::steady_clock::now();
     if (!conn->Send(FrameType::kRequest, payload).ok()) {
       // A stale pooled connection is not evidence against the shard;
       // a fresh one failing is.
@@ -476,6 +478,21 @@ std::optional<ReplyFrame> Router::RaceForward(const std::string& payload,
   int order[2] = {-1, -1};  ///< Racer index by arrival position.
   int arrived = 0;
   const int wanted = options_.race_verify ? 2 : 1;
+  // Reads racer i's reply: an answer is a timed forward, a dead
+  // transport demotes the shard. Either way the racer is done.
+  auto receive = [&](int i) {
+    Racer& racer = racers[i];
+    Result<Frame> reply = racer.conn.Receive();
+    if (reply.ok()) {
+      racer.shard->forward_us.Record(MicrosSince(racer.sent_at));
+      replies[i] = std::move(*reply);
+      order[arrived++] = i;
+      ReturnConn(racer.shard, std::move(racer.conn));
+    } else {
+      NoteShardFailure(racer.shard);
+    }
+    racer.live = false;
+  };
   while (arrived < wanted) {
     pollfd fds[2];
     int racer_of_fd[2];
@@ -491,16 +508,7 @@ std::optional<ReplyFrame> Router::RaceForward(const std::string& payload,
     if (nfds == 1 || arrived == 1) {
       // One racer left (or one reply already in hand): plain blocking
       // read decides it.
-      const int i = racer_of_fd[0];
-      Result<Frame> reply = racers[i].conn.Receive();
-      if (reply.ok()) {
-        replies[i] = std::move(*reply);
-        order[arrived++] = i;
-        ReturnConn(racers[i].shard, std::move(racers[i].conn));
-      } else {
-        NoteShardFailure(racers[i].shard);
-      }
-      racers[i].live = false;
+      receive(racer_of_fd[0]);
       continue;
     }
     if (::poll(fds, static_cast<nfds_t>(nfds), -1) < 0) {
@@ -509,16 +517,7 @@ std::optional<ReplyFrame> Router::RaceForward(const std::string& payload,
     }
     for (int f = 0; f < nfds && arrived < wanted; ++f) {
       if ((fds[f].revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
-      const int i = racer_of_fd[f];
-      Result<Frame> reply = racers[i].conn.Receive();
-      if (reply.ok()) {
-        replies[i] = std::move(*reply);
-        order[arrived++] = i;
-        ReturnConn(racers[i].shard, std::move(racers[i].conn));
-      } else {
-        NoteShardFailure(racers[i].shard);
-      }
-      racers[i].live = false;
+      receive(racer_of_fd[f]);
     }
   }
 

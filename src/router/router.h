@@ -165,7 +165,8 @@ class Router {
     std::atomic<int> consecutive_failures{0};
 
     /// Per-shard telemetry: forward latency (one send+receive on this
-    /// shard, successes only), transport failures, and race wins.
+    /// shard, successes only, raced forwards included), transport
+    /// failures, and race wins.
     telemetry::Histogram forward_us{telemetry::LatencyBucketsUs()};
     telemetry::Counter forward_failures;
     telemetry::Counter race_wins;

@@ -54,6 +54,20 @@ int TryConnect(const std::string& host, const std::string& service,
   return fd;
 }
 
+/// OK when `frame` is the `want` reply; otherwise the Status a kError
+/// frame carries, or InvalidArgument for any other frame type.
+Status CheckReply(const Frame& frame, FrameType want) {
+  if (frame.type == want) return Status::OK();
+  if (frame.type == FrameType::kError) {
+    Status carried;
+    UGS_RETURN_IF_ERROR(DecodeError(frame.payload, &carried));
+    return carried;
+  }
+  return Status::InvalidArgument(
+      "client: unexpected reply frame type " +
+      std::to_string(static_cast<int>(frame.type)));
+}
+
 }  // namespace
 
 Result<Client> Client::Connect(const std::string& host, int port,
@@ -115,16 +129,7 @@ Result<QueryResult> Client::Query(const std::string& graph,
   Result<Frame> reply =
       RoundTrip(FrameType::kRequest, EncodeRequest({graph, request}));
   if (!reply.ok()) return reply.status();
-  if (reply->type == FrameType::kError) {
-    Status carried;
-    UGS_RETURN_IF_ERROR(DecodeError(reply->payload, &carried));
-    return carried;
-  }
-  if (reply->type != FrameType::kResult) {
-    return Status::InvalidArgument(
-        "client: unexpected reply frame type " +
-        std::to_string(static_cast<int>(reply->type)));
-  }
+  UGS_RETURN_IF_ERROR(CheckReply(*reply, FrameType::kResult));
   return DecodeResult(reply->payload);
 }
 
@@ -158,18 +163,9 @@ std::vector<Result<QueryResult>> Client::QueryPipelined(
       sent = i;
       break;
     }
-    const Frame& frame = **reply;
-    if (frame.type == FrameType::kError) {
-      Status carried;
-      Status decoded = DecodeError(frame.payload, &carried);
-      results.push_back(decoded.ok() ? carried : decoded);
-    } else if (frame.type == FrameType::kResult) {
-      results.push_back(DecodeResult(frame.payload));
-    } else {
-      results.push_back(Status::InvalidArgument(
-          "client: unexpected reply frame type " +
-          std::to_string(static_cast<int>(frame.type))));
-    }
+    Status checked = CheckReply(**reply, FrameType::kResult);
+    results.push_back(checked.ok() ? DecodeResult((*reply)->payload)
+                                   : Result<QueryResult>(std::move(checked)));
   }
   if (results.size() < requests.size() && transport.ok()) {
     // Defensive: every early exit above records its failure, but an
@@ -183,16 +179,7 @@ std::vector<Result<QueryResult>> Client::QueryPipelined(
 Result<std::string> Client::Stats(const std::string& graph) {
   Result<Frame> reply = RoundTrip(FrameType::kStats, graph);
   if (!reply.ok()) return reply.status();
-  if (reply->type == FrameType::kError) {
-    Status carried;
-    UGS_RETURN_IF_ERROR(DecodeError(reply->payload, &carried));
-    return carried;
-  }
-  if (reply->type != FrameType::kStatsReply) {
-    return Status::InvalidArgument(
-        "client: unexpected reply frame type " +
-        std::to_string(static_cast<int>(reply->type)));
-  }
+  UGS_RETURN_IF_ERROR(CheckReply(*reply, FrameType::kStatsReply));
   return std::move(reply->payload);
 }
 
@@ -203,16 +190,7 @@ Result<WireUpdateReply> Client::Update(const std::string& graph,
   update.updates = updates;
   Result<Frame> reply = RoundTrip(FrameType::kUpdate, EncodeUpdate(update));
   if (!reply.ok()) return reply.status();
-  if (reply->type == FrameType::kError) {
-    Status carried;
-    UGS_RETURN_IF_ERROR(DecodeError(reply->payload, &carried));
-    return carried;
-  }
-  if (reply->type != FrameType::kUpdateReply) {
-    return Status::InvalidArgument(
-        "client: unexpected reply frame type " +
-        std::to_string(static_cast<int>(reply->type)));
-  }
+  UGS_RETURN_IF_ERROR(CheckReply(*reply, FrameType::kUpdateReply));
   return DecodeUpdateReply(reply->payload);
 }
 

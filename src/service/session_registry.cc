@@ -155,9 +155,9 @@ Result<SessionRegistry::Handle> SessionRegistry::Acquire(
     opened_cv_.SignalAll();
     return opened.status();
   }
-  // Count by how the file itself opened (a replayed mmap open
-  // materializes into owned storage, but it still came off the fast
-  // path).
+  // Count by how the file itself opened (replaying an update log onto
+  // an mmap open leaves a heap-built graph, but it still came off the
+  // fast path).
   if (opened_as_view) {
     opens_mmap_.Add();
     open_mmap_us_.Record(open_us);

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -136,20 +137,98 @@ TEST(CsrWriteReadTest, GraphOutlivesMappedGraphHandle) {
   EXPECT_DOUBLE_EQ(view.edges()[0].p, 0.4);
 }
 
-TEST(CsrWriteReadTest, CopyOfViewMaterializesToOwnedGraph) {
+TEST(CsrWriteReadTest, CopyOfViewSharesTheMapping) {
   const std::string path = TempPath("materialize.ugsc");
   ASSERT_TRUE(WriteCsrGraph(MixedGraph(), path).ok());
   Result<MappedGraph> mapped = MappedGraph::Open(path);
   ASSERT_TRUE(mapped.ok());
   UncertainGraph copy(mapped->graph());
-  EXPECT_FALSE(copy.is_view());
-  EXPECT_EQ(copy.external_bytes(), 0u);
+  EXPECT_TRUE(copy.is_view());
+  EXPECT_EQ(copy.external_bytes(), mapped->mapped_bytes());
   const CsrArrays a = mapped->graph().csr_arrays();
-  const CsrArrays b = copy.csr_arrays();
-  EXPECT_NE(static_cast<const void*>(b.edges.data()),
+  EXPECT_EQ(static_cast<const void*>(copy.csr_arrays().edges.data()),
             static_cast<const void*>(a.edges.data()));
-  EXPECT_EQ(std::memcmp(b.edges.data(), a.edges.data(), a.edges.size_bytes()),
+  // Mutating the copy builds it on the heap; the mapping is untouched.
+  const std::string before(reinterpret_cast<const char*>(a.edges.data()),
+                           a.edges.size_bytes());
+  const UncertainEdge first = a.edges[0];
+  ASSERT_TRUE(copy.ApplyUpdates({{{EdgeUpdateOp::kDelete, first.u, first.v,
+                                   0.0}}})
+                  .ok());
+  EXPECT_FALSE(copy.is_view());
+  EXPECT_EQ(copy.num_edges(), a.edges.size() - 1);
+  EXPECT_TRUE(mapped->graph().is_view());
+  ASSERT_EQ(mapped->graph().num_edges(), a.edges.size());
+  EXPECT_EQ(std::memcmp(mapped->graph().edges().data(), before.data(),
+                        before.size()),
             0);
+}
+
+// Every way of making a graph refuses the same faults: Build, the text
+// loader (which ends in Build), and .ugsc structure validation (which
+// applies Build's per-edge rule, CheckEdge, to the mapped edge section;
+// a parallel edge there shows up as an unsorted adjacency row instead).
+TEST(GraphValidityTest, EveryPathRefusesTheSameFaults) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<UncertainEdge> base = {
+      {0, 1, 0.5}, {1, 2, 0.5}, {2, 3, 0.5}};
+  struct Fault {
+    const char* name;
+    UncertainEdge edge;
+    // A per-edge fault replaces edge 0, in the edge list and in the edge
+    // section of a .ugsc image; a parallel edge is appended. The
+    // probability faults keep edge 0's endpoints, so in the image only
+    // the per-edge check can catch them.
+    bool per_edge;
+  };
+  const Fault faults[] = {
+      {"endpoint == n", {0, 4, 0.5}, true},
+      {"u == v", {0, 0, 0.5}, true},
+      {"p = -0.1", {0, 1, -0.1}, true},
+      {"p = 1.5", {0, 1, 1.5}, true},
+      {"p = NaN", {0, 1, nan}, true},
+      {"(u, v) then (v, u)", {1, 0, 0.5}, false},
+      {"(u, v) twice", {0, 1, 0.5}, false},
+  };
+  auto edge_list_text = [](const std::vector<UncertainEdge>& edges) {
+    std::string text = "# vertices: 4\n";
+    char line[96];
+    for (const UncertainEdge& e : edges) {
+      std::snprintf(line, sizeof(line), "%u %u %.17g\n", e.u, e.v, e.p);
+      text += line;
+    }
+    return text;
+  };
+  const CsrOpenOptions no_crc{.verify_checksums = false,
+                              .validate_structure = true};
+  const std::string valid_image =
+      CsrFileImage(UncertainGraph::FromEdges(4, base));
+  CsrFileInfo info;
+  // The unfaulted inputs pass every path.
+  ASSERT_TRUE(UncertainGraph::Build(4, base).ok());
+  ASSERT_TRUE(ParseEdgeList(edge_list_text(base)).ok());
+  ASSERT_TRUE(
+      ValidateCsrImage(AsBytes(valid_image), no_crc, nullptr, &info).ok());
+
+  for (const Fault& fault : faults) {
+    SCOPED_TRACE(fault.name);
+    std::vector<UncertainEdge> edges = base;
+    if (fault.per_edge) {
+      edges[0] = fault.edge;
+    } else {
+      edges.push_back(fault.edge);
+    }
+    EXPECT_EQ(UncertainGraph::Build(4, edges).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_FALSE(ParseEdgeList(edge_list_text(edges)).ok());
+    if (!fault.per_edge) continue;
+    std::string image = valid_image;
+    std::memcpy(image.data() + info.sections[0].offset, &fault.edge,
+                sizeof(UncertainEdge));
+    EXPECT_EQ(ValidateCsrImage(AsBytes(image), no_crc, nullptr, nullptr)
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(CsrOpenErrorsTest, MissingFileIsIOError) {

@@ -397,6 +397,42 @@ TEST_F(RouterTest, MetricsSubVerbAnswersFromTheRouterItself) {
       << *text;
 }
 
+TEST_F(RouterTest, RacedForwardsAreTimed) {
+  // Every answered forward lands in ugs_shard_forward_seconds, raced
+  // ones included: K raced queries grow the count summed over shards by
+  // at least K (the winner of each race; verify mode would add losers).
+  std::unique_ptr<Server> shard_a = StartShard();
+  std::unique_ptr<Server> shard_b = StartShard();
+  RouterOptions options;
+  options.replication = 2;
+  options.race = 2;
+  std::unique_ptr<Router> router =
+      StartRouter({shard_a.get(), shard_b.get()}, options);
+
+  Client client = ConnectTo(router->port());
+  auto forward_count = [&client] {
+    Result<std::string> text = client.Stats(kMetricsStatsVerb);
+    EXPECT_TRUE(text.ok()) << text.status().ToString();
+    const std::string prefix = "ugs_shard_forward_seconds_count{";
+    std::uint64_t sum = 0;
+    for (std::size_t at = text->find(prefix); at != std::string::npos;
+         at = text->find(prefix, at + 1)) {
+      sum += std::stoull(text->substr(text->find(' ', at) + 1));
+    }
+    return sum;
+  };
+  const std::uint64_t before = forward_count();
+  constexpr int kQueries = 6;
+  QueryRequest request = CoveringRequests().front();
+  for (int i = 0; i < kQueries; ++i) {
+    request.seed = 100 + i;
+    Result<QueryResult> result = client.Query(Id("g1"), request);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+  }
+  EXPECT_EQ(router->stats().raced, static_cast<std::uint64_t>(kQueries));
+  EXPECT_GE(forward_count() - before, static_cast<std::uint64_t>(kQueries));
+}
+
 TEST_F(RouterTest, TelemetrySectionRecordsRoutedSpans) {
   std::unique_ptr<Server> shard_a = StartShard();
   std::unique_ptr<Server> shard_b = StartShard();

@@ -2,10 +2,10 @@
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "graph/graph_builder.h"
 #include "tests/test_util.h"
 
 namespace ugs {
@@ -117,54 +117,55 @@ TEST(UncertainGraphTest, ZeroProbabilityEdgeAllowed) {
   EXPECT_DOUBLE_EQ(g.EntropyBits(), 0.0);
 }
 
-TEST(GraphBuilderTest, RejectsSelfLoop) {
-  GraphBuilder b(3);
-  EXPECT_EQ(b.AddEdge(1, 1, 0.5).code(), StatusCode::kInvalidArgument);
+StatusCode BuildCode(std::vector<UncertainEdge> edges) {
+  return UncertainGraph::Build(3, std::move(edges)).status().code();
 }
 
-TEST(GraphBuilderTest, RejectsOutOfRange) {
-  GraphBuilder b(3);
-  EXPECT_EQ(b.AddEdge(0, 3, 0.5).code(), StatusCode::kInvalidArgument);
+TEST(UncertainGraphBuildTest, RejectsSelfLoop) {
+  EXPECT_EQ(BuildCode({{1, 1, 0.5}}), StatusCode::kInvalidArgument);
 }
 
-TEST(GraphBuilderTest, RejectsBadProbability) {
-  GraphBuilder b(3);
-  EXPECT_EQ(b.AddEdge(0, 1, 1.5).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(b.AddEdge(0, 1, -0.1).code(), StatusCode::kInvalidArgument);
+TEST(UncertainGraphBuildTest, RejectsOutOfRange) {
+  EXPECT_EQ(BuildCode({{0, 3, 0.5}}), StatusCode::kInvalidArgument);
 }
 
-TEST(GraphBuilderTest, RejectsDuplicateEitherOrientation) {
-  GraphBuilder b(3);
-  ASSERT_TRUE(b.AddEdge(0, 1, 0.5).ok());
-  EXPECT_EQ(b.AddEdge(0, 1, 0.6).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(b.AddEdge(1, 0, 0.6).code(), StatusCode::kInvalidArgument);
+TEST(UncertainGraphBuildTest, RejectsBadProbability) {
+  EXPECT_EQ(BuildCode({{0, 1, 1.5}}), StatusCode::kInvalidArgument);
+  EXPECT_EQ(BuildCode({{0, 1, -0.1}}), StatusCode::kInvalidArgument);
 }
 
-TEST(GraphBuilderTest, BuildKeepsEveryAddedEdge) {
-  GraphBuilder b(3);
-  ASSERT_TRUE(b.AddEdge(0, 1, 0.5).ok());
-  ASSERT_TRUE(b.AddEdge(1, 2, 0.25).ok());
-  EXPECT_EQ(b.num_edges(), 2u);
-  UncertainGraph g = std::move(b).Build();
-  EXPECT_EQ(g.num_edges(), 2u);
-  EXPECT_NEAR(g.ExpectedDegree(1), 0.75, 1e-12);
+TEST(UncertainGraphBuildTest, RejectsDuplicateEitherOrientation) {
+  EXPECT_EQ(BuildCode({{0, 1, 0.5}, {0, 1, 0.6}}),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(BuildCode({{0, 1, 0.5}, {1, 0, 0.6}}),
+            StatusCode::kInvalidArgument);
 }
 
-TEST(UncertainGraphTest, CopyIsDeepAndIndependent) {
+TEST(UncertainGraphBuildTest, BuildKeepsEveryAddedEdge) {
+  Result<UncertainGraph> g =
+      UncertainGraph::Build(3, {{0, 1, 0.5}, {1, 2, 0.25}});
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EXPECT_EQ(g->num_edges(), 2u);
+  EXPECT_NEAR(g->ExpectedDegree(1), 0.75, 1e-12);
+}
+
+TEST(UncertainGraphTest, CopySharesStorageAndStaysIndependent) {
   UncertainGraph original = PaperFigure2Graph();
   UncertainGraph copy(original);
   EXPECT_FALSE(copy.is_view());
-  ASSERT_EQ(copy.num_edges(), original.num_edges());
-  // Distinct storage, equal contents.
-  EXPECT_NE(static_cast<const void*>(copy.edges().data()),
+  // The arrays are immutable, so a copy shares them.
+  EXPECT_EQ(static_cast<const void*>(copy.edges().data()),
             static_cast<const void*>(original.edges().data()));
-  for (std::size_t i = 0; i < original.num_edges(); ++i) {
-    EXPECT_DOUBLE_EQ(copy.edges()[i].p, original.edges()[i].p);
-  }
   UncertainGraph assigned;
   assigned = original;
   EXPECT_EQ(assigned.num_vertices(), 4u);
   EXPECT_EQ(assigned.FindEdge(1, 3), original.FindEdge(1, 3));
+  // Mutating the copy rebuilds it; the original keeps its edges.
+  ASSERT_TRUE(copy.ApplyUpdates({{{EdgeUpdateOp::kReweight, 0, 1, 0.9}}})
+                  .ok());
+  EXPECT_EQ(copy.probability(copy.FindEdge(0, 1)), 0.9);
+  EXPECT_EQ(original.probability(original.FindEdge(0, 1)), 0.4);
+  EXPECT_EQ(original.num_edges(), 5u);
 }
 
 TEST(UncertainGraphTest, MoveKeepsSpansValid) {
@@ -189,12 +190,19 @@ TEST(UncertainGraphTest, FromCsrViewAliasesExternalStorage) {
   EXPECT_EQ(static_cast<const void*>(view.edges().data()),
             static_cast<const void*>(owned.edges().data()));
   EXPECT_EQ(view.Degree(0), owned.Degree(0));
-  // Copying a view materializes it into owned storage.
-  UncertainGraph materialized(view);
-  EXPECT_FALSE(materialized.is_view());
-  EXPECT_NE(static_cast<const void*>(materialized.edges().data()),
+  // A copy of a view is a view of the same storage.
+  UncertainGraph copy(view);
+  EXPECT_TRUE(copy.is_view());
+  EXPECT_EQ(copy.external_bytes(), 12345u);
+  EXPECT_EQ(static_cast<const void*>(copy.edges().data()),
             static_cast<const void*>(owned.edges().data()));
-  EXPECT_DOUBLE_EQ(materialized.EntropyBits(), owned.EntropyBits());
+  // Mutating the copy moves it to the heap; the view is untouched.
+  ASSERT_TRUE(copy.ApplyUpdates({{{EdgeUpdateOp::kDelete, 0, 1, 0.0}}}).ok());
+  EXPECT_FALSE(copy.is_view());
+  EXPECT_EQ(copy.num_edges(), 4u);
+  EXPECT_TRUE(view.is_view());
+  EXPECT_EQ(view.num_edges(), 5u);
+  EXPECT_EQ(view.FindEdge(0, 1), 0u);
 }
 
 }  // namespace
