@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "gen/generators.h"
-#include "graph/uncertain_graph.h"
 #include "graph/graph_stats.h"
+#include "graph/uncertain_graph.h"
 #include "metrics/discrepancy.h"
 #include "query/graph_session.h"
 #include "sparsify/sparsifier.h"
