@@ -22,8 +22,11 @@ enum class StatusCode {
 /// A cheap value type describing the outcome of an operation.
 ///
 /// Usage:
-///   Status s = LoadEdgeList(path, &graph);
+///   Status s = SaveEdgeList(graph, path);
 ///   if (!s.ok()) { LOG(ERROR) << s.ToString(); return s; }
+///
+///   Result<UncertainGraph> loaded = LoadEdgeList(path);  // Value or Status.
+///   if (!loaded.ok()) return loaded.status();
 ///
 /// [[nodiscard]] on the class makes every function returning a Status
 /// by value warn when the result is ignored -- a swallowed error is a
